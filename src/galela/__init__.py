@@ -19,7 +19,9 @@ from .bruckbose import (
 )
 from .combinat import divisors, gaussian_binomial, moebius, prime_power, theta
 from .elation import (
+    ConjugacyPartition,
     ElationGroup,
+    conjugacy_partition,
     conjugator,
     count_classes,
     dimension_profile,
@@ -65,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
+    "ConjugacyPartition",
     "ElationGroup",
     "FieldTower",
     "OrbitCensus",
@@ -76,6 +79,7 @@ __all__ = [
     "VerificationError",
     "act",
     "common_intersection_check",
+    "conjugacy_partition",
     "conjugator",
     "count_classes",
     "dimension_profile",

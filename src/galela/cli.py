@@ -135,7 +135,7 @@ def cmd_verify_correspondence(args):
 
 
 def cmd_verify_lemma1(args):
-    report = selftest.lemma1_report([(args.r, args.p, args.h)])[0]
+    report = selftest.lemma1_report([(args.r, args.p, args.h)], cap=args.cap)[0]
     lines = [f"subgroups {report['subgroups']}, equivalent pairs "
              f"{report['equivalent_pairs']} conjugated, inequivalent pairs "
              f"{report['inequivalent_pairs']} swept over {report['group_order']} "
@@ -163,6 +163,13 @@ def cmd_selftest(args):
     return 0
 
 
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galela",
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--json", action="store_true",
                         help="emit canonical JSON instead of a table")
-    common.add_argument("--cap", type=int, default=None,
+    common.add_argument("--cap", type=_cap, default=None,
                         help="enumeration size cap override")
 
     f = sub.add_parser("field", parents=[common], allow_abbrev=False, help="summarize a field tower")

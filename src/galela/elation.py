@@ -52,11 +52,12 @@ class ElationGroup:
         for b in self.basis_elements:
             shifts = [tower.mul(c, b) for c in range(tower.p)]
             out = [tower.add(x, s) for s in shifts for x in out]
-        assert len(set(out)) == tower.p ** self.m
+        if len(set(out)) != tower.p ** self.m:
+            raise VerificationError(
+                "subgroup basis does not span p^m distinct elements",
+                {"field": [tower.p, tower.h], "rows": [list(row) for row in self.rows],
+                 "distinct": len(set(out))})
         return tuple(sorted(out))
-
-    def matrices(self) -> tuple:
-        return tuple(elation_matrix(self.tower, lam, self.r) for lam in self.elements())
 
     def contains(self, lam: int) -> bool:
         tower = self.tower
@@ -226,7 +227,12 @@ def conjugator(H1: ElationGroup, H2: ElationGroup, r: int):
     for lam in H1.elements():
         lhs = linalg.matmul(linalg.matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower)
         rhs = elation_matrix(tower, tower.mul(alpha, lam), r)
-        assert linalg.scale_projective(lhs, tower) == linalg.scale_projective(rhs, tower)
+        if linalg.scale_projective(lhs, tower) != linalg.scale_projective(rhs, tower):
+            raise VerificationError(
+                "diagonal conjugator fails the projective identity",
+                {"field": [tower.p, tower.h], "r": r, "alpha": alpha, "lam": lam,
+                 "conjugate": [list(row) for row in lhs],
+                 "expected": [list(row) for row in rhs]})
     return g
 
 
@@ -237,64 +243,138 @@ def pgl_order(r: int, q: int) -> int:
     return combinat.exact_div(num, q - 1)
 
 
-def _grow_span(spanned, v, tower):
-    out = set(spanned)
-    for c in range(1, tower.order):
-        cv = tuple(tower.mul(c, x) for x in v)
-        for w in spanned:
-            out.add(tuple(tower.add(a, b) for a, b in zip(w, cv)))
-    return out
+def _grow_span(rows, pivots, v, tower):
+    """Extend a frame by one row: the RREF basis of rows + v and its pivots,
+    or None when v already lies in the span of rows."""
+    if linalg.in_rowspace(v, rows, pivots, tower):
+        return None
+    return linalg.rref(rows + (v,), tower)
 
 
 def _iterate_pgl(r: int, tower: FieldTower):
-    """All of PGL(r, q), one matrix per projective class.
+    """All of PGL(r, q), one matrix per projective class, streamed.
 
     The first row is a normalized projective point, later rows are arbitrary
-    vectors outside the span of the earlier ones.
+    vectors outside the span of the earlier ones.  Independence is decided by
+    reducing each candidate against the RREF basis of the rows chosen so far.
     """
     q = tower.order
     nonzero = [v for v in itertools.product(range(q), repeat=r) if any(v)]
 
-    def extend(rows, spanned):
-        if len(rows) == r:
-            yield tuple(rows)
+    def extend(frame, rows, pivots):
+        if len(frame) == r - 1:
+            # the last row's extended basis is never used, only its independence
+            for v in nonzero:
+                if not linalg.in_rowspace(v, rows, pivots, tower):
+                    yield frame + (v,)
             return
         for v in nonzero:
-            if v not in spanned:
-                yield from extend(rows + [v], _grow_span(spanned, v, tower))
+            grown = _grow_span(rows, pivots, v, tower)
+            if grown is not None:
+                yield from extend(frame + (v,), *grown)
 
-    origin = {(0,) * r}
     for fr in pspace.enumerate_points(r, q):
-        yield from extend([fr], _grow_span(origin, fr, tower))
+        yield from extend((fr,), *_grow_span((), (), fr, tower))
+
+
+@dataclass(frozen=True)
+class ConjugacyPartition:
+    """Subgroups partitioned by PGL-conjugacy of their elation groups."""
+
+    labels: tuple  # labels[i]: least index of a subgroup conjugate to subgroup i
+    witnesses: dict  # (i, j) -> first g swept with g E(H_i) g^-1 == E(H_j), i != j
+
+    @property
+    def classes(self) -> tuple:
+        """Subgroup indices grouped by class, each class and the list ascending."""
+        out: dict[int, list] = {}
+        for i, label in enumerate(self.labels):
+            out.setdefault(label, []).append(i)
+        return tuple(tuple(members) for _, members in sorted(out.items()))
+
+
+def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
+    """Partition subgroups by PGL(r, q)-conjugacy in one exhaustive pass.
+
+    For every g in PGL(r, q) and every subgroup H the pass forms the projective
+    set {g M_lam : lam in H} and looks each member up in {N_mu g : mu in GF(q)}.
+    g conjugates E(H) onto E(H') exactly when every lookup hits and the mu
+    found are the elements of H', which is the comparison {g M} == {N g} of
+    g E(H) g^-1 == E(H') with no inverse formed.  g M_lam is g with lam times
+    column r-1 added to column 0 and N_mu g is g with mu times row 0 added to
+    row r-1, so each product is a rank-1 update.  A subgroup is dropped for g
+    at its first nonzero lam that misses; every match joins the two subgroups
+    in a union-find, whose blocks are the classes.  No theory beyond the
+    definition is used: every element of PGL is visited and the count is
+    checked against pgl_order.
+    """
+    if not subgroups:
+        raise ValueError("no subgroups to partition")
+    tower = subgroups[0].tower
+    if any(H.tower is not tower for H in subgroups):
+        raise ValueError("subgroups live in different fields")
+    q = tower.order
+    size = pgl_order(r, q)
+    limit = PGL_CAP if cap is None else cap
+    if size > limit:
+        raise CapExceeded(f"|PGL({r},{q})| = {size} exceeds cap {limit}")
+    add, mul, key = tower.add, tower.mul, linalg.scale_projective
+    # lam = 0 always matches through N_0 = identity, so it is skipped
+    nonzero = [tuple(lam for lam in H.elements() if lam) for H in subgroups]
+    by_elements: dict[frozenset, list] = {}
+    for i, H in enumerate(subgroups):
+        by_elements.setdefault(frozenset(H.elements()), []).append(i)
+    parent = list(range(len(subgroups)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    witnesses = {}
+    count = 0
+    for g in _iterate_pgl(r, tower):
+        count += 1
+        top, last = g[0], g[-1]
+        right = {}  # projective class of N_mu g -> mu
+        for mu in range(q):
+            ng = g[:-1] + (tuple(add(a, mul(mu, b)) for a, b in zip(last, top)),)
+            right[key(ng, tower)] = mu
+        image = {}  # lam -> mu with g M_lam ~ N_mu g, or None
+        for i, lams in enumerate(nonzero):
+            mus = {0}
+            for lam in lams:
+                if lam not in image:
+                    gm = tuple((add(row[0], mul(lam, row[-1])),) + row[1:] for row in g)
+                    image[lam] = right.get(key(gm, tower))
+                mu = image[lam]
+                if mu is None:
+                    break
+                mus.add(mu)
+            else:
+                for j in by_elements.get(frozenset(mus), ()):
+                    if j != i:
+                        witnesses.setdefault((i, j), g)
+                        parent[find(i)] = find(j)
+    if count != size:
+        raise VerificationError("PGL sweep visited the wrong number of elements",
+                                {"r": r, "q": q, "swept": count, "pgl_order": size})
+    roots = [find(i) for i in range(len(subgroups))]
+    least = {}
+    for i, root in enumerate(roots):
+        least.setdefault(root, i)
+    return ConjugacyPartition(tuple(least[root] for root in roots), witnesses)
 
 
 def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap: int = PGL_CAP) -> bool:
     """Exhaustively confirm no g in PGL(r, p^h) conjugates E(H1) onto E(H2).
 
-    Conjugating the matrix set of E(H1) onto that of E(H2) means equality of
-    the projective sets {g M g^-1} and {N}, which is the same as equality of
-    {g M} and {N g}; the sweep tests the latter so no inverses are needed.
-    Returns True when no witness exists, False as soon as one is found.
+    A single conjugacy_partition pass over PGL with the two subgroups; True
+    when they land in different classes, i.e. the pass found no witness.
     """
-    tower = H1.tower
-    if H2.tower is not tower:
-        raise ValueError("subgroups live in different fields")
-    size = pgl_order(r, tower.order)
-    if size > cap:
-        raise CapExceeded(f"|PGL({r},{tower.order})| = {size} exceeds cap {cap}")
-    mats1 = [elation_matrix(tower, lam, r) for lam in H1.elements() if lam]
-    mats2 = [elation_matrix(tower, lam, r) for lam in H2.elements()]
-    count = 0
-    for g in _iterate_pgl(r, tower):
-        count += 1
-        right = {linalg.scale_projective(linalg.matmul(N, g, tower), tower) for N in mats2}
-        # lam = 0 always matches through N = identity, so it is skipped
-        if len(mats1) + 1 == len(right) and all(
-                linalg.scale_projective(linalg.matmul(g, M, tower), tower) in right
-                for M in mats1):
-            return False
-    assert count == size
-    return True
+    labels = conjugacy_partition((H1, H2), r, cap).labels
+    return labels[0] != labels[1]
 
 
 def subspace_of_center(H: ElationGroup, n: int) -> pspace.Subspace:

@@ -24,7 +24,6 @@ import itertools
 from . import combinat, linalg
 
 FIELD_ORDER_CAP = 1 << 20
-_TABLE_ORDER_CAP = 512
 
 _CACHE: dict[tuple[int, int], "FieldTower"] = {}
 
@@ -80,8 +79,6 @@ class FieldTower:
         self._subfield_maps: dict[int, tuple[dict, dict]] = {}
         self._coords_ctx: dict[int, tuple] = {}
         self._coords_cache: dict[tuple[int, int], tuple] = {}
-        self._mul_table = None
-        self._add_table = None
 
     def __repr__(self):
         return f"GF({self.p}^{self.h})"
@@ -264,20 +261,6 @@ class FieldTower:
             while n % f == 0 and self.pow(a, n // f) == 1:
                 n //= f
         return n
-
-    def mul_table(self):
-        if self._mul_table is None:
-            if self.order > _TABLE_ORDER_CAP:
-                raise ValueError(f"no dense tables above order {_TABLE_ORDER_CAP}")
-            self._mul_table = [[self.mul(a, b) for b in range(self.order)] for a in range(self.order)]
-        return self._mul_table
-
-    def add_table(self):
-        if self._add_table is None:
-            if self.order > _TABLE_ORDER_CAP:
-                raise ValueError(f"no dense tables above order {_TABLE_ORDER_CAP}")
-            self._add_table = [[self.add(a, b) for b in range(self.order)] for a in range(self.order)]
-        return self._add_table
 
     # -- subfields ----------------------------------------------------------
 

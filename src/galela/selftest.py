@@ -123,33 +123,47 @@ def correspondence_report(cases=CORRESPONDENCE_CASES) -> list:
     return [elation.verify_correspondence(p, h, m, n) for p, h, m, n in cases]
 
 
-def lemma1_report(cases=LEMMA1_CASES) -> list:
+def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     """Both directions of the conjugacy criterion over all subgroup pairs.
 
-    Scalar-equivalent pairs must admit the diagonal conjugator (checked by
-    the explicit projective identity inside conjugator); all other pairs
-    must survive the exhaustive projective-group sweep with no witness.
+    One exhaustive pass over PGL(r, q) per case partitions every subgroup by
+    conjugacy (elation.conjugacy_partition).  Scalar-equivalent pairs must
+    admit the diagonal conjugator (checked by the explicit projective
+    identity inside conjugator) and share a class of the pass; all other
+    pairs must land in different classes.  cap bounds the subgroup
+    enumeration and |PGL(r, q)|.
     """
     out = []
     for r, p, h in cases:
         subs = [H for m in range(1, h + 1)
-                for H in elation.enumerate_subgroups(p, h, m, r=r)]
+                for H in elation.enumerate_subgroups(p, h, m, r=r, cap=cap)]
+        sweep = elation.conjugacy_partition(subs, r, cap=cap)
         equivalent = 0
         inequivalent = 0
         for i, H1 in enumerate(subs):
-            for H2 in subs[i:]:
+            for j in range(i, len(subs)):
+                H2 = subs[j]
                 alpha = elation.scalar_equivalent(H1, H2) if H1.m == H2.m else None
+                together = sweep.labels[i] == sweep.labels[j]
                 if alpha is not None:
                     elation.conjugator(H1, H2, r)
+                    if not together:
+                        raise VerificationError(
+                            "scalar-equivalent pair not conjugate in the PGL sweep",
+                            {"case": [r, p, h], "alpha": alpha,
+                             "first": [list(row) for row in H1.rows],
+                             "second": [list(row) for row in H2.rows]})
                     equivalent += 1
-                elif elation.no_conjugation_witness(H1, H2, r):
-                    inequivalent += 1
-                else:
+                elif together:
+                    witness = sweep.witnesses.get((i, j))
                     raise VerificationError(
                         "conjugation witness found for an inequivalent pair",
                         {"case": [r, p, h],
                          "first": [list(row) for row in H1.rows],
-                         "second": [list(row) for row in H2.rows]})
+                         "second": [list(row) for row in H2.rows],
+                         "witness": None if witness is None else [list(row) for row in witness]})
+                else:
+                    inequivalent += 1
         out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
                     "equivalent_pairs": equivalent,
                     "inequivalent_pairs": inequivalent,

@@ -136,6 +136,12 @@ class TestVerify:
         assert payload["inequivalent_pairs"] == 3
         assert payload["group_order"] == 60
 
+    def test_lemma1_cap_exceeded_exit_code(self):
+        r = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--cap", "100")
+        assert r.returncode == 3
+        assert not r.stdout
+        assert "cap" in r.stderr.lower()
+
     def test_bruckbose(self):
         r = run_cli(
             "verify", "bruckbose", "--r", "2", "--p", "3", "--h", "2", "--n", "1",
@@ -169,6 +175,21 @@ class TestParser:
     def test_unknown_subcommand(self):
         r = run_cli("frobnicate")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--p", "2", "--h", "2"],
+        ["census", "--s", "4", "--t", "2", "--q", "2"],
+        ["count", "--p", "2", "--h", "4", "--m", "2"],
+        ["classify", "--p", "2", "--h", "4", "--m", "2"],
+        ["verify", "correspondence", "--p", "2", "--h", "4", "--m", "2", "--n", "1"],
+        ["verify", "lemma1", "--r", "2", "--p", "2", "--h", "2"],
+        ["verify", "bruckbose", "--r", "2", "--p", "3", "--h", "2", "--n", "1"],
+    ])
+    def test_negative_cap_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + ["--cap", "-1"])
+        assert exc.value.code == 2
+        assert "cap" in capsys.readouterr().err
 
     def test_no_abbreviations(self):
         r = run_cli("census", "--s", "4", "--t", "2", "--q", "2", "--jso")

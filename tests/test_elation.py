@@ -6,11 +6,15 @@ subspaces is checked to intertwine scalar action with the cyclic
 collineation action.
 """
 
+import itertools
+
 import pytest
 
 from galela import (
     CapExceeded,
+    VerificationError,
     act,
+    conjugacy_partition,
     conjugator,
     count_classes,
     dimension_profile,
@@ -31,8 +35,9 @@ from galela import (
     subspace_points,
     verify_correspondence,
 )
-from galela.elation import scalar_multiple
-from galela.linalg import identity, matmul, matvec
+from galela import elation, selftest
+from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
+from galela.linalg import identity, mat_inverse, matmul, matvec, rank, scale_projective
 from galela.pspace import contains, normalize_point
 
 
@@ -283,6 +288,122 @@ class TestConjugation:
         cls = equivalence_classes(2, 4, 2)
         with pytest.raises(CapExceeded):
             no_conjugation_witness(cls[0].representative, cls[1].representative, 3)
+
+
+def brute_force_pgl(r, tower):
+    """PGL(r, q) from every r x r matrix, one scaled representative per class."""
+    q = tower.order
+    out = set()
+    for entries in itertools.product(range(q), repeat=r * r):
+        mat = tuple(entries[i * r:(i + 1) * r] for i in range(r))
+        if rank(mat, tower) == r:
+            out.add(scale_projective(mat, tower))
+    return out
+
+
+def oracle_conjugacy_blocks(subgroups, r):
+    """Partition subgroups by conjugating every elation explicitly.
+
+    g E(H) g^-1 is formed with mat_inverse and matmul for every g of the
+    brute-force PGL and matched against the projective elation sets of all
+    subgroups; returns the blocks of the transitive closure.
+    """
+    tower = subgroups[0].tower
+    sets = [
+        frozenset(scale_projective(elation_matrix(tower, lam, r), tower)
+                  for lam in H.elements())
+        for H in subgroups
+    ]
+    index = {s: i for i, s in enumerate(sets)}
+    block = list(range(len(subgroups)))
+    for g in brute_force_pgl(r, tower):
+        ginv = mat_inverse(g, tower)
+        for i, H in enumerate(subgroups):
+            image = frozenset(
+                scale_projective(
+                    matmul(matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower),
+                    tower)
+                for lam in H.elements())
+            j = index.get(image)
+            if j is not None and block[i] != block[j]:
+                old, new = block[j], block[i]
+                block = [new if b == old else b for b in block]
+    return {frozenset(i for i, b in enumerate(block) if b == label) for label in set(block)}
+
+
+def scalar_blocks(subgroups):
+    """Partition subgroups by alpha * H on raw element sets, alpha nonzero."""
+    tower = subgroups[0].tower
+    index = {frozenset(H.elements()): i for i, H in enumerate(subgroups)}
+    return {
+        frozenset(index[frozenset(tower.mul(a, x) for x in H.elements())]
+                  for a in range(1, tower.order))
+        for H in subgroups
+    }
+
+
+class TestConjugacyPartition:
+    @pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_explicit_conjugation_and_scalar_classes(self, p, h):
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m, r=2)]
+        sweep = {frozenset(c) for c in conjugacy_partition(subgroups, 2).classes}
+        assert sweep == oracle_conjugacy_blocks(subgroups, 2)
+        assert sweep == scalar_blocks(subgroups)
+
+    def test_witnesses_conjugate(self):
+        subgroups = enumerate_subgroups(2, 3, 1, r=2)
+        tower = subgroups[0].tower
+        part = conjugacy_partition(subgroups, 2)
+        assert part.witnesses
+        for (i, j), g in part.witnesses.items():
+            ginv = mat_inverse(g, tower)
+            image = {
+                scale_projective(
+                    matmul(matmul(g, elation_matrix(tower, lam, 2), tower), ginv, tower),
+                    tower)
+                for lam in subgroups[i].elements()
+            }
+            assert image == {scale_projective(elation_matrix(tower, lam, 2), tower)
+                             for lam in subgroups[j].elements()}
+
+    def test_labels_are_least_member(self):
+        subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m, r=2)]
+        part = conjugacy_partition(subgroups, 2)
+        assert part.labels == (0, 0, 0, 3)
+        assert part.classes == ((0, 1, 2), (3,))
+
+    def test_cap(self):
+        subgroups = enumerate_subgroups(2, 2, 1, r=3)
+        with pytest.raises(CapExceeded):
+            conjugacy_partition(subgroups, 3, cap=100)
+
+    def test_short_sweep_raises(self, monkeypatch):
+        subgroups = enumerate_subgroups(2, 2, 1, r=2)
+        full = elation._iterate_pgl
+        monkeypatch.setattr(elation, "_iterate_pgl",
+                            lambda r, tower: itertools.islice(full(r, tower), 59))
+        with pytest.raises(VerificationError) as exc:
+            conjugacy_partition(subgroups, 2)
+        assert exc.value.details["swept"] == 59
+
+    @pytest.mark.parametrize("labels,message", [
+        ((0, 1, 2, 3), "scalar-equivalent pair not conjugate"),
+        ((0, 0, 0, 0), "inequivalent pair"),
+    ])
+    def test_lemma1_report_rejects_a_wrong_partition(self, monkeypatch, labels, message):
+        # (r, p, h) = (2, 2, 2): three subgroups of order 2 in one class, GF(4) alone
+        monkeypatch.setattr(elation, "conjugacy_partition",
+                            lambda subgroups, r, cap=None: elation.ConjugacyPartition(labels, {}))
+        with pytest.raises(VerificationError, match=message):
+            selftest.lemma1_report([(2, 2, 2)])
+
+    @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1)])
+    def test_iterate_pgl_is_pgl(self, r, p, h):
+        tower = make_field(p, h)
+        mats = list(_iterate_pgl(r, tower))
+        assert len(mats) == pgl_order(r, p**h)
+        assert all(rank(g, tower) == r for g in mats)
+        assert len({scale_projective(g, tower) for g in mats}) == len(mats)
 
 
 class TestSubspaceBridge:
