@@ -300,12 +300,13 @@ def admissible_orders(h: int, n: int) -> list:
 
 
 def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
-                       exhaustive: bool = False) -> dict:
+                       exhaustive: bool = False, cap=None) -> dict:
     """Full orbit-geometry verification for one frame; raises on any failure.
 
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
     identity and the common center section, then checks line incidences.
+    cap bounds each subgroup enumeration.
     """
     frame = StarFrame(r, p, h, n)
     sample = sample_affine_points(frame, seed=seed, force=exhaustive)
@@ -315,7 +316,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     for mm in orders:
         if mm % n != 0 or not 1 <= mm <= h:
             raise ValueError(f"order exponent {mm} is not admissible for n = {n}")
-        groups = [H for H in elation.enumerate_subgroups(p, h, mm, r=r)
+        groups = [H for H in elation.enumerate_subgroups(p, h, mm, r=r, cap=cap)
                   if n in {nn for nn, _ in elation.dimension_profile(H).admissible}]
         for H in groups:
             failure = _intersection_failure(H, frame, sample)

@@ -147,7 +147,7 @@ def cmd_verify_lemma1(args):
 def cmd_verify_bruckbose(args):
     report = bruckbose.verify_star_model(args.r, args.p, args.h, args.n,
                                           m=args.m, seed=args.seed,
-                                          exhaustive=args.exhaustive)
+                                          exhaustive=args.exhaustive, cap=args.cap)
     lines = [f"star model of PG({args.r - 1},{args.p}^{args.h}) over "
              f"GF({args.p}^{args.n})",
              f"checked {sum(row['orbits_checked'] for row in report['orders'])} "
@@ -178,13 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit canonical JSON instead of a table")
+    fmt = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    fmt.add_argument("--json", action="store_true",
+                     help="emit canonical JSON instead of a table")
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False, parents=[fmt])
     common.add_argument("--cap", type=_cap, default=None,
                         help="enumeration size cap override")
 
-    f = sub.add_parser("field", parents=[common], allow_abbrev=False, help="summarize a field tower")
+    f = sub.add_parser("field", parents=[fmt], allow_abbrev=False, help="summarize a field tower")
     f.add_argument("--p", type=int, required=True)
     f.add_argument("--h", type=int, required=True)
     f.set_defaults(func=cmd_field)
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=int, required=True)
     c.set_defaults(func=cmd_census)
 
-    k = sub.add_parser("count", parents=[common], allow_abbrev=False,
+    k = sub.add_parser("count", parents=[fmt], allow_abbrev=False,
                        help="closed-form class count for subgroups of GF(p^h)")
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--h", type=int, required=True)

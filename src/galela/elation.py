@@ -10,6 +10,8 @@ field, carried here by the RREF basis of its coefficient vectors.
 Two subgroups give PGL-conjugate elation groups exactly when one is a
 GF(p^h)-scalar multiple of the other, so classification means partitioning
 subgroups into orbits under multiplication by the designated generator mu.
+The partition runs on the Singer census's orbit kernel with its own action
+and coordinates, so the correspondence check compares two computations.
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
 space over) is scalar-invariant and refines the classification; the
 correspondence checker maps each class through coords() onto a subspace of
@@ -145,7 +147,9 @@ def dimension_profile(H: ElationGroup) -> DimensionProfile:
         gamma = tower.subfield_generator(n)
         if all(H.contains(tower.mul(gamma, b)) for b in H.basis_elements):
             admissible.append((n, H.m // n))
-    assert admissible and admissible[0] == (1, H.m)
+    if not admissible or admissible[0] != (1, H.m):
+        raise VerificationError("subgroup is not closed under prime-field scalars",
+                                {"field": (tower.p, tower.h), "rows": H.rows})
     minimal_n = max(n for n, _ in admissible)
     return DimensionProfile(tuple(admissible), minimal_n, H.m // minimal_n)
 
@@ -170,42 +174,28 @@ def equivalence_classes(p: int, h: int, m: int, r: int = 3, cap=None) -> list[Eq
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
     Classes come back sorted by representative (the lexicographically least
-    RREF basis in the class); each member carries a witness scalar mapping
-    the representative onto it.  The dimension profile is computed for the
-    representative and asserted constant across the class.
+    RREF basis in the class).  Member k is mu^k times the representative, the
+    witness scalar checked for it; every member must share the
+    representative's dimension profile.
     """
     subs = enumerate_subgroups(p, h, m, r=r, cap=cap)
     tower = make_field(p, h)
     mu = tower.mu
-    period = tower.order - 1
-    visited = set()
     classes = []
-    for H in subs:
-        if H.rows in visited:
-            continue
-        walk = [H]
-        exps = [0]
-        cur = scalar_multiple(H, mu)
-        k = 1
-        while cur.rows != H.rows:
-            walk.append(cur)
-            exps.append(k)
-            cur = scalar_multiple(cur, mu)
-            k += 1
-        rep_pos = min(range(len(walk)), key=lambda i: walk[i].rows)
-        rep = walk[rep_pos]
-        tagged = sorted(
-            ((member, tower.pow(mu, (e - exps[rep_pos]) % period))
-             for member, e in zip(walk, exps)),
-            key=lambda pair: pair[0].rows)
+    for walk in singer.orbit_partition(subs, lambda H: scalar_multiple(H, mu)):
+        rep = walk[0]
         profile = dimension_profile(rep)
-        for member, alpha in tagged:
-            assert scalar_multiple(rep, alpha).rows == member.rows
-            assert dimension_profile(member) == profile, "profile varies inside a class"
-        classes.append(EquivalenceClass(
-            rep, tuple(mb for mb, _ in tagged), tuple(al for _, al in tagged), profile))
-        visited.update(member.rows for member in walk)
-    classes.sort(key=lambda c: c.representative.rows)
+        witnesses = tower.exp[:len(walk)]
+        for member, alpha in zip(walk, witnesses):
+            if scalar_multiple(rep, alpha).rows != member.rows:
+                raise VerificationError("witness scalar does not map the representative",
+                                        {"field": (p, h), "representative": rep.rows,
+                                         "member": member.rows, "alpha": alpha})
+            if dimension_profile(member) != profile:
+                raise VerificationError("dimension profile varies inside a class",
+                                        {"field": (p, h), "representative": rep.rows,
+                                         "member": member.rows})
+        classes.append(EquivalenceClass(rep, tuple(walk), tuple(witnesses), profile))
     return classes
 
 
@@ -385,7 +375,9 @@ def subspace_of_center(H: ElationGroup, n: int) -> pspace.Subspace:
         raise ValueError(f"subgroup is not a GF({tower.p}^{n})-space")
     vecs = [tower.coords(b, n) for b in H.basis_elements]
     X = pspace.span(vecs, tower.p**n)
-    assert X.t == H.m // n
+    if X.t != H.m // n:
+        raise VerificationError("subspace of a subgroup has the wrong dimension",
+                                {"field": (tower.p, tower.h), "n": n, "rows": H.rows})
     return X
 
 
@@ -402,7 +394,9 @@ def group_from_subspace(X: pspace.Subspace, h: int, r: int = 3) -> ElationGroup:
             raw.append(tower.coeffs(tower.mul(g, e)))
             g = tower.mul(g, gamma)
     H = _group_from_rows(tower, r, raw)
-    assert H.m == n * X.t
+    if H.m != n * X.t:
+        raise VerificationError("subgroup of a subspace has the wrong rank",
+                                {"field": (p, h), "subspace": X.basis, "rank": H.m})
     return H
 
 

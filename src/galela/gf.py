@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import combinat, linalg
+from .errors import CapExceeded
 
 FIELD_ORDER_CAP = 1 << 20
 
@@ -62,7 +63,7 @@ class FieldTower:
             raise ValueError(f"bad extension degree {h}")
         order = p**h
         if order > FIELD_ORDER_CAP:
-            raise ValueError(f"field order {order} exceeds cap {FIELD_ORDER_CAP}")
+            raise CapExceeded(f"field order {order} exceeds cap {FIELD_ORDER_CAP}")
         self.p = p
         self.h = h
         self.order = order

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from . import combinat, linalg
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .gf import make_field
 
 SUBSPACE_CAP_ENV = "GALELA_CAP_SUBSPACES"
@@ -84,7 +84,9 @@ def enumerate_points(s: int, q: int) -> list[tuple]:
         for tail in itertools.product(field.elements(), repeat=s - lead - 1):
             pts.append((0,) * lead + (1,) + tail)
     pts.sort()
-    assert len(pts) == combinat.theta(s, q)
+    if len(pts) != combinat.theta(s, q):
+        raise VerificationError("point count is not theta(s,q)",
+                                {"case": (s, q), "points": len(pts)})
     return pts
 
 
@@ -144,7 +146,9 @@ def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> SubspaceFamily:
                 rows[i][j] = v
             members.append(Subspace(q, tuple(tuple(r) for r in rows)))
     members.sort(key=lambda X: X.basis)
-    assert len(members) == total
+    if len(members) != total:
+        raise VerificationError("subspace count is not the Gaussian binomial",
+                                {"case": (s, t, q), "subspaces": len(members)})
     return SubspaceFamily(q, s, t, tuple(members))
 
 
@@ -171,7 +175,9 @@ def subspace_points(X: Subspace) -> tuple:
                     if v:
                         acc[k] = field.add(acc[k], field.mul(c, v))
         pts.append(tuple(acc))
-    assert len(set(pts)) == combinat.theta(X.t, X.q)
+    if len(set(pts)) != len(pts):
+        raise VerificationError("subspace points are not distinct",
+                                {"subspace": X.basis, "q": X.q})
     return tuple(pts)
 
 

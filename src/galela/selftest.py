@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import bruckbose, combinat, elation, pspace, singer
+from . import bruckbose, combinat, elation, singer
 from .errors import VerificationError
 
 CENSUS_CASES = (
@@ -39,7 +39,11 @@ STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, 
 
 
 def census_report(cases=CENSUS_CASES) -> list:
-    """Orbit censuses against the closed-form counts and cover structure."""
+    """Orbit censuses against the closed-form counts.
+
+    orbit_census itself checks each orbit's stabilizer and cover and the
+    spread count, so only the comparison with the closed forms is left here.
+    """
     out = []
     for s, t, q in cases:
         census = singer.orbit_census(s, t, q)
@@ -52,26 +56,6 @@ def census_report(cases=CENSUS_CASES) -> list:
                 "orbit count differs from the closed form",
                 {"case": [s, t, q], "observed": [observed, free_observed],
                  "predicted": [predicted, predicted_free]})
-        theta_s = combinat.theta(s, q)
-        spreads = 0
-        for idx, rec in enumerate(census.orbits):
-            members = census.orbit_members(idx)
-            if gcd(t, s) % rec.u:
-                raise VerificationError("stabilizer parameter does not divide gcd(t,s)",
-                                        {"case": [s, t, q], "orbit": idx, "u": rec.u})
-            if rec.size * combinat.theta(rec.u, q) != theta_s:
-                raise VerificationError("orbit size does not match its stabilizer",
-                                        {"case": [s, t, q], "orbit": idx,
-                                         "size": rec.size, "u": rec.u})
-            degree = combinat.exact_div(q**t - 1, q**rec.u - 1)
-            if not pspace.is_cover(members, degree):
-                raise VerificationError("orbit is not a uniform cover",
-                                        {"case": [s, t, q], "orbit": idx,
-                                         "expected_degree": degree})
-            spreads += rec.u == t
-        if (spreads == 1) != (s % t == 0) or spreads > 1:
-            raise VerificationError("spread orbit count is wrong",
-                                    {"case": [s, t, q], "spreads": spreads})
         out.append({"s": s, "t": t, "q": q, "orbits": observed,
                     "free_orbits": free_observed,
                     "sizes": [rec.size for rec in census.orbits],
@@ -90,11 +74,6 @@ def classification_report(primes=CLASSIFICATION_PRIMES, degrees=CLASSIFICATION_D
                 if total > limit:
                     continue
                 classes = elation.equivalence_classes(p, h, m)
-                if sum(c.size for c in classes) != total:
-                    raise VerificationError(
-                        "class sizes do not add up to the subgroup count",
-                        {"case": [p, h, m], "total": total,
-                         "sizes": [c.size for c in classes]})
                 for n in combinat.divisors(gcd(m, h)):
                     observed = sum(1 for c in classes
                                    if n in {nn for nn, _ in c.profile.admissible})

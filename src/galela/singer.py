@@ -6,18 +6,24 @@ the power basis 1, mu, ..., mu^(s-1), that matrix is exactly multiplication
 by mu, which is what ties the orbit structure here to the scalar action on
 additive subgroups in the elation module.
 
+One orbit kernel, orbit_partition, serves the census, the point-transitivity
+check of singer_generator and the scalar classes of the elation module; it
+checks that the orbits it walks partition its items exactly.
+
 Each orbit record carries the stabilizer parameter u: the orbit has length
 theta(s,q)/theta(u,q) and its members sweep out a cover in which every point
 of PG(s-1,q) lies on exactly theta(t,q)/theta(u,q) members.  Both facts are
-re-verified for every orbit of every census rather than trusted.
+re-verified, by checks that raise VerificationError, for every orbit of
+every census rather than trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import combinat, linalg, pspace
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 from .gf import FIELD_ORDER_CAP, make_field
 
 DEFAULT_CENSUS_CAP = 10**6
@@ -56,7 +62,9 @@ def singer_generator(s: int, q: int) -> SingerGroup:
     big = make_field(p, n * s)
     small = make_field(p, n)
     mpoly = big.minimal_polynomial(big.mu, n)
-    assert len(mpoly) == s + 1, "designated generator is not primitive over the subfield"
+    if len(mpoly) != s + 1:
+        raise VerificationError("designated generator is not primitive over the subfield",
+                                {"case": (s, q), "minimal_polynomial": tuple(mpoly)})
     coeffs = [big.to_subfield(c, n) for c in mpoly[:-1]]
     gen = [[0] * s for _ in range(s)]
     for j in range(s - 1):
@@ -67,29 +75,24 @@ def singer_generator(s: int, q: int) -> SingerGroup:
 
     # projective order: first power that is a scalar matrix
     order = combinat.theta(s, q)
-    mat = gen
-    k = 1
-    while not _is_scalar(mat):
+    mat, k = gen, 1
+    while not _is_scalar(mat) and k < order:
         mat = linalg.matmul(mat, gen, small)
         k += 1
-        assert k <= order, "projective order overshot theta(s,q)"
-    assert k == order, f"projective order {k} != theta={order}"
+    if k != order or not _is_scalar(mat):
+        raise VerificationError("projective order of the generator is not theta(s,q)",
+                                {"case": (s, q), "theta": order, "power": k})
     scalar = mat[0][0]
-    assert small.element_order(scalar) * order == q**s - 1, "linear order is not q^s - 1"
+    if small.element_order(scalar) * order != q**s - 1:
+        raise VerificationError("linear order of the generator is not q^s - 1",
+                                {"case": (s, q), "scalar": scalar})
 
-    group = SingerGroup(s, q, gen, order, small)
-
-    # point transitivity
-    start = (1,) + (0,) * (s - 1)
-    pt = start
-    seen = set()
-    while True:
-        seen.add(pt)
-        pt = pspace.normalize_point(linalg.matvec(gen, pt, small), q)
-        if pt == start:
-            break
-    assert len(seen) == order, "point action is not transitive"
-    return group
+    orbits = orbit_partition(pspace.enumerate_points(s, q),
+                             lambda pt: pspace.normalize_point(linalg.matvec(gen, pt, small), q))
+    if len(orbits) != 1:
+        raise VerificationError("point action is not transitive",
+                                {"case": (s, q), "orbit_sizes": tuple(map(len, orbits))})
+    return SingerGroup(s, q, gen, order, small)
 
 
 def _is_scalar(mat):
@@ -140,18 +143,41 @@ class OrbitCensus:
         return len(self.orbits)
 
 
-def _walk_orbit(S: SingerGroup, X: pspace.Subspace):
-    members = [X]
-    Y = act(S, X, 1)
-    while Y.basis != X.basis:
-        members.append(Y)
-        Y = act(S, Y, 1)
+def _walk_orbit(start, step):
+    """start, step(start), step(step(start)), ... up to the return to start."""
+    members = [start]
+    cur = step(start)
+    while cur != start:
+        members.append(cur)
+        cur = step(cur)
     return members
+
+
+def orbit_partition(items, step) -> list:
+    """Orbits of step on items, each walked from the first item no earlier orbit holds.
+
+    Sorted items therefore give orbits led by their least member, in order of
+    that member.  Raises VerificationError unless the orbits partition items
+    exactly: none leaves items or meets another, and together they cover them.
+    """
+    seen = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        members = _walk_orbit(x, step)
+        seen.update(members)
+        orbits.append(members)
+    walked = sum(map(len, orbits))
+    if len(seen) != len(items) or walked != len(seen):
+        raise VerificationError("orbits do not partition the items",
+                                {"items": len(items), "covered": len(seen), "walked": walked})
+    return orbits
 
 
 def orbit(S: SingerGroup, X: pspace.Subspace) -> OrbitRecord:
     """Orbit of X with its stabilizer parameter u, cross-checked two ways."""
-    members = _walk_orbit(S, X)
+    members = _walk_orbit(X, lambda Y: act(S, Y))
     return _record_for(S, X.t, members)
 
 
@@ -159,19 +185,17 @@ def _record_for(S: SingerGroup, t: int, members) -> OrbitRecord:
     size = len(members)
     q = S.q
     theta_u = combinat.exact_div(combinat.theta(S.s, q), size)
-    u = next((d for d in combinat.divisors(_gcd(t, S.s))
+    u = next((d for d in combinat.divisors(gcd(t, S.s))
               if combinat.theta(d, q) == theta_u), None)
-    assert u is not None, f"orbit size {size} fits no divisor of gcd({t},{S.s})"
+    if u is None:
+        raise VerificationError("orbit size fits no divisor of gcd(t, s)",
+                                {"case": (S.s, t, q), "size": size})
     rep = min(members, key=lambda m: m.basis)
     fixed = act(S, rep, combinat.exact_div(combinat.theta(S.s, q), combinat.theta(u, q)))
-    assert fixed.basis == rep.basis, "stabilizer power does not fix the representative"
+    if fixed.basis != rep.basis:
+        raise VerificationError("stabilizer power does not fix the representative",
+                                {"case": (S.s, t, q), "u": u, "representative": rep.basis})
     return OrbitRecord(rep, size, u)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
@@ -179,7 +203,7 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
 
     Verifies, per orbit: the u-derivation, the fixing property, and the
     cover property (every point on exactly theta(t)/theta(u) members); and
-    globally: sizes sum to the Gaussian binomial, and a spread orbit exists
+    globally: the orbits partition the subspaces, and a spread orbit exists
     and is unique exactly when t divides s.
     """
     key = (s, t, q)
@@ -191,25 +215,19 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
         raise CapExceeded(f"{total} subspaces exceed census cap {limit}")
     fam = pspace.enumerate_subspaces(s, t, q, cap=max(limit, total))
     S = singer_generator(s, q)
-    visited = set()
     raw = []
-    for X in fam:
-        if X.basis in visited:
-            continue
-        members = _walk_orbit(S, X)
-        visited.update(m.basis for m in members)
-        raw.append((_record_for(S, t, members), tuple(members)))
-
-    assert sum(rec.size for rec, _ in raw) == total, "orbit sizes do not sum to the subspace count"
-    for rec, members in raw:
+    for members in orbit_partition(fam, lambda X: act(S, X)):
+        rec = _record_for(S, t, members)
         degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(rec.u, q))
-        assert pspace.is_cover(members, degree), \
-            f"orbit of {rec.representative.basis} is not a (t-1,{degree})-cover"
-    spreads = [rec for rec, _ in raw if rec.u == t]
-    if s % t == 0:
-        assert len(spreads) == 1, f"expected a unique spread orbit, found {len(spreads)}"
-    else:
-        assert not spreads, "spread orbit found although t does not divide s"
+        if not pspace.is_cover(members, degree):
+            raise VerificationError("orbit is not a uniform cover",
+                                    {"case": (s, t, q), "representative": rec.representative.basis,
+                                     "expected_degree": degree})
+        raw.append((rec, tuple(members)))
+    spreads = sum(1 for rec, _ in raw if rec.u == t)
+    if spreads != int(s % t == 0):
+        raise VerificationError("spread orbit count is wrong",
+                                {"case": (s, t, q), "spreads": spreads})
 
     raw.sort(key=lambda pair: (pair[0].u, pair[0].representative.basis))
     census = OrbitCensus(s, t, q,
@@ -225,7 +243,7 @@ def predicted_orbit_count(s: int, d: int, q: int) -> int:
     if not 1 <= d <= s:
         raise ValueError(f"bad subspace dimension {d} in ambient {s}")
     total = 0
-    for t in combinat.divisors(_gcd(d, s)):
+    for t in combinat.divisors(gcd(d, s)):
         inner = sum(combinat.moebius(t // u) * combinat.theta(u, q)
                     for u in combinat.divisors(t))
         total += combinat.gaussian_binomial(s // t, d // t, q**t) * inner
@@ -237,7 +255,7 @@ def predicted_free_orbit_count(s: int, d: int, q: int) -> int:
     if not 1 <= d <= s:
         raise ValueError(f"bad subspace dimension {d} in ambient {s}")
     total = 0
-    for t in combinat.divisors(_gcd(d, s)):
+    for t in combinat.divisors(gcd(d, s)):
         total += combinat.moebius(t) * combinat.gaussian_binomial(s // t, d // t, q**t)
     return combinat.exact_div(total, combinat.theta(s, q))
 
@@ -251,17 +269,16 @@ def spread_orbit(s: int, t: int, q: int, cap=None) -> OrbitRecord:
     if s % t != 0:
         raise ValueError(f"no spread of {t}-subspaces in PG({s - 1},{q}) since {t} does not divide {s}")
     census = orbit_census(s, t, q, cap=cap)
-    hits = [i for i, rec in enumerate(census.orbits) if rec.u == t]
-    assert len(hits) == 1
-    idx = hits[0]
+    # the census has checked that this orbit is unique and a degree-1 cover
+    idx = next(i for i, rec in enumerate(census.orbits) if rec.u == t)
     rec = census.orbits[idx]
     members = census.orbit_members(idx)
-    assert pspace.is_spread(members), "spread orbit fails the partition check"
     if 2 * t <= s:
         pool = sorted(members, key=lambda m: m.basis)[:5]
         pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i + 1:]][:10]
         for a, b in pairs:
             W = pspace.subspace_sum(a, b)
-            assert W.t == 2 * t
-            assert pspace.fills(members, W), "spread does not fill a member-pair span"
+            if not pspace.fills(members, W):
+                raise VerificationError("spread does not fill a member-pair span",
+                                        {"case": (s, t, q), "span": W.basis})
     return rec

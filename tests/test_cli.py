@@ -50,6 +50,12 @@ class TestField:
         assert r.returncode == 2
         assert r.stderr.strip()
 
+    def test_field_order_cap_exit_code(self):
+        r = run_cli("field", "--p", "2", "--h", "30")
+        assert r.returncode == 3
+        assert not r.stdout
+        assert "cap" in r.stderr.lower()
+
 
 class TestCensus:
     def test_small_case(self):
@@ -149,6 +155,13 @@ class TestVerify:
         )
         assert r.returncode == 0
         assert json.loads(r.stdout)["ok"] is True
+
+    def test_bruckbose_cap_exceeded_exit_code(self):
+        r = run_cli("verify", "bruckbose", "--r", "2", "--p", "3", "--h", "2", "--n", "1",
+                    "--cap", "1")
+        assert r.returncode == 3
+        assert not r.stdout
+        assert "cap" in r.stderr.lower()
 
     def test_failed_verification_exit_code(self, monkeypatch, capsys):
         # force a counterexample to pin the exit code and output channel

@@ -1,0 +1,157 @@
+"""Cross-checks against oracles outside galela: sympy and hypothesis.
+
+sympy's dense GF(p)[x] arithmetic (``sympy.polys.galoistools``) is an
+independent implementation of the field construction: it confirms that each
+tower's modulus is the least monic irreducible, that its designated
+generator is the least primitive element, and that multiplication agrees.
+hypothesis drives property tests of the field axioms, coordinate round
+trips, RREF canonicity and the dimension formula.  Both are test-only
+dependencies (the ``test`` extra); the examples are bounded and derandomized
+so the tests run in the same few seconds every time.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+galoistools = pytest.importorskip("sympy.polys.galoistools")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, factorint
+
+from galela import make_field, subspace_intersection, subspace_sum
+from galela.linalg import matmul, rref
+from galela.pspace import span
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# small fields for the properties; every subfield degree is exercised
+FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (2, 6), (3, 3))
+
+# fields whose construction is checked against sympy
+CONSTRUCTED = [(2, h) for h in range(1, 13)] + [(3, h) for h in range(1, 7)] + \
+    [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 2)]
+
+
+def to_poly(tower, a):
+    """Field element as a sympy dense polynomial, highest degree first."""
+    return galoistools.gf_strip(list(reversed(tower.coeffs(a))))
+
+
+def from_poly(tower, poly):
+    return sum(int(c) * tower.p**i for i, c in enumerate(reversed(poly)))
+
+
+def sympy_modulus(tower):
+    return list(reversed(tower.modulus))
+
+
+def is_primitive(poly, modulus, p, order):
+    """poly has multiplicative order order - 1 modulo modulus over GF(p)."""
+    n = order - 1
+    if galoistools.gf_pow_mod(poly, n, modulus, p, ZZ) != [1]:
+        return False
+    return all(galoistools.gf_pow_mod(poly, n // r, modulus, p, ZZ) != [1] for r in factorint(n))
+
+
+@pytest.mark.parametrize("p,h", CONSTRUCTED)
+def test_modulus_is_least_monic_irreducible(p, h):
+    tower = make_field(p, h)
+    assert len(tower.modulus) == h + 1 and tower.modulus[-1] == 1
+    assert galoistools.gf_irreducible_p(sympy_modulus(tower), p, ZZ)
+    # every monic polynomial of degree h with a smaller encoding is reducible
+    for enc in range(tower.from_coeffs(tower.modulus[:-1])):
+        smaller = [1] + list(reversed(tower.coeffs(enc)))
+        assert not galoistools.gf_irreducible_p(smaller, p, ZZ)
+
+
+@pytest.mark.parametrize("p,h", CONSTRUCTED)
+def test_generator_is_least_primitive(p, h):
+    tower = make_field(p, h)
+    modulus = sympy_modulus(tower)
+    assert is_primitive(to_poly(tower, tower.mu), modulus, p, tower.order)
+    assert not any(is_primitive(to_poly(tower, a), modulus, p, tower.order)
+                   for a in range(1, tower.mu))
+
+
+@st.composite
+def field_elements(draw, k=3):
+    tower = make_field(*draw(st.sampled_from(FIELDS)))
+    return tower, [draw(st.integers(0, tower.order - 1)) for _ in range(k)]
+
+
+@SETTINGS
+@given(field_elements())
+def test_multiplication_matches_sympy(case):
+    tower, (a, b, _) = case
+    prod = galoistools.gf_rem(galoistools.gf_mul(to_poly(tower, a), to_poly(tower, b), tower.p, ZZ),
+                              sympy_modulus(tower), tower.p, ZZ)
+    assert tower.mul(a, b) == from_poly(tower, prod)
+
+
+@SETTINGS
+@given(field_elements())
+def test_field_axioms(case):
+    F, (a, b, c) = case
+    add, mul = F.add, F.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, F.neg(a)) == 0 and F.sub(a, b) == add(a, F.neg(b))
+    assert F.pow(a, F.order) == a
+    if a:
+        assert mul(a, F.inv(a)) == 1
+
+
+@SETTINGS
+@given(st.data())
+def test_coords_round_trip(data):
+    tower = make_field(*data.draw(st.sampled_from(FIELDS)))
+    n = data.draw(st.sampled_from([n for n in range(1, tower.h + 1) if tower.h % n == 0]))
+    a = data.draw(st.integers(0, tower.order - 1))
+    assert tower.from_coords(tower.coords(a, n), n) == a
+    cs = tuple(data.draw(st.integers(0, tower.p**n - 1)) for _ in range(tower.h // n))
+    assert tower.coords(tower.from_coords(cs, n), n) == cs
+
+
+@st.composite
+def matrices(draw):
+    """A field and a small matrix over it (rows may be dependent or zero)."""
+    tower = make_field(*draw(st.sampled_from(FIELDS[:7])))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    entry = st.integers(0, tower.order - 1)
+    return tower, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_rref_is_canonical(case, data):
+    tower, mat = case
+    red, pivots = rref(mat, tower)
+    assert rref(red, tower) == (red, pivots)
+    for i, c in enumerate(pivots):
+        assert red[i][c] == 1 and all(red[k][c] == 0 for k in range(len(red)) if k != i)
+        assert not any(red[i][:c])
+    # the form depends on the row space only: add row combinations, shuffle
+    entry = st.integers(0, tower.order - 1)
+    combos = tuple(tuple(data.draw(entry) for _ in mat) for _ in range(data.draw(st.integers(0, 3))))
+    rows = data.draw(st.permutations(mat + matmul(combos, mat, tower)))
+    assert rref(rows, tower) == (red, pivots)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_dimension_formula(case, data):
+    tower, first = case
+    cols = len(first[0])
+    entry = st.integers(0, tower.order - 1)
+    second = tuple(tuple(data.draw(entry) for _ in range(cols))
+                   for _ in range(data.draw(st.integers(1, 4))))
+    if not any(map(any, first)) or not any(map(any, second)):
+        return
+    X, Y = span(first, tower.order), span(second, tower.order)
+    meet = subspace_intersection(X, Y)
+    assert subspace_sum(X, Y).t + (meet.t if meet else 0) == X.t + Y.t

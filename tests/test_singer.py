@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from galela import (
+    VerificationError,
     act,
     enumerate_subspaces,
     gaussian_binomial,
@@ -26,6 +27,7 @@ from galela import (
 )
 from galela.linalg import matvec
 from galela.pspace import normalize_point
+from galela.singer import orbit_partition
 
 
 def oracle_orbit_partition(s, t, q):
@@ -58,6 +60,19 @@ def oracle_orbit_partition(s, t, q):
         remaining -= block
         sizes.append(len(block))
     return sorted(sizes)
+
+
+class TestOrbitPartition:
+    def test_explicit_permutation(self):
+        # (0 3 5)(1)(2 4) on 0..5: each orbit is led by its least member
+        perm = {0: 3, 3: 5, 5: 0, 1: 1, 2: 4, 4: 2}
+        orbits = orbit_partition(range(6), perm.__getitem__)
+        assert orbits == [[0, 3, 5], [1], [2, 4]]
+
+    def test_step_leaving_items_raises(self):
+        with pytest.raises(VerificationError) as exc:
+            orbit_partition([0, 1], lambda x: (x + 1) % 4)
+        assert exc.value.details == {"items": 2, "covered": 4, "walked": 4}
 
 
 class TestGenerator:
