@@ -34,10 +34,11 @@ print("orbit closure rank:", closure.t, "affine:", affine)
 
 # every orbit meets the special spread element in one common section
 print("common intersection:", subspace_intersection(closure, frame.zstar).basis)
-assert common_intersection_check(H, frame, sample_affine_points(frame))
+# (both checks raise VerificationError with a counterexample if they fail)
+common_intersection_check(H, frame, sample_affine_points(frame))
 
 # lines of the small space map to the expected configurations
-assert incidence_check(frame, sample_line_specs(frame))
+incidence_check(frame, sample_line_specs(frame))
 
 # the full sweep bundles both checks over every admissible subgroup order
 report = verify_star_model(2, 2, 4, 2)

@@ -13,7 +13,8 @@ The checks in this module verify the two orbit-geometry facts that make the
 model useful for elation groups: the star image of an orbit x^E is the
 affine part of the span of x* and the center section of E, all such spans
 meet the center's spread element in that same section, and E acts trivially
-on the hyperplane at infinity.
+on the hyperplane at infinity.  Every check raises VerificationError with
+a counterexample.
 """
 
 from __future__ import annotations
@@ -47,26 +48,24 @@ class StarFrame:
         self.dprime = h // n
         self.vecdim = (r - 1) * self.dprime + 1
 
-        unit = [[1 if j == i else 0 for j in range(self.vecdim)] for i in range(self.vecdim)]
-        self.astar = pspace.Subspace(self.q, tuple(tuple(row) for row in unit[1:]))
+        unit = linalg.identity(self.vecdim)
+        self.astar = pspace.Subspace(self.q, unit[1:])
 
         infinite = [(0,) + pt for pt in pspace.enumerate_points(r - 1, self.tower.order)]
         self.spread = tuple(star_infinite(P, self) for P in infinite)
-        assert len(self.spread) == combinat.theta(r - 1, self.tower.order)
-        tally: dict[tuple, int] = {}
-        for S in self.spread:
-            for pt in pspace.subspace_points(S):
-                tally[pt] = tally.get(pt, 0) + 1
-        astar_points = set(pspace.subspace_points(self.astar))
-        assert set(tally) == astar_points and all(c == 1 for c in tally.values()), \
-            "field reduction did not give a spread of the hyperplane at infinity"
+        # every member lies in X00 = 0, so theta(vecdim - 1, q) distinct points
+        # make them partition it, and each has rank d' (star_infinite's rank)
+        points = [pt for S in self.spread for pt in pspace.subspace_points(S)]
+        if len(set(points)) != len(points) or \
+                len(points) != combinat.theta(self.vecdim - 1, self.q):
+            raise VerificationError(
+                "field reduction did not give a spread of the hyperplane at infinity",
+                {"params": [r, p, h, n], "points": len(points), "distinct": len(set(points))})
 
         self.zstar = star_infinite((0,) * (r - 1) + (1,), self)
-        pad = (0,) * (1 + (r - 2) * self.dprime)
-        # the center's spread element is the last coordinate block
-        assert self.zstar.basis == tuple(
-            pad + tuple(1 if k == j else 0 for k in range(self.dprime)) for j in range(self.dprime))
-        assert self.zstar in set(self.spread)
+        if self.zstar.basis != unit[-self.dprime:]:
+            raise VerificationError("the center's spread element is not the last coordinate block",
+                                    {"params": [r, p, h, n], "zstar": self.zstar.basis})
 
     @property
     def affine_count(self) -> int:
@@ -118,9 +117,7 @@ def star_infinite(P, frame: StarFrame) -> pspace.Subspace:
             row.extend(tower.coords(tower.mul(c, xi), frame.n))
         rows.append(tuple(row))
         c = tower.mul(c, tower.mu)
-    X = pspace.span(rows, frame.q)
-    assert X.t == frame.dprime
-    return X
+    return pspace.span(rows, frame.q)
 
 
 def embed_center_section(X: pspace.Subspace, frame: StarFrame) -> pspace.Subspace:
@@ -153,110 +150,69 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
 
     Returns (closure, affine): the projective closure of the image points in
     canonical form, and whether the image is exactly the affine part of that
-    closure.  The closure is asserted equal to the span of x* and the
+    closure.  The closure is checked equal to the span of x* and the
     embedded center section of E, which is the model's central identity.
     """
-    if E.tower is not frame.tower:
-        raise ValueError("subgroup and frame use different fields")
-    prof = elation.dimension_profile(E)
-    if frame.n not in {nn for nn, _ in prof.admissible}:
-        raise ValueError(f"subgroup is not a GF({frame.p}^{frame.n})-space")
-    x = tuple(x)
-    if len(x) != frame.r or x[0] != 1:
-        raise ValueError("orbit base point must be affine and normalized")
-    tower = frame.tower
-    images = {star_point(_shifted(x, lam, tower), frame) for lam in E.elements()}
-    assert len(images) == tower.p ** E.m
-    closure = pspace.span(sorted(images), frame.q)
-    d = E.m // frame.n
-    assert closure.t == d + 1
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
+    return _orbit_closure(x, E, E.elements(), section, frame)
+
+
+def _orbit_error(kind, E, frame, **fields) -> VerificationError:
+    return VerificationError("orbit geometry check failed", {
+        "kind": kind, **fields, "params": [frame.r, frame.p, frame.h, frame.n],
+        "m": E.m, "subgroup": [list(row) for row in E.rows]})
+
+
+def _orbit_closure(x, E, elements, section, frame):
+    # orbit_image on a subgroup's precomputed elements and center section;
+    # star_point rejects an x that is not affine and normalized
+    x = tuple(x)
+    images = {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements}
+    closure = pspace.span(sorted(images), frame.q)
     expected = pspace.span([star_point(x, frame)] + list(section.basis), frame.q)
-    assert closure == expected, "orbit closure differs from the span of x* and the center section"
+    if closure != expected:
+        raise _orbit_error("orbit closure differs from the span of x* and the center section",
+                           E, frame, point=list(x), closure=closure.basis, expected=expected.basis)
     affine = {pt for pt in pspace.subspace_points(closure) if pt[0] != 0} == images
     return closure, affine
-
-
-def _intersection_failure(E, frame, sample):
-    tower = frame.tower
-    small = pspace.field_for(frame.q)
-    section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    for x in sample:
-        closure, affine = orbit_image(x, E, frame)
-        got = pspace.subspace_intersection(closure, frame.zstar)
-        if got != section:
-            return {"kind": "center section differs", "point": list(x),
-                    "expected": [list(r) for r in section.basis],
-                    "got": None if got is None else [list(r) for r in got.basis]}
-        if not affine:
-            return {"kind": "orbit image is not an affine subspace", "point": list(x)}
-    astar_points = pspace.subspace_points(frame.astar)
-    for lam in E.elements():
-        T = translation_matrix(lam, frame)
-        for a in astar_points:
-            if pspace.normalize_point(linalg.matvec(T, a, small), frame.q) != a:
-                return {"kind": "hyperplane at infinity moved", "lam": lam, "point": list(a)}
-        for x in sample:
-            lhs = star_point(_shifted(x, lam, tower), frame)
-            rhs = pspace.normalize_point(linalg.matvec(T, star_point(x, frame), small), frame.q)
-            if lhs != rhs:
-                return {"kind": "star map does not commute with the elation",
-                        "lam": lam, "point": list(x)}
-    return None
 
 
 def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample) -> bool:
     """Every sampled orbit closure meets zstar in the center section of E.
 
-    Also confirms the induced star collineations fix the hyperplane at
-    infinity pointwise and commute with star_point on the sample.
+    Also checks that the induced star collineations fix the hyperplane at
+    infinity pointwise (exactly, on the basis of A*, hence on every point)
+    and commute with star_point on the sample.  Returns True, or raises
+    VerificationError with the counterexample, the frame's params, m and
+    the subgroup's rows.
     """
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
-    return _intersection_failure(E, frame, sample) is None
-
-
-def _incidence_failure(frame, sample):
-    tower = frame.tower
-    bigq = tower.order
-    for spec in sample:
-        x, y = spec
-        x = pspace.normalize_point(x, bigq)
-        y = pspace.normalize_point(y, bigq)
-        if x == y:
-            raise ValueError("degenerate line spec: the two points coincide")
-        line = pspace.span([x, y], bigq)
-        pts = pspace.subspace_points(line)
-        affine = [P for P in pts if P[0] != 0]
-        infinite = [P for P in pts if P[0] == 0]
-        if affine:
-            if len(infinite) != 1:
-                return {"kind": "line off the hyperplane has several infinite points",
-                        "spec": [list(x), list(y)]}
-            S = star_infinite(infinite[0], frame)
-            stars = {star_point(P, frame) for P in affine}
-            closure = pspace.span(sorted(stars) + list(S.basis), frame.q)
-            if closure.t != frame.dprime + 1:
-                return {"kind": "affine line image has wrong rank",
-                        "spec": [list(x), list(y)], "rank": closure.t}
-            if pspace.subspace_intersection(closure, frame.astar) != S:
-                return {"kind": "affine line image does not cut a spread element",
-                        "spec": [list(x), list(y)]}
-            if {pt for pt in pspace.subspace_points(closure) if pt[0] != 0} != stars:
-                return {"kind": "line image has extra affine points",
-                        "spec": [list(x), list(y)]}
-        else:
-            closure = pspace.subspace_sum(star_infinite(x, frame), star_infinite(y, frame))
-            if closure.t != 2 * frame.dprime:
-                return {"kind": "infinite line span has wrong rank",
-                        "spec": [list(x), list(y)], "rank": closure.t}
-            for P in pts:
-                SP = star_infinite(P, frame)
-                if not all(pspace.contains(closure, row) for row in SP.basis):
-                    return {"kind": "spread element escapes the infinite line span",
-                            "spec": [list(x), list(y)], "point": list(P)}
-    return None
+    small = pspace.field_for(frame.q)
+    section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
+    elements = E.elements()
+    for x in sample:
+        closure, affine = _orbit_closure(x, E, elements, section, frame)
+        got = pspace.subspace_intersection(closure, frame.zstar)
+        if got != section:
+            raise _orbit_error("center section differs", E, frame, point=list(x),
+                               expected=[list(r) for r in section.basis],
+                               got=None if got is None else [list(r) for r in got.basis])
+        if not affine:
+            raise _orbit_error("orbit image is not an affine subspace", E, frame, point=list(x))
+    for lam in elements:
+        T = translation_matrix(lam, frame)
+        for a in frame.astar.basis:
+            if linalg.matvec(T, a, small) != a:
+                raise _orbit_error("hyperplane at infinity moved", E, frame, lam=lam, point=list(a))
+        for x in sample:
+            lhs = star_point(_shifted(x, lam, frame.tower), frame)
+            rhs = pspace.normalize_point(linalg.matvec(T, star_point(x, frame), small), frame.q)
+            if lhs != rhs:
+                raise _orbit_error("star map does not commute with the elation", E, frame,
+                                   lam=lam, point=list(x))
+    return True
 
 
 def incidence_check(frame: StarFrame, sample) -> bool:
@@ -265,9 +221,46 @@ def incidence_check(frame: StarFrame, sample) -> bool:
     A line with affine points maps onto a (d')-rank subspace whose affine
     part is the image point set and whose infinite section is a spread
     element; a line inside the hyperplane at infinity maps into the span of
-    two spread elements.
+    two spread elements.  Returns True, or raises VerificationError with the
+    failing line and the frame's params.
     """
-    return _incidence_failure(frame, list(sample)) is None
+    bigq = frame.tower.order
+    for x, y in sample:
+        x = pspace.normalize_point(x, bigq)
+        y = pspace.normalize_point(y, bigq)
+        if x == y:
+            raise ValueError("degenerate line spec: the two points coincide")
+        where = {"spec": [list(x), list(y)], "params": [frame.r, frame.p, frame.h, frame.n]}
+        line = pspace.span([x, y], bigq)
+        pts = pspace.subspace_points(line)
+        affine = [P for P in pts if P[0] != 0]
+        infinite = [P for P in pts if P[0] == 0]
+        if affine:
+            if len(infinite) != 1:
+                raise VerificationError("incidence check failed", {
+                    "kind": "line off the hyperplane has several infinite points", **where})
+            S = star_infinite(infinite[0], frame)
+            stars = {star_point(P, frame) for P in affine}
+            closure = pspace.span(sorted(stars) + list(S.basis), frame.q)
+            # closure leaves the hyperplane A*, so this also fixes its rank at d' + 1
+            if pspace.subspace_intersection(closure, frame.astar) != S:
+                raise VerificationError("incidence check failed", {
+                    "kind": "affine line image does not cut a spread element", **where})
+            if {pt for pt in pspace.subspace_points(closure) if pt[0] != 0} != stars:
+                raise VerificationError("incidence check failed", {
+                    "kind": "line image has extra affine points", **where})
+        else:
+            closure = pspace.subspace_sum(star_infinite(x, frame), star_infinite(y, frame))
+            if closure.t != 2 * frame.dprime:
+                raise VerificationError("incidence check failed", {
+                    "kind": "infinite line span has wrong rank", **where, "rank": closure.t})
+            for P in pts:
+                SP = star_infinite(P, frame)
+                if not all(pspace.contains(closure, row) for row in SP.basis):
+                    raise VerificationError("incidence check failed", {
+                        "kind": "spread element escapes the infinite line span", **where,
+                        "point": list(P)})
+    return True
 
 
 def sample_affine_points(frame: StarFrame, size: int = SAMPLE_SIZE, seed: int = 0,
@@ -311,7 +304,6 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     frame = StarFrame(r, p, h, n)
     sample = sample_affine_points(frame, seed=seed, force=exhaustive)
     orders = [m] if m is not None else admissible_orders(h, n)
-    tower = frame.tower
     per_order = []
     for mm in orders:
         if mm % n != 0 or not 1 <= mm <= h:
@@ -319,11 +311,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
         groups = [H for H in elation.enumerate_subgroups(p, h, mm, r=r, cap=cap)
                   if n in {nn for nn, _ in elation.dimension_profile(H).admissible}]
         for H in groups:
-            failure = _intersection_failure(H, frame, sample)
-            if failure is not None:
-                failure.update({"params": [r, p, h, n], "m": mm,
-                                "subgroup": [list(row) for row in H.rows]})
-                raise VerificationError("orbit geometry check failed", failure)
+            common_intersection_check(H, frame, sample)
         per_order.append({
             "m": mm,
             "d": mm // n,
@@ -331,10 +319,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
             "orbits_checked": len(groups) * len(sample),
         })
     specs = sample_line_specs(frame, seed=seed, force=exhaustive)
-    failure = _incidence_failure(frame, specs)
-    if failure is not None:
-        failure["params"] = [r, p, h, n]
-        raise VerificationError("incidence check failed", failure)
+    incidence_check(frame, specs)
     return {
         "params": {"r": r, "p": p, "h": h, "n": n},
         "ambient": {"vecdim": frame.vecdim, "q": frame.q,

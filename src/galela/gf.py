@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from . import combinat, linalg
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationError
 
 FIELD_ORDER_CAP = 1 << 20
 
@@ -71,11 +71,9 @@ class FieldTower:
         self.modulus = self._smallest_irreducible()
         self.mu = self._smallest_primitive()
         self._build_tables()
-        self.subfield_generators = {}
-        for n in combinat.divisors(h):
-            g = self.exp[(order - 1) // (p**n - 1)] if order > 2 else 1
-            assert self.pow(g, p**n) == g, "subfield generator not fixed by its Frobenius"
-            self.subfield_generators[n] = g
+        # mu has full order, so this power has order p^n - 1 and generates GF(p^n)
+        self.subfield_generators = {n: self.exp[(order - 1) // (p**n - 1)] if order > 2 else 1
+                                    for n in combinat.divisors(h)}
         self._subfield_sets: dict[int, frozenset] = {}
         self._subfield_maps: dict[int, tuple[dict, dict]] = {}
         self._coords_ctx: dict[int, tuple] = {}
@@ -197,7 +195,9 @@ class FieldTower:
             exp[k + n] = cur
             log[cur] = k
             cur = self._raw_mul(cur, self.mu)
-        assert cur == 1, "designated generator does not have full order"
+        if cur != 1 or -1 in log[1:]:  # mu^n = 1 and mu^k, k < n, hit every nonzero element
+            raise VerificationError("designated generator does not have full order",
+                                    {"field": (self.p, self.h), "mu": self.mu})
         self.exp = exp
         self.log = log
 
@@ -312,46 +312,51 @@ class FieldTower:
                 nxt[i] = self.add(nxt[i], self.mul(co, nc))
             poly = nxt
         sub = self._subfield_set(n)
-        assert all(co in sub for co in poly), "minimal polynomial escaped the subfield"
-        assert (self.h // n) % len(conj) == 0
+        where = {"field": (self.p, self.h), "n": n, "element": a, "polynomial": tuple(poly)}
+        if any(co not in sub for co in poly):
+            raise VerificationError("minimal polynomial escaped the subfield", where)
+        if (self.h // n) % len(conj):
+            raise VerificationError("minimal polynomial degree does not divide h/n", where)
         return tuple(poly)
 
     # -- canonical subfield isomorphism -------------------------------------
 
     def _subfield_map(self, n: int):
-        if n not in self._subfield_maps:
-            small = make_field(self.p, n)
-            if n == self.h:
-                ident = {a: a for a in range(self.order)}
-                self._subfield_maps[n] = (ident, dict(ident))
-            else:
-                gamma = self.subfield_generators[n]
-                mpoly = self.minimal_polynomial(gamma, 1)
-                # coefficients over GF(p) are scalars, valid in the small field as-is
-                coeffs = [int(c) for c in mpoly]
-                assert all(c < self.p for c in coeffs)
-                roots = [b for b in range(small.order)
-                         if self._eval_small(coeffs, b, small) == 0]
-                assert roots, "minimal polynomial has no root in the canonical subfield"
-                rho = min(roots)
-                down = {0: 0}
-                up = {0: 0}
-                e = (self.order - 1) // (small.order - 1)
-                big_el = 1
-                small_el = 1
-                for _ in range(small.order - 1):
-                    down[big_el] = small_el
-                    up[small_el] = big_el
-                    big_el = self.mul(big_el, self.exp[e])
-                    small_el = small.mul(small_el, rho)
-                assert len(down) == small.order
-                # spot-check additivity of the transfer map
-                sample = sorted(down)[: min(len(down), 16)]
-                for x in sample:
-                    for y in sample:
-                        assert down[self.add(x, y)] == small.add(down[x], down[y])
-                self._subfield_maps[n] = (down, up)
-        return self._subfield_maps[n]
+        if n in self._subfield_maps:
+            return self._subfield_maps[n]
+        if n == self.h:
+            ident = {a: a for a in range(self.order)}
+            self._subfield_maps[n] = (ident, dict(ident))
+            return self._subfield_maps[n]
+        small = make_field(self.p, n)
+        gamma = self.subfield_generators[n]
+        # coefficients lie in GF(p) (checked there), valid in the small field as-is
+        coeffs = self.minimal_polynomial(gamma, 1)
+        roots = [b for b in range(small.order) if self._eval_small(coeffs, b, small) == 0]
+        where = {"field": (self.p, self.h), "n": n, "polynomial": coeffs}
+        if not roots:
+            raise VerificationError("minimal polynomial has no root in the canonical subfield",
+                                    where)
+        rho = min(roots)
+        # gamma^k -> rho^k is multiplicative by construction
+        down, up = {0: 0}, {0: 0}
+        big_el = small_el = 1
+        for _ in range(small.order - 1):
+            down[big_el] = small_el
+            up[small_el] = big_el
+            big_el = self.mul(big_el, gamma)
+            small_el = small.mul(small_el, rho)
+        if len(down) != small.order or len(up) != small.order:
+            raise VerificationError("subfield map is not a bijection", {**where, "root": rho})
+        # additive on all pairs once adding each element of the GF(p)-basis
+        # gamma^0..gamma^(n-1) to every x commutes with the map
+        for b in (self.pow(gamma, j) for j in range(n)):
+            for x in down:
+                if down.get(self.add(x, b)) != small.add(down[x], down[b]):
+                    raise VerificationError("subfield map is not additive",
+                                            {**where, "root": rho, "x": x, "y": b})
+        self._subfield_maps[n] = (down, up)
+        return down, up
 
     @staticmethod
     def _eval_small(coeffs, b, small):

@@ -31,6 +31,7 @@ def subspace_cap(override=None) -> int:
     return int(env) if env else DEFAULT_SUBSPACE_CAP
 
 
+@functools.cache
 def field_for(q: int):
     """Canonical field whose elements are the ints 0..q-1."""
     p, n = combinat.prime_power(q)
@@ -55,17 +56,12 @@ class Subspace:
 
 @dataclass(frozen=True)
 class SubspaceFamily:
-    """A duplicate-free collection of equal-dimensional subspaces."""
+    """Equal-dimensional subspaces, distinct as enumerate_subspaces emits them."""
 
     q: int
     s: int
     t: int
     members: tuple
-
-    def __post_init__(self):
-        keys = {X.basis for X in self.members}
-        if len(keys) != len(self.members):
-            raise ValueError("duplicate subspaces in family")
 
     def __iter__(self):
         return iter(self.members)

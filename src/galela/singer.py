@@ -144,11 +144,22 @@ class OrbitCensus:
 
 
 def _walk_orbit(start, step):
-    """start, step(start), step(step(start)), ... up to the return to start."""
+    """start, step(start), step(step(start)), ... up to the return to start.
+
+    Meeting its mark (the member at the last power-of-two position, after
+    Brent) again means the walk is in a cycle that misses start, as a step
+    that is not a permutation of a finite set does: VerificationError.
+    """
     members = [start]
+    mark = start
     cur = step(start)
     while cur != start:
+        if cur == mark:
+            raise VerificationError("orbit walk does not return to its start",
+                                    {"walked": len(members)})
         members.append(cur)
+        if len(members) & (len(members) - 1) == 0:
+            mark = cur
         cur = step(cur)
     return members
 
@@ -168,10 +179,10 @@ def orbit_partition(items, step) -> list:
         members = _walk_orbit(x, step)
         seen.update(members)
         orbits.append(members)
-    walked = sum(map(len, orbits))
-    if len(seen) != len(items) or walked != len(seen):
-        raise VerificationError("orbits do not partition the items",
-                                {"items": len(items), "covered": len(seen), "walked": walked})
+    # walks return only around cycles of step, so the orbits are disjoint
+    if len(seen) != len(items):
+        raise VerificationError("orbits do not partition the items", {
+            "items": len(items), "covered": len(seen), "walked": sum(map(len, orbits))})
     return orbits
 
 

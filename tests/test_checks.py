@@ -1,12 +1,13 @@
 """The library's checks are explicit code, so they survive ``python -O``.
 
-A bare ``assert`` is stripped under -O; the modules below carry their
-checks as ``VerificationError`` raises instead.  The guard parses them for
-assert statements, and two checks are forced to fail in an optimized
+A bare ``assert`` is stripped under -O; every module of the package carries
+its checks as ``VerificationError`` raises instead.  The guard parses each
+module for assert statements, and checks are forced to fail in an optimized
 interpreter to show they still run there.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -16,29 +17,31 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# gf.py and bruckbose.py still hold asserts and are not guarded yet
-GUARDED = ("singer.py", "elation.py", "pspace.py", "selftest.py", "cli.py")
+MODULES = sorted((SRC / "galela").glob("*.py"))
 
 
-@pytest.mark.parametrize("name", GUARDED)
-def test_module_has_no_assert(name):
-    path = SRC / "galela" / name
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_has_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"{name} has assert statements on lines {lines}"
+    assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def run_python_O(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def run_optimized(code):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                       env=env, timeout=120)
+    r = run_python_O(code)
     assert r.returncode == 0, r.stderr
     return r.stdout.split()
 
 
 PREAMBLE = """
 import sys
-from galela import VerificationError, elation, pspace, singer
+from galela import VerificationError, bruckbose, elation, gf, pspace, singer
 """
 
 REPORT = """
@@ -72,3 +75,65 @@ def varying(H):
 elation.dimension_profile = varying
 """ + REPORT.format(call="elation.equivalence_classes(2, 4, 2)")
     assert run_optimized(code) == ["1", "raised"]
+
+
+def test_spread_partition_check_survives_optimize():
+    # one point short: the spread members no longer fill the hyperplane
+    code = PREAMBLE + """
+real = pspace.subspace_points
+pspace.subspace_points = lambda X: real(X)[:-1]
+""" + REPORT.format(call="bruckbose.StarFrame(2, 2, 4, 2)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
+WRONG_SECTION = """
+# every subgroup's center section replaced by the whole center block
+bruckbose.embed_center_section = lambda X, frame: frame.zstar
+"""
+
+
+def test_orbit_closure_identity_survives_optimize():
+    code = PREAMBLE + WRONG_SECTION + """
+frame = bruckbose.StarFrame(2, 2, 4, 1)
+H = elation.group_from_elements(frame.tower, (0, 1))
+""" + REPORT.format(call="bruckbose.orbit_image((1, 0), H, frame)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
+# GF(8) has two classes of primitive elements, so in GF(64) a wrong root of
+# the minimal polynomial either generates GF(8) (the map stays multiplicative
+# but is not additive) or is 1 (the map is not a bijection)
+WRONG_ROOT = """
+real = gf.FieldTower._eval_small
+
+def primitive_non_root(coeffs, small):
+    return next(b for b in range(2, small.order) if real(coeffs, b, small)
+                and small.element_order(b) == small.order - 1)
+
+gf.FieldTower._eval_small = staticmethod(lambda coeffs, b, small: 0 if b == {root} else 1)
+big = gf.make_field(2, 6)
+"""
+
+
+@pytest.mark.parametrize("root", ["1", "primitive_non_root(coeffs, small)"],
+                         ids=["one", "primitive_non_root"])
+def test_subfield_map_check_survives_optimize(root):
+    code = PREAMBLE + WRONG_ROOT.format(root=root) + \
+        REPORT.format(call="big.to_subfield(big.subfield_generator(3), 3)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
+def test_verify_bruckbose_cli_reports_counterexample_under_optimize():
+    code = PREAMBLE + WRONG_SECTION + """
+from galela import cli
+sys.exit(cli.main(["verify", "bruckbose", "--r", "2", "--p", "2", "--h", "4", "--n", "1"]))
+"""
+    r = run_python_O(code)
+    assert r.returncode == 1, r.stderr
+    out = json.loads(r.stdout)
+    assert out["message"] == "orbit geometry check failed"
+    details = out["details"]
+    assert details["kind"] == "orbit closure differs from the span of x* and the center section"
+    assert details["params"] == [2, 2, 4, 1]
+    assert details["m"] == 1
+    assert details["subgroup"] == [[0, 0, 0, 1]]

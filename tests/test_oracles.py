@@ -74,6 +74,31 @@ def test_generator_is_least_primitive(p, h):
                    for a in range(1, tower.mu))
 
 
+# every GF(p^h) of order at most 4096 with a proper subfield; in a field of
+# prime order the only subfield is the field itself
+TOWERS = [(p, h) for p in range(2, 65) if all(p % d for d in range(2, p))
+          for h in range(2, 13) if p**h <= 4096]
+
+
+@pytest.mark.parametrize("p,h", TOWERS)
+def test_subfield_maps_are_isomorphisms(p, h):
+    """Brute force: to_subfield and from_subfield are inverse field isomorphisms."""
+    big = make_field(p, h)
+    for n in (n for n in range(1, h + 1) if h % n == 0):
+        small = make_field(p, n)
+        sub = big.subfield_elements(n)
+        down = {a: big.to_subfield(a, n) for a in sub}
+        assert sorted(down.values()) == list(range(small.order))
+        assert all(big.from_subfield(b, n) == a for a, b in down.items())
+        if n == h:
+            assert all(a == b for a, b in down.items())
+            continue
+        for a in sub:
+            for b in sub:
+                assert down[big.add(a, b)] == small.add(down[a], down[b])
+                assert down[big.mul(a, b)] == small.mul(down[a], down[b])
+
+
 @st.composite
 def field_elements(draw, k=3):
     tower = make_field(*draw(st.sampled_from(FIELDS)))

@@ -74,6 +74,20 @@ class TestOrbitPartition:
             orbit_partition([0, 1], lambda x: (x + 1) % 4)
         assert exc.value.details == {"items": 2, "covered": 4, "walked": 4}
 
+    def test_step_that_is_not_a_permutation_raises(self):
+        # 3 -> 3 never returns to 0, so an unchecked walk would not end
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("orbit walk did not stop")
+            return min(x + 1, 3)
+
+        with pytest.raises(VerificationError) as exc:
+            orbit_partition(range(4), step)
+        assert exc.value.details == {"walked": 4}
+
 
 class TestGenerator:
     def test_small_binary_generator(self):
