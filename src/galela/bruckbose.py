@@ -9,19 +9,20 @@ scalar multiples.  Those rowspaces form a spread of the hyperplane at
 infinity X00 = 0, and the member coming from the center z = (0,...,0,1)
 is cut out by all coordinates outside the last block.
 
-The checks in this module verify the two orbit-geometry facts that make the
-model useful for elation groups: the star image of an orbit x^E is the
-affine part of the span of x* and the center section of E, all such spans
-meet the center's spread element in that same section, and E acts trivially
-on the hyperplane at infinity.  Every check raises VerificationError with
-a counterexample.
+The checks verify one identity, once per image: the star image of an orbit
+x^E (of a line) is the affine part of span(base, W), base one image point
+and W the center section of E inside z* (the line's spread element).  base
+lies off A* (X00 = 0) and W inside it, so the span meets A* and z* in W.
+The elation with parameter lam acts as the translation adding coords(lam)
+to the last block, which fixes A* pointwise by construction and agrees
+with star_point by the additivity of coords.  Every check raises
+VerificationError with a counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
 
 from . import combinat, elation, linalg, pspace
 from .errors import VerificationError
@@ -128,17 +129,6 @@ def embed_center_section(X: pspace.Subspace, frame: StarFrame) -> pspace.Subspac
     return pspace.Subspace(frame.q, tuple(pad + row for row in X.basis))
 
 
-def translation_matrix(lam: int, frame: StarFrame) -> tuple:
-    """Star-space collineation induced by the elation with parameter lam."""
-    tower = frame.tower
-    rows = [[1 if i == j else 0 for j in range(frame.vecdim)] for i in range(frame.vecdim)]
-    block = tower.coords(lam, frame.n)
-    start = 1 + (frame.r - 2) * frame.dprime
-    for j, v in enumerate(block):
-        rows[start + j][0] = v
-    return tuple(tuple(row) for row in rows)
-
-
 def _shifted(x, lam, tower):
     # the elation with parameter lam adds lam to the last coordinate of an
     # affine point (1, x1, ..., x(r-1))
@@ -150,11 +140,29 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
 
     Returns (closure, affine): the projective closure of the image points in
     canonical form, and whether the image is exactly the affine part of that
-    closure.  The closure is checked equal to the span of x* and the
-    embedded center section of E, which is the model's central identity.
+    closure.  The image is checked to be the affine part of the span of x*
+    and the embedded center section of E, the model's central identity, so
+    affine is True whenever the function returns.
     """
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    return _orbit_closure(x, E, E.elements(), section, frame)
+    return _orbit_closure(x, E, E.elements(), section, frame), True
+
+
+def _check_affine_image(images, base, W, frame, error, kinds) -> pspace.Subspace:
+    """Raise unless images are exactly the affine points of span(base, W).
+
+    A pass costs one span and one point-set comparison; only a failure spans
+    the images, to tell a different span (kinds[0], with closure and
+    expected) from extra affine points (kinds[1]).  error(kind, **fields)
+    builds the VerificationError.  Returns span(base, W).
+    """
+    expected = pspace.span([base, *W.basis], frame.q)
+    if {pt for pt in pspace.subspace_points(expected) if pt[0] != 0} != images:
+        closure = pspace.span(sorted(images), frame.q)
+        if closure != expected:
+            raise error(kinds[0], closure=closure.basis, expected=expected.basis)
+        raise error(kinds[1])
+    return expected
 
 
 def _orbit_error(kind, E, frame, **fields) -> VerificationError:
@@ -164,65 +172,44 @@ def _orbit_error(kind, E, frame, **fields) -> VerificationError:
 
 
 def _orbit_closure(x, E, elements, section, frame):
-    # orbit_image on a subgroup's precomputed elements and center section;
-    # star_point rejects an x that is not affine and normalized
+    # orbit_image's closure on a subgroup's precomputed elements and center
+    # section; star_point rejects an x that is not affine and normalized
     x = tuple(x)
     images = {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements}
-    closure = pspace.span(sorted(images), frame.q)
-    expected = pspace.span([star_point(x, frame)] + list(section.basis), frame.q)
-    if closure != expected:
-        raise _orbit_error("orbit closure differs from the span of x* and the center section",
-                           E, frame, point=list(x), closure=closure.basis, expected=expected.basis)
-    affine = {pt for pt in pspace.subspace_points(closure) if pt[0] != 0} == images
-    return closure, affine
+    return _check_affine_image(
+        images, star_point(x, frame), section, frame,
+        lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
+        ("orbit closure differs from the span of x* and the center section",
+         "orbit image is not an affine subspace"))
 
 
 def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample) -> bool:
-    """Every sampled orbit closure meets zstar in the center section of E.
+    """Every sampled orbit closure meets z* in the center section of E.
 
-    Also checks that the induced star collineations fix the hyperplane at
-    infinity pointwise (exactly, on the basis of A*, hence on every point)
-    and commute with star_point on the sample.  Returns True, or raises
-    VerificationError with the counterexample, the frame's params, m and
-    the subgroup's rows.
+    Checks once per sampled x that the orbit image is the affine part of
+    span(x*, section), which implies the claim: x* lies off A* and the
+    section inside z*, so the span meets z* in the section.  Returns True,
+    or raises VerificationError with the counterexample, the frame's params,
+    m and the subgroup's rows.
     """
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
-    small = pspace.field_for(frame.q)
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
     elements = E.elements()
     for x in sample:
-        closure, affine = _orbit_closure(x, E, elements, section, frame)
-        got = pspace.subspace_intersection(closure, frame.zstar)
-        if got != section:
-            raise _orbit_error("center section differs", E, frame, point=list(x),
-                               expected=[list(r) for r in section.basis],
-                               got=None if got is None else [list(r) for r in got.basis])
-        if not affine:
-            raise _orbit_error("orbit image is not an affine subspace", E, frame, point=list(x))
-    for lam in elements:
-        T = translation_matrix(lam, frame)
-        for a in frame.astar.basis:
-            if linalg.matvec(T, a, small) != a:
-                raise _orbit_error("hyperplane at infinity moved", E, frame, lam=lam, point=list(a))
-        for x in sample:
-            lhs = star_point(_shifted(x, lam, frame.tower), frame)
-            rhs = pspace.normalize_point(linalg.matvec(T, star_point(x, frame), small), frame.q)
-            if lhs != rhs:
-                raise _orbit_error("star map does not commute with the elation", E, frame,
-                                   lam=lam, point=list(x))
+        _orbit_closure(x, E, elements, section, frame)
     return True
 
 
 def incidence_check(frame: StarFrame, sample) -> bool:
     """Star images of sampled lines behave like lines of the model.
 
-    A line with affine points maps onto a (d')-rank subspace whose affine
-    part is the image point set and whose infinite section is a spread
-    element; a line inside the hyperplane at infinity maps into the span of
-    two spread elements.  Returns True, or raises VerificationError with the
-    failing line and the frame's params.
+    A line with affine points maps onto the affine part of span(P*, S), P
+    any of its affine points and S the spread element of its point at
+    infinity, so its closure meets A* in S; a line inside the hyperplane at
+    infinity maps into the span of two spread elements.  Returns True, or
+    raises VerificationError with the failing line and the frame's params.
     """
     bigq = frame.tower.order
     for x, y in sample:
@@ -239,16 +226,13 @@ def incidence_check(frame: StarFrame, sample) -> bool:
             if len(infinite) != 1:
                 raise VerificationError("incidence check failed", {
                     "kind": "line off the hyperplane has several infinite points", **where})
-            S = star_infinite(infinite[0], frame)
-            stars = {star_point(P, frame) for P in affine}
-            closure = pspace.span(sorted(stars) + list(S.basis), frame.q)
-            # closure leaves the hyperplane A*, so this also fixes its rank at d' + 1
-            if pspace.subspace_intersection(closure, frame.astar) != S:
-                raise VerificationError("incidence check failed", {
-                    "kind": "affine line image does not cut a spread element", **where})
-            if {pt for pt in pspace.subspace_points(closure) if pt[0] != 0} != stars:
-                raise VerificationError("incidence check failed", {
-                    "kind": "line image has extra affine points", **where})
+            _check_affine_image(
+                {star_point(P, frame) for P in affine}, star_point(affine[0], frame),
+                star_infinite(infinite[0], frame), frame,
+                lambda kind, **_: VerificationError("incidence check failed",
+                                                    {"kind": kind, **where}),
+                ("affine line image does not cut a spread element",
+                 "line image has extra affine points"))
         else:
             closure = pspace.subspace_sum(star_infinite(x, frame), star_infinite(y, frame))
             if closure.t != 2 * frame.dprime:
@@ -298,7 +282,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
 
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
-    identity and the common center section, then checks line incidences.
+    identity, then checks line incidences.
     cap bounds each subgroup enumeration.
     """
     frame = StarFrame(r, p, h, n)
@@ -308,7 +292,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     for mm in orders:
         if mm % n != 0 or not 1 <= mm <= h:
             raise ValueError(f"order exponent {mm} is not admissible for n = {n}")
-        groups = [H for H in elation.enumerate_subgroups(p, h, mm, r=r, cap=cap)
+        groups = [H for H in elation.enumerate_subgroups(p, h, mm, cap=cap)
                   if n in {nn for nn, _ in elation.dimension_profile(H).admissible}]
         for H in groups:
             common_intersection_check(H, frame, sample)

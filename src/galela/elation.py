@@ -36,7 +36,6 @@ class ElationGroup:
     """Additive subgroup of GF(p^h) presented by an RREF coefficient basis."""
 
     tower: FieldTower
-    r: int
     rows: tuple  # m rows of h base-p digits, reduced echelon, pivots ascending
 
     @property
@@ -103,25 +102,24 @@ def elation_matrix(tower: FieldTower, lam: int, r: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _group_from_rows(tower, r, raw_rows):
-    prime = make_field(tower.p, 1)
-    red, _ = linalg.rref(raw_rows, prime)
-    return ElationGroup(tower, r, red)
+def _group_from_rows(tower, raw_rows):
+    red, _ = linalg.rref(raw_rows, pspace.field_for(tower.p))
+    return ElationGroup(tower, red)
 
 
-def group_from_elements(tower: FieldTower, elems, r: int = 3) -> ElationGroup:
+def group_from_elements(tower: FieldTower, elems) -> ElationGroup:
     """Subgroup generated (as a GF(p)-space) by the given field elements."""
     rows = [tower.coeffs(e) for e in elems]
-    return _group_from_rows(tower, r, rows)
+    return _group_from_rows(tower, rows)
 
 
-def enumerate_subgroups(p: int, h: int, m: int, r: int = 3, cap=None) -> list[ElationGroup]:
+def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
     """All additive subgroups of GF(p^h) of order p^m, sorted canonically."""
     if not 1 <= m <= h:
         raise ValueError(f"bad subgroup rank {m} for GF({p}^{h})")
     tower = make_field(p, h)
     fam = pspace.enumerate_subspaces(h, m, p, cap=cap)
-    return [ElationGroup(tower, r, X.basis) for X in fam]
+    return [ElationGroup(tower, X.basis) for X in fam]
 
 
 def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
@@ -130,7 +128,7 @@ def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
     if alpha == 0:
         raise ValueError("zero is not a valid scalar for a subgroup")
     rows = [tower.coeffs(tower.mul(alpha, e)) for e in H.basis_elements]
-    return _group_from_rows(tower, H.r, rows)
+    return _group_from_rows(tower, rows)
 
 
 def dimension_profile(H: ElationGroup) -> DimensionProfile:
@@ -170,7 +168,7 @@ def scalar_equivalent(H1: ElationGroup, H2: ElationGroup):
     return None
 
 
-def equivalence_classes(p: int, h: int, m: int, r: int = 3, cap=None) -> list[EquivalenceClass]:
+def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceClass]:
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
     Classes come back sorted by representative (the lexicographically least
@@ -178,7 +176,7 @@ def equivalence_classes(p: int, h: int, m: int, r: int = 3, cap=None) -> list[Eq
     witness scalar checked for it; every member must share the
     representative's dimension profile.
     """
-    subs = enumerate_subgroups(p, h, m, r=r, cap=cap)
+    subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
     mu = tower.mu
     classes = []
@@ -381,7 +379,7 @@ def subspace_of_center(H: ElationGroup, n: int) -> pspace.Subspace:
     return X
 
 
-def group_from_subspace(X: pspace.Subspace, h: int, r: int = 3) -> ElationGroup:
+def group_from_subspace(X: pspace.Subspace, h: int) -> ElationGroup:
     """Inverse of subspace_of_center: rebuild the subgroup from its subspace."""
     p, n = combinat.prime_power(X.q)
     tower = make_field(p, h)
@@ -393,7 +391,7 @@ def group_from_subspace(X: pspace.Subspace, h: int, r: int = 3) -> ElationGroup:
         for _ in range(n):
             raw.append(tower.coeffs(tower.mul(g, e)))
             g = tower.mul(g, gamma)
-    H = _group_from_rows(tower, r, raw)
+    H = _group_from_rows(tower, raw)
     if H.m != n * X.t:
         raise VerificationError("subgroup of a subspace has the wrong rank",
                                 {"field": (p, h), "subspace": X.basis, "rank": H.m})

@@ -115,7 +115,7 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     out = []
     for r, p, h in cases:
         subs = [H for m in range(1, h + 1)
-                for H in elation.enumerate_subgroups(p, h, m, r=r, cap=cap)]
+                for H in elation.enumerate_subgroups(p, h, m, cap=cap)]
         sweep = elation.conjugacy_partition(subs, r, cap=cap)
         equivalent = 0
         inequivalent = 0

@@ -28,8 +28,6 @@ from .gf import FIELD_ORDER_CAP, make_field
 
 DEFAULT_CENSUS_CAP = 10**6
 
-_CENSUS_MEMO: dict[tuple[int, int, int], "OrbitCensus"] = {}
-
 
 class SingerGroup:
     """Cyclic collineation group acting transitively on the points of PG(s-1,q)."""
@@ -217,9 +215,6 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     globally: the orbits partition the subspaces, and a spread orbit exists
     and is unique exactly when t divides s.
     """
-    key = (s, t, q)
-    if cap is None and key in _CENSUS_MEMO:
-        return _CENSUS_MEMO[key]
     limit = DEFAULT_CENSUS_CAP if cap is None else int(cap)
     total = combinat.gaussian_binomial(s, t, q)
     if total > limit:
@@ -241,12 +236,9 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
                                 {"case": (s, t, q), "spreads": spreads})
 
     raw.sort(key=lambda pair: (pair[0].u, pair[0].representative.basis))
-    census = OrbitCensus(s, t, q,
-                         tuple(rec for rec, _ in raw),
-                         tuple(mem for _, mem in raw))
-    if cap is None:
-        _CENSUS_MEMO[key] = census
-    return census
+    return OrbitCensus(s, t, q,
+                       tuple(rec for rec, _ in raw),
+                       tuple(mem for _, mem in raw))
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

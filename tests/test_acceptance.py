@@ -147,7 +147,7 @@ def test_criterion_5_conjugacy_criterion_both_directions():
     ok = True
     for r in (2, 3):
         subgroups = [
-            H for m in (1, 2) for H in enumerate_subgroups(2, 2, m, r=r)
+            H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)
         ]
         tower = subgroups[0].tower
         equivalent = inequivalent = 0

@@ -28,11 +28,9 @@ from galela.bruckbose import (
     embed_center_section,
     sample_affine_points,
     sample_line_specs,
-    translation_matrix,
 )
-from galela.elation import subspace_of_center
-from galela.linalg import matvec
-from galela.pspace import contains, field_for, normalize_point, subspace_points
+from galela.elation import dimension_profile, enumerate_subgroups, subspace_of_center
+from galela.pspace import field_for, subspace_points
 
 
 def small_frame():
@@ -166,13 +164,20 @@ class TestOrbitImage:
         assert subspace_intersection(closure, f.zstar) == f.zstar
 
     def test_closure_meets_zstar_in_center_section(self):
-        f = small_frame()
-        t = f.tower
-        H = group_from_elements(t, t.subfield_elements(2))
-        expected = embed_center_section(subspace_of_center(H, 2), f)
-        for x in range(16):
-            closure, _ = orbit_image((1, x), H, f)
-            assert subspace_intersection(closure, f.zstar) == expected
+        # every admissible subgroup and every affine point, with the
+        # Zassenhaus intersection as the oracle
+        for f in (StarFrame(2, 2, 4, 1), StarFrame(2, 2, 4, 2)):
+            checked = 0
+            for m in admissible_orders(f.h, f.n):
+                for H in enumerate_subgroups(f.p, f.h, m):
+                    if f.n not in {n for n, _ in dimension_profile(H).admissible}:
+                        continue
+                    expected = embed_center_section(subspace_of_center(H, f.n), f)
+                    for x in sample_affine_points(f):
+                        closure, _ = orbit_image(x, H, f)
+                        assert subspace_intersection(closure, f.zstar) == expected
+                    checked += 1
+            assert checked == {1: 66, 2: 6}[f.n]
 
     def test_rejects_inadmissible_subgroup(self):
         f = small_frame()
@@ -189,23 +194,18 @@ class TestOrbitImage:
 
 
 class TestTranslations:
-    def test_translation_commutes_with_embedding(self):
+    def test_shift_adds_coords_to_last_block(self):
+        # the elation with parameter lam moves x* by coords(lam) in the last block
         f = plane_frame()
         t = f.tower
         small = field_for(f.q)
+        last = 1 + (f.r - 2) * f.dprime
         for lam in (1, t.mu, t.pow(t.mu, 7)):
-            T = translation_matrix(lam, f)
+            shift = (0,) * last + t.coords(lam, f.n)
             for x in [(1, 0, 0), (1, 1, t.mu), (1, t.pow(t.mu, 3), 5)]:
                 shifted = (1, x[1], t.add(x[2], lam))
-                image = matvec(T, star_point(x, f), small)
-                assert tuple(image) == star_point(shifted, f)
-
-    def test_translation_fixes_hyperplane(self):
-        f = small_frame()
-        small = field_for(f.q)
-        T = translation_matrix(f.tower.mu, f)
-        for v in subspace_points(f.astar):
-            assert normalize_point(matvec(T, v, small), f.q) == v
+                moved = tuple(small.add(a, b) for a, b in zip(star_point(x, f), shift))
+                assert star_point(shifted, f) == moved
 
 
 class TestGeometricChecks:

@@ -137,3 +137,14 @@ sys.exit(cli.main(["verify", "bruckbose", "--r", "2", "--p", "2", "--h", "4", "-
     assert details["params"] == [2, 2, 4, 1]
     assert details["m"] == 1
     assert details["subgroup"] == [[0, 0, 0, 1]]
+
+
+def test_line_image_check_survives_optimize():
+    # every line's spread element replaced by z*; the line through (1, 0, 0)
+    # and (1, 1, 0) meets infinity in (0, 1, 0), whose element is not z*
+    code = PREAMBLE + """
+frame = bruckbose.StarFrame(3, 2, 2, 1)
+real = bruckbose.star_infinite
+bruckbose.star_infinite = lambda P, frame: real((0, 0, 1), frame)
+""" + REPORT.format(call="bruckbose.incidence_check(frame, [((1, 0, 0), (1, 1, 0))])")
+    assert run_optimized(code) == ["1", "raised"]

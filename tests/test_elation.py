@@ -262,7 +262,7 @@ class TestConjugation:
         assert conjugator(H, H, 3) == identity(3)
 
     def test_conjugator_r2(self):
-        cls = equivalence_classes(2, 2, 1, r=2)
+        cls = equivalence_classes(2, 2, 1)
         rep = cls[0].representative
         for mem, w in zip(cls[0].members, cls[0].witness_scalars):
             assert conjugator(rep, mem, 2) == ((1, 0), (0, w))
@@ -273,15 +273,15 @@ class TestConjugation:
             conjugator(cls[0].representative, cls[1].representative, 3)
 
     def test_no_witness_for_equivalent_pair(self):
-        cls = equivalence_classes(2, 2, 1, r=2)
+        cls = equivalence_classes(2, 2, 1)
         rep = cls[0].representative
         assert no_conjugation_witness(rep, rep, 2) is False
         assert no_conjugation_witness(rep, cls[0].members[1], 2) is False
 
     def test_witness_for_cross_order_pair(self):
         # |H1| != |H2| rules out conjugacy and the sweep certifies it
-        g1 = enumerate_subgroups(2, 2, 1, r=2)
-        g2 = enumerate_subgroups(2, 2, 2, r=2)
+        g1 = enumerate_subgroups(2, 2, 1)
+        g2 = enumerate_subgroups(2, 2, 2)
         assert no_conjugation_witness(g1[0], g2[0], 2) is True
 
     def test_sweep_cap(self):
@@ -345,13 +345,13 @@ def scalar_blocks(subgroups):
 class TestConjugacyPartition:
     @pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2)])
     def test_matches_explicit_conjugation_and_scalar_classes(self, p, h):
-        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m, r=2)]
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         sweep = {frozenset(c) for c in conjugacy_partition(subgroups, 2).classes}
         assert sweep == oracle_conjugacy_blocks(subgroups, 2)
         assert sweep == scalar_blocks(subgroups)
 
     def test_witnesses_conjugate(self):
-        subgroups = enumerate_subgroups(2, 3, 1, r=2)
+        subgroups = enumerate_subgroups(2, 3, 1)
         tower = subgroups[0].tower
         part = conjugacy_partition(subgroups, 2)
         assert part.witnesses
@@ -367,18 +367,18 @@ class TestConjugacyPartition:
                              for lam in subgroups[j].elements()}
 
     def test_labels_are_least_member(self):
-        subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m, r=2)]
+        subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
         part = conjugacy_partition(subgroups, 2)
         assert part.labels == (0, 0, 0, 3)
         assert part.classes == ((0, 1, 2), (3,))
 
     def test_cap(self):
-        subgroups = enumerate_subgroups(2, 2, 1, r=3)
+        subgroups = enumerate_subgroups(2, 2, 1)
         with pytest.raises(CapExceeded):
             conjugacy_partition(subgroups, 3, cap=100)
 
     def test_short_sweep_raises(self, monkeypatch):
-        subgroups = enumerate_subgroups(2, 2, 1, r=2)
+        subgroups = enumerate_subgroups(2, 2, 1)
         full = elation._iterate_pgl
         monkeypatch.setattr(elation, "_iterate_pgl",
                             lambda r, tower: itertools.islice(full(r, tower), 59))
