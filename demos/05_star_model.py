@@ -29,8 +29,8 @@ print("(1, mu) embeds as:", star_point((1, t.mu), frame))
 
 # a subgroup closed under the subfield gives orbit images of fixed rank
 H = group_from_elements(t, t.subfield_elements(2))
-closure, affine = orbit_image((1, 0), H, frame)
-print("orbit closure rank:", closure.t, "affine:", affine)
+closure = orbit_image((1, 0), H, frame)
+print("orbit closure rank:", closure.t)
 
 # every orbit meets the special spread element in one common section
 print("common intersection:", subspace_intersection(closure, frame.zstar).basis)

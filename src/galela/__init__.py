@@ -60,7 +60,6 @@ from .singer import (
     predicted_free_orbit_count,
     predicted_orbit_count,
     singer_generator,
-    spread_orbit,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +108,6 @@ __all__ = [
     "scalar_equivalent",
     "singer_generator",
     "span",
-    "spread_orbit",
     "star_infinite",
     "star_point",
     "star_point_inverse",

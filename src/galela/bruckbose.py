@@ -138,14 +138,13 @@ def _shifted(x, lam, tower):
 def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
     """Star image of the orbit of an affine point x under the group of E.
 
-    Returns (closure, affine): the projective closure of the image points in
-    canonical form, and whether the image is exactly the affine part of that
-    closure.  The image is checked to be the affine part of the span of x*
-    and the embedded center section of E, the model's central identity, so
-    affine is True whenever the function returns.
+    Returns the projective closure of the image points in canonical form.
+    The image is checked to be the affine part of the span of x* and the
+    embedded center section of E, the model's central identity, and
+    VerificationError is raised otherwise.
     """
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    return _orbit_closure(x, E, E.elements(), section, frame), True
+    return _orbit_closure(x, E, E.elements(), section, frame)
 
 
 def _check_affine_image(images, base, W, frame, error, kinds) -> pspace.Subspace:

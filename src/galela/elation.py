@@ -13,9 +13,11 @@ subgroups into orbits under multiplication by the designated generator mu.
 The partition runs on the Singer census's orbit kernel with its own action
 and coordinates, so the correspondence check compares two computations.
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
-space over) is scalar-invariant and refines the classification; the
-correspondence checker maps each class through coords() onto a subspace of
-PG(h/n - 1, p^n) and confirms the classes biject with Singer orbits.
+space over) is scalar-invariant and refines the classification; GF(p^n)* is
+the subgroup's stabilizer under scalars, which equivalence_classes checks
+once per class through the class size.  The correspondence checker maps
+each class through coords() onto a subspace of PG(h/n - 1, p^n) and
+confirms the classes biject with Singer orbits.
 """
 
 from __future__ import annotations
@@ -172,9 +174,14 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
     Classes come back sorted by representative (the lexicographically least
-    RREF basis in the class).  Member k is mu^k times the representative, the
-    witness scalar checked for it; every member must share the
-    representative's dimension profile.
+    RREF basis in the class).  Member k is the k-th step of the walk under
+    mu, so mu^k times the representative: mu^k is its witness scalar.  One
+    identity is checked per class: the stabilizer under scalars is GF(p^n)*,
+    n the representative's minimal_n, so the class has theta(h, p)/theta(n, p)
+    members.  It compares the walk's length with the profile read off by
+    contains(), two independent computations.  The profile is computed for
+    the representative alone, since H and alpha*H are spaces over the same
+    subfields.
     """
     subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
@@ -183,17 +190,11 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     for walk in singer.orbit_partition(subs, lambda H: scalar_multiple(H, mu)):
         rep = walk[0]
         profile = dimension_profile(rep)
-        witnesses = tower.exp[:len(walk)]
-        for member, alpha in zip(walk, witnesses):
-            if scalar_multiple(rep, alpha).rows != member.rows:
-                raise VerificationError("witness scalar does not map the representative",
-                                        {"field": (p, h), "representative": rep.rows,
-                                         "member": member.rows, "alpha": alpha})
-            if dimension_profile(member) != profile:
-                raise VerificationError("dimension profile varies inside a class",
-                                        {"field": (p, h), "representative": rep.rows,
-                                         "member": member.rows})
-        classes.append(EquivalenceClass(rep, tuple(walk), tuple(witnesses), profile))
+        if len(walk) * combinat.theta(profile.minimal_n, p) != combinat.theta(h, p):
+            raise VerificationError("class size is not theta(h, p)/theta(minimal_n, p)",
+                                    {"field": (p, h), "representative": rep.rows,
+                                     "size": len(walk), "minimal_n": profile.minimal_n})
+        classes.append(EquivalenceClass(rep, tuple(walk), tuple(tower.exp[:len(walk)]), profile))
     return classes
 
 

@@ -45,10 +45,6 @@ def rref(rows, field):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def rank(rows, field) -> int:
-    return len(rref(rows, field)[0])
-
-
 def reduce_vector(v, rows, pivots, field):
     """Reduce v against an RREF basis; the zero vector means membership."""
     v = list(v)

@@ -198,19 +198,6 @@ def is_spread(members) -> bool:
     return is_cover(members, 1)
 
 
-def fills(members, W: Subspace) -> bool:
-    """True when every member is contained in W or disjoint from it."""
-    field = field_for(W.q)
-    wpiv = tuple(next(j for j, v in enumerate(row) if v) for row in W.basis)
-    for X in members:
-        if all(linalg.in_rowspace(r, W.basis, wpiv, field) for r in X.basis):
-            continue
-        joined = linalg.rank(list(W.basis) + list(X.basis), field)
-        if joined != W.t + X.t:
-            return False
-    return True
-
-
 def subspace_sum(X: Subspace, Y: Subspace) -> Subspace:
     if X.q != Y.q or X.s != Y.s:
         raise ValueError("mixed ambients")

@@ -106,46 +106,48 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     """Both directions of the conjugacy criterion over all subgroup pairs.
 
     One exhaustive pass over PGL(r, q) per case partitions every subgroup by
-    conjugacy (elation.conjugacy_partition).  Scalar-equivalent pairs must
-    admit the diagonal conjugator (checked by the explicit projective
-    identity inside conjugator) and share a class of the pass; all other
-    pairs must land in different classes.  cap bounds the subgroup
-    enumeration and |PGL(r, q)|.
+    conjugacy (elation.conjugacy_partition), and the scalar classes come
+    from elation.equivalence_classes.  Every class member must admit the
+    diagonal conjugator from its representative (checked by the explicit
+    projective identity inside conjugator) and carry the representative's
+    label in the pass; every class of the pass must lie inside one scalar
+    class.  Together these make the two partitions equal, so each pair is
+    counted from the class sizes instead of being tested on its own.  cap
+    bounds the subgroup enumeration and |PGL(r, q)|.
     """
     out = []
     for r, p, h in cases:
         subs = [H for m in range(1, h + 1)
                 for H in elation.enumerate_subgroups(p, h, m, cap=cap)]
         sweep = elation.conjugacy_partition(subs, r, cap=cap)
+        label = {H.rows: i for H, i in zip(subs, sweep.labels)}
+        scalar_rep = {}
         equivalent = 0
-        inequivalent = 0
-        for i, H1 in enumerate(subs):
-            for j in range(i, len(subs)):
-                H2 = subs[j]
-                alpha = elation.scalar_equivalent(H1, H2) if H1.m == H2.m else None
-                together = sweep.labels[i] == sweep.labels[j]
-                if alpha is not None:
-                    elation.conjugator(H1, H2, r)
-                    if not together:
+        for m in range(1, h + 1):
+            for c in elation.equivalence_classes(p, h, m, cap=cap):
+                rep = c.representative
+                for H, alpha in zip(c.members, c.witness_scalars):
+                    elation.conjugator(rep, H, r)
+                    if label[H.rows] != label[rep.rows]:
                         raise VerificationError(
                             "scalar-equivalent pair not conjugate in the PGL sweep",
                             {"case": [r, p, h], "alpha": alpha,
-                             "first": [list(row) for row in H1.rows],
-                             "second": [list(row) for row in H2.rows]})
-                    equivalent += 1
-                elif together:
-                    witness = sweep.witnesses.get((i, j))
-                    raise VerificationError(
-                        "conjugation witness found for an inequivalent pair",
-                        {"case": [r, p, h],
-                         "first": [list(row) for row in H1.rows],
-                         "second": [list(row) for row in H2.rows],
-                         "witness": None if witness is None else [list(row) for row in witness]})
-                else:
-                    inequivalent += 1
+                             "first": [list(row) for row in rep.rows],
+                             "second": [list(row) for row in H.rows]})
+                    scalar_rep[H.rows] = rep.rows
+                equivalent += c.size * (c.size + 1) // 2
+        for j, (H, i) in enumerate(zip(subs, sweep.labels)):
+            if scalar_rep[H.rows] != scalar_rep[subs[i].rows]:
+                witness = sweep.witnesses.get((i, j))
+                raise VerificationError(
+                    "conjugation witness found for an inequivalent pair",
+                    {"case": [r, p, h],
+                     "first": [list(row) for row in subs[i].rows],
+                     "second": [list(row) for row in H.rows],
+                     "witness": None if witness is None else [list(row) for row in witness]})
         out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
                     "equivalent_pairs": equivalent,
-                    "inequivalent_pairs": inequivalent,
+                    "inequivalent_pairs": len(subs) * (len(subs) + 1) // 2 - equivalent,
                     "group_order": elation.pgl_order(r, p**h)})
     return out
 

@@ -262,26 +262,3 @@ def predicted_free_orbit_count(s: int, d: int, q: int) -> int:
         total += combinat.moebius(t) * combinat.gaussian_binomial(s // t, d // t, q**t)
     return combinat.exact_div(total, combinat.theta(s, q))
 
-
-def spread_orbit(s: int, t: int, q: int, cap=None) -> OrbitRecord:
-    """The unique orbit that partitions the points, for t | s.
-
-    Also samples 2t-dimensional subspaces spanned by member pairs and checks
-    the spread fills each of them (members inside or disjoint).
-    """
-    if s % t != 0:
-        raise ValueError(f"no spread of {t}-subspaces in PG({s - 1},{q}) since {t} does not divide {s}")
-    census = orbit_census(s, t, q, cap=cap)
-    # the census has checked that this orbit is unique and a degree-1 cover
-    idx = next(i for i, rec in enumerate(census.orbits) if rec.u == t)
-    rec = census.orbits[idx]
-    members = census.orbit_members(idx)
-    if 2 * t <= s:
-        pool = sorted(members, key=lambda m: m.basis)[:5]
-        pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i + 1:]][:10]
-        for a, b in pairs:
-            W = pspace.subspace_sum(a, b)
-            if not pspace.fills(members, W):
-                raise VerificationError("spread does not fill a member-pair span",
-                                        {"case": (s, t, q), "span": W.basis})
-    return rec

@@ -142,25 +142,22 @@ class TestOrbitImage:
         f = StarFrame(2, 2, 4, 1)
         t = f.tower
         H = group_from_elements(t, (0, 1))
-        closure, affine = orbit_image((1, 0), H, f)
+        closure = orbit_image((1, 0), H, f)
         assert closure.t == 2
-        assert affine is True
 
     def test_rank_tracks_subgroup_order(self):
         f = small_frame()
         t = f.tower
         H = group_from_elements(t, t.subfield_elements(2))
-        closure, affine = orbit_image((1, t.mu), H, f)
+        closure = orbit_image((1, t.mu), H, f)
         assert closure.t == 2
-        assert affine is True
 
     def test_whole_field_gives_line_through_zstar(self):
         f = small_frame()
         t = f.tower
         H = group_from_elements(t, range(16))
-        closure, affine = orbit_image((1, 0), H, f)
+        closure = orbit_image((1, 0), H, f)
         assert closure.t == f.dprime + 1
-        assert affine is True
         assert subspace_intersection(closure, f.zstar) == f.zstar
 
     def test_closure_meets_zstar_in_center_section(self):
@@ -174,7 +171,7 @@ class TestOrbitImage:
                         continue
                     expected = embed_center_section(subspace_of_center(H, f.n), f)
                     for x in sample_affine_points(f):
-                        closure, _ = orbit_image(x, H, f)
+                        closure = orbit_image(x, H, f)
                         assert subspace_intersection(closure, f.zstar) == expected
                     checked += 1
             assert checked == {1: 66, 2: 6}[f.n]

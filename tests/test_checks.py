@@ -60,20 +60,23 @@ def test_census_cover_check_survives_optimize():
     assert run_optimized(code) == ["1", "raised"]
 
 
-def test_class_profile_check_survives_optimize():
+def test_class_size_check_survives_optimize():
+    # every subgroup reported as a GF(2)-space only: the GF(4)-class of
+    # order-4 subgroups of GF(16) has 5 members, not theta(4, 2) = 15
     code = PREAMBLE + """
-real = elation.dimension_profile
-calls = []
-
-def varying(H):
-    calls.append(H)
-    prof = real(H)
-    if len(calls) == 1:
-        return prof
-    return elation.DimensionProfile(prof.admissible, prof.minimal_n, prof.minimal_d + 1)
-
-elation.dimension_profile = varying
+elation.dimension_profile = lambda H: elation.DimensionProfile(((1, H.m),), 1, H.m)
 """ + REPORT.format(call="elation.equivalence_classes(2, 4, 2)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
+def test_lemma1_partition_check_survives_optimize():
+    # a sweep that conjugates nothing: the order-2 subgroups of GF(4) form
+    # one scalar class, which now spans three classes of the sweep
+    code = PREAMBLE + """
+from galela import selftest
+elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPartition(
+    tuple(range(len(subgroups))), {})
+""" + REPORT.format(call="selftest.lemma1_report([(2, 2, 2)])")
     assert run_optimized(code) == ["1", "raised"]
 
 

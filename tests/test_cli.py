@@ -5,6 +5,7 @@ with different hash seeds, and the exit code contract is pinned for
 success, failed verification, invalid parameters, and blown caps.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ import sys
 import pytest
 
 from galela import VerificationError, cli
+
+
+SELFTEST_SHA256 = "057ea3b0742add06be83912c2d83226bb1ad584fe45c82ca7ee3882818a9cd88"
 
 
 def run_cli(*args, env_extra=None, timeout=120):
@@ -215,3 +219,10 @@ class TestSelftest:
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert payload["ok"] is True
+
+    def test_canonical_digest_in_process(self, capsys):
+        # the canonical stdout is pinned byte for byte; run in the test
+        # process, it must not depend on caches earlier tests have filled
+        assert cli.main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256

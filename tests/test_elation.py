@@ -37,7 +37,7 @@ from galela import (
 )
 from galela import elation, selftest
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
-from galela.linalg import identity, mat_inverse, matmul, matvec, rank, scale_projective
+from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, normalize_point
 
 
@@ -231,6 +231,20 @@ class TestEquivalenceClasses:
             for member, w in zip(c.members, c.witness_scalars):
                 assert scalar_multiple(c.representative, w) == member
 
+    @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 6, 2), (3, 2, 1), (3, 4, 2), (3, 3, 1)])
+    def test_member_facts_against_element_sets(self, p, h, m):
+        # equivalence_classes checks only the class size; the facts it
+        # leaves implied are checked here member by member on element sets
+        for c in equivalence_classes(p, h, m):
+            tower = c.representative.tower
+            rep = set(c.representative.elements())
+            for H, w in zip(c.members, c.witness_scalars):
+                assert dimension_profile(H) == c.profile
+                assert set(H.elements()) == {tower.mul(w, e) for e in rep}
+            stabilizer = [a for a in range(1, tower.order)
+                          if {tower.mul(a, e) for e in rep} == rep]
+            assert len(stabilizer) == p ** c.profile.minimal_n - 1
+
     def test_members_disjoint_and_complete(self):
         cls = equivalence_classes(2, 4, 2)
         seen = [H for c in cls for H in c.members]
@@ -296,7 +310,7 @@ def brute_force_pgl(r, tower):
     out = set()
     for entries in itertools.product(range(q), repeat=r * r):
         mat = tuple(entries[i * r:(i + 1) * r] for i in range(r))
-        if rank(mat, tower) == r:
+        if len(rref(mat, tower)[0]) == r:
             out.add(scale_projective(mat, tower))
     return out
 
@@ -402,7 +416,7 @@ class TestConjugacyPartition:
         tower = make_field(p, h)
         mats = list(_iterate_pgl(r, tower))
         assert len(mats) == pgl_order(r, p**h)
-        assert all(rank(g, tower) == r for g in mats)
+        assert all(len(rref(g, tower)[0]) == r for g in mats)
         assert len({scale_projective(g, tower) for g in mats}) == len(mats)
 
 

@@ -19,7 +19,6 @@ from galela import (
     is_spread,
     orbit_census,
     span,
-    spread_orbit,
     subspace_intersection,
     subspace_points,
     subspace_sum,
@@ -30,7 +29,6 @@ from galela.pspace import (
     Subspace,
     canonicalize,
     contains,
-    fills,
     field_for,
     normalize_point,
 )
@@ -204,8 +202,8 @@ class TestCoversAndSpreads:
     @staticmethod
     def line_spread():
         census = orbit_census(4, 2, 2)
-        rec = spread_orbit(4, 2, 2)
-        return census.orbit_members(census.orbit_index(rec.representative))
+        (i,) = [i for i, rec in enumerate(census.orbits) if rec.u == 2]
+        return census.orbit_members(i)
 
     def test_line_spread_of_pg32(self):
         spread = self.line_spread()
@@ -216,15 +214,6 @@ class TestCoversAndSpreads:
     def test_overlapping_family_not_spread(self):
         fam = enumerate_subspaces(4, 2, 2)
         assert not is_spread(fam.members[:5])
-
-    def test_fills(self):
-        spread = self.line_spread()
-        whole = enumerate_subspaces(4, 4, 2).members[0]
-        assert fills(spread, whole)
-        assert fills(spread, spread[0])
-        # a generic hyperplane is not a union of spread lines
-        hyper = span(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 2)
-        assert not fills(spread, hyper)
 
 
 class TestLatticeOperations:

@@ -21,13 +21,18 @@ from galela import (
     predicted_orbit_count,
     singer_generator,
     span,
-    spread_orbit,
     subspace_points,
     theta,
 )
 from galela.linalg import matvec
 from galela.pspace import normalize_point
 from galela.singer import orbit_partition
+
+
+def spread_members(census):
+    """Members of the census's one orbit with u == t, its spread."""
+    (i,) = [i for i, rec in enumerate(census.orbits) if rec.u == census.t]
+    return census.orbit_members(i)
 
 
 def oracle_orbit_partition(s, t, q):
@@ -159,9 +164,9 @@ class TestOrbit:
         assert rec.u == 1
 
     def test_short_orbit_is_spread(self):
-        rec = spread_orbit(4, 2, 2)
-        assert rec.size == 5
-        assert rec.u == 2
+        census = orbit_census(4, 2, 2)
+        assert [rec.size for rec in census.orbits if rec.u == 2] == [5]
+        assert is_spread(spread_members(census))
 
     def test_representative_is_minimal(self):
         S = singer_generator(4, 2)
@@ -234,19 +239,14 @@ class TestCensus:
 
 class TestSpreadOrbit:
     def test_line_spread_pg32(self):
-        rec = spread_orbit(4, 2, 2)
-        census = orbit_census(4, 2, 2)
-        members = census.orbit_members(census.orbit_index(rec.representative))
+        members = spread_members(orbit_census(4, 2, 2))
+        assert len(members) == 5
         assert is_spread(members)
 
     def test_plane_spread_pg52(self):
-        rec = spread_orbit(6, 3, 2)
-        assert rec.size == 9
-        assert rec.u == 3
-
-    def test_no_spread_when_dimension_not_divisible(self):
-        with pytest.raises(ValueError):
-            spread_orbit(4, 3, 2)
+        census = orbit_census(6, 3, 2)
+        assert [rec.size for rec in census.orbits if rec.u == 3] == [9]
+        assert is_spread(spread_members(census))
 
 
 class TestPredictions:
