@@ -32,7 +32,7 @@ rep = classes[0].representative
 other = classes[0].members[1]
 alpha = scalar_equivalent(rep, other)
 print("scalar witness:", alpha)
-print("conjugating matrix:", conjugator(rep, other, 3))
+print("conjugating matrix:", conjugator(rep, alpha, 3))
 
 # each subgroup corresponds to a subspace, and scalar classes of
 # subgroups correspond to orbits of subspaces; the bijection is checked

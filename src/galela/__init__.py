@@ -40,7 +40,6 @@ from .errors import CapExceeded, VerificationError
 from .gf import FieldTower, format_field_spec, make_field, parse_field_spec
 from .pspace import (
     Subspace,
-    SubspaceFamily,
     enumerate_points,
     enumerate_subspaces,
     is_cover,
@@ -63,60 +62,3 @@ from .singer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceeded",
-    "ConjugacyPartition",
-    "ElationGroup",
-    "FieldTower",
-    "OrbitCensus",
-    "OrbitRecord",
-    "SingerGroup",
-    "StarFrame",
-    "Subspace",
-    "SubspaceFamily",
-    "VerificationError",
-    "act",
-    "common_intersection_check",
-    "conjugacy_partition",
-    "conjugator",
-    "count_classes",
-    "dimension_profile",
-    "divisors",
-    "elation_matrix",
-    "enumerate_points",
-    "enumerate_subgroups",
-    "enumerate_subspaces",
-    "equivalence_classes",
-    "format_field_spec",
-    "gaussian_binomial",
-    "group_from_elements",
-    "group_from_subspace",
-    "incidence_check",
-    "is_cover",
-    "is_spread",
-    "make_field",
-    "moebius",
-    "no_conjugation_witness",
-    "orbit",
-    "orbit_census",
-    "orbit_image",
-    "parse_field_spec",
-    "predicted_free_orbit_count",
-    "predicted_orbit_count",
-    "prime_power",
-    "scalar_equivalent",
-    "singer_generator",
-    "span",
-    "star_infinite",
-    "star_point",
-    "star_point_inverse",
-    "subgroup_count",
-    "subspace_intersection",
-    "subspace_of_center",
-    "subspace_points",
-    "subspace_sum",
-    "theta",
-    "verify_correspondence",
-    "verify_star_model",
-]

@@ -21,6 +21,7 @@ VerificationError with a counterexample.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -261,13 +262,23 @@ def sample_affine_points(frame: StarFrame, size: int = SAMPLE_SIZE, seed: int = 
 
 def sample_line_specs(frame: StarFrame, size: int = SAMPLE_SIZE, seed: int = 0,
                       force: bool = False) -> list:
-    """Distinct point pairs of PG(r-1, p^h): all of them when few, else sampled."""
+    """Distinct point pairs of PG(r-1, p^h): all of them when few, else sampled.
+
+    A sample draws pair indices in itertools.combinations order and unranks
+    each one, so the list of all pairs is never built.
+    """
     pts = pspace.enumerate_points(frame.r, frame.tower.order)
-    pairs = list(itertools.combinations(pts, 2))
-    if force or len(pairs) <= EXHAUSTIVE_LIMIT:
-        return pairs
+    total = len(pts) * (len(pts) - 1) // 2
+    if force or total <= EXHAUSTIVE_LIMIT:
+        return list(itertools.combinations(pts, 2))
+    # starts[i]: index of the first pair led by pts[i]
+    starts = list(itertools.accumulate(range(len(pts) - 1, 0, -1), initial=0))
     rng = random.Random(seed)
-    return rng.sample(pairs, size)
+    out = []
+    for k in rng.sample(range(total), size):
+        i = bisect.bisect_right(starts, k) - 1
+        out.append((pts[i], pts[i + 1 + k - starts[i]]))
+    return out
 
 
 def admissible_orders(h: int, n: int) -> list:

@@ -15,9 +15,12 @@ and coordinates, so the correspondence check compares two computations.
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
 space over) is scalar-invariant and refines the classification; GF(p^n)* is
 the subgroup's stabilizer under scalars, which equivalence_classes checks
-once per class through the class size.  The correspondence checker maps
-each class through coords() onto a subspace of PG(h/n - 1, p^n) and
-confirms the classes biject with Singer orbits.
+once per class through the class size.  Each class carries the witness
+scalar of every member, and conjugator builds the diagonal conjugator from
+it.  The correspondence checker maps each class through coords() onto a
+subspace of PG(h/n - 1, p^n), where the rank of the image alone tells
+whether H is a GF(p^n)-space, and confirms the classes biject with Singer
+orbits.
 """
 
 from __future__ import annotations
@@ -198,22 +201,21 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     return classes
 
 
-def conjugator(H1: ElationGroup, H2: ElationGroup, r: int):
-    """Diagonal matrix conjugating the elation group of H1 onto that of H2.
+def conjugator(H: ElationGroup, alpha: int, r: int):
+    """Diagonal matrix conjugating the elation group of H onto that of alpha * H.
 
-    Requires scalar equivalence alpha * H1 == H2; the returned matrix is the
-    identity with alpha in the last diagonal slot, and the projective
-    identity g M_lam g^-1 == M_(alpha lam) is checked for every lam in H1.
+    alpha is the class's witness scalar; the returned matrix is the identity
+    with alpha in the last diagonal slot, and the projective identity
+    g M_lam g^-1 == M_(alpha lam) is checked for every lam in H.
     """
-    alpha = scalar_equivalent(H1, H2)
-    if alpha is None:
-        raise ValueError("subgroups are not scalar-equivalent; no diagonal conjugator exists")
-    tower = H1.tower
+    tower = H.tower
+    if not 0 < alpha < tower.order:
+        raise ValueError(f"{alpha} is not a nonzero element of {tower!r}")
     g = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     g[r - 1][r - 1] = alpha
     g = tuple(tuple(row) for row in g)
     ginv = linalg.mat_inverse(g, tower)
-    for lam in H1.elements():
+    for lam in H.elements():
         lhs = linalg.matmul(linalg.matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower)
         rhs = elation_matrix(tower, tower.mul(alpha, lam), r)
         if linalg.scale_projective(lhs, tower) != linalg.scale_projective(rhs, tower):
@@ -297,6 +299,8 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     definition is used: every element of PGL is visited and the count is
     checked against pgl_order.
     """
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
     if not subgroups:
         raise ValueError("no subgroups to partition")
     tower = subgroups[0].tower
@@ -369,13 +373,13 @@ def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap: int 
 def subspace_of_center(H: ElationGroup, n: int) -> pspace.Subspace:
     """Image of H under coords(., n): an (m/n)-subspace of PG(h/n - 1, p^n)."""
     tower = H.tower
-    prof = dimension_profile(H)
-    if n not in {nn for nn, _ in prof.admissible}:
+    X = pspace.span([tower.coords(b, n) for b in H.basis_elements], tower.p**n)
+    # coords is a GF(p^n)-linear bijection, so n * rank >= m, with equality
+    # exactly when H is a GF(p^n)-space
+    if n * X.t > H.m:
         raise ValueError(f"subgroup is not a GF({tower.p}^{n})-space")
-    vecs = [tower.coords(b, n) for b in H.basis_elements]
-    X = pspace.span(vecs, tower.p**n)
-    if X.t != H.m // n:
-        raise VerificationError("subspace of a subgroup has the wrong dimension",
+    if n * X.t < H.m:
+        raise VerificationError("coords is not injective on the subgroup",
                                 {"field": (tower.p, tower.h), "n": n, "rows": H.rows})
     return X
 

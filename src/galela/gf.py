@@ -368,10 +368,6 @@ class FieldTower:
             power = small.mul(power, b)
         return acc
 
-    def subfield(self, n: int) -> "FieldTower":
-        self._check_subfield_degree(n)
-        return make_field(self.p, n)
-
     def to_subfield(self, a: int, n: int) -> int:
         """Move a subfield element to its canonical GF(p^n) encoding."""
         self._check_subfield_degree(n)

@@ -4,9 +4,10 @@ A projective point is a tuple of GF(q) encodings scaled so its first nonzero
 coordinate is 1.  A t-dimensional subspace (vector dimension t, projective
 dimension t-1) is carried by the unique reduced-row-echelon basis of its row
 space, pivots ascending, stored as a tuple of row tuples; equal subspaces
-therefore compare equal as values.  Enumeration walks pivot-column patterns
-and fills the free entries, so the number of emitted subspaces matching the
-Gaussian binomial is a structural fact, not a coincidence.
+therefore compare equal as values, and span is the one way from generating
+rows to that form.  Enumeration walks pivot-column patterns and fills the
+free entries, returning a sorted tuple of subspaces, so the number emitted
+matching the Gaussian binomial is a structural fact, not a coincidence.
 """
 
 from __future__ import annotations
@@ -54,22 +55,6 @@ class Subspace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class SubspaceFamily:
-    """Equal-dimensional subspaces, distinct as enumerate_subspaces emits them."""
-
-    q: int
-    s: int
-    t: int
-    members: tuple
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def enumerate_points(s: int, q: int) -> list[tuple]:
     """All points of PG(s-1, q), sorted; first nonzero coordinate is 1."""
     if s < 1:
@@ -97,15 +82,6 @@ def normalize_point(v, q: int) -> tuple:
     raise ValueError("zero vector is not a projective point")
 
 
-def canonicalize(rows, q: int) -> Subspace:
-    """Subspace spanned by rows, which must be independent."""
-    field = field_for(q)
-    red, _ = linalg.rref(rows, field)
-    if len(red) != len(rows):
-        raise ValueError(f"rank-deficient generating set (rank {len(red)} of {len(rows)})")
-    return Subspace(q, red)
-
-
 def span(rows, q: int) -> Subspace:
     """Subspace spanned by rows; dependent generating sets are fine."""
     field = field_for(q)
@@ -115,7 +91,7 @@ def span(rows, q: int) -> Subspace:
     return Subspace(q, red)
 
 
-def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> SubspaceFamily:
+def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:
     """All t-dimensional subspaces of GF(q)^s in sorted canonical order.
 
     Walks every ascending pivot pattern; the entries right of each pivot in
@@ -145,7 +121,7 @@ def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> SubspaceFamily:
     if len(members) != total:
         raise VerificationError("subspace count is not the Gaussian binomial",
                                 {"case": (s, t, q), "subspaces": len(members)})
-    return SubspaceFamily(q, s, t, tuple(members))
+    return tuple(members)
 
 
 def contains(X: Subspace, point) -> bool:

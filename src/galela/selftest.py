@@ -108,7 +108,7 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     One exhaustive pass over PGL(r, q) per case partitions every subgroup by
     conjugacy (elation.conjugacy_partition), and the scalar classes come
     from elation.equivalence_classes.  Every class member must admit the
-    diagonal conjugator from its representative (checked by the explicit
+    diagonal conjugator by its witness scalar (checked by the explicit
     projective identity inside conjugator) and carry the representative's
     label in the pass; every class of the pass must lie inside one scalar
     class.  Together these make the two partitions equal, so each pair is
@@ -127,7 +127,7 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
             for c in elation.equivalence_classes(p, h, m, cap=cap):
                 rep = c.representative
                 for H, alpha in zip(c.members, c.witness_scalars):
-                    elation.conjugator(rep, H, r)
+                    elation.conjugator(rep, alpha, r)
                     if label[H.rows] != label[rep.rows]:
                         raise VerificationError(
                             "scalar-equivalent pair not conjugate in the PGL sweep",

@@ -71,15 +71,14 @@ def singer_generator(s: int, q: int) -> SingerGroup:
         gen[i][s - 1] = small.neg(coeffs[i])
     gen = tuple(tuple(r) for r in gen)
 
-    # projective order: first power that is a scalar matrix
+    # the point orbit walked below has length theta, so no gen^k with
+    # 0 < k < theta fixes every point: a scalar gen^theta makes theta the
+    # projective order
     order = combinat.theta(s, q)
-    mat, k = gen, 1
-    while not _is_scalar(mat) and k < order:
-        mat = linalg.matmul(mat, gen, small)
-        k += 1
-    if k != order or not _is_scalar(mat):
-        raise VerificationError("projective order of the generator is not theta(s,q)",
-                                {"case": (s, q), "theta": order, "power": k})
+    mat = linalg.mat_pow(gen, order, small)
+    if not _is_scalar(mat):
+        raise VerificationError("gen^theta(s,q) is not a scalar matrix",
+                                {"case": (s, q), "theta": order})
     scalar = mat[0][0]
     if small.element_order(scalar) * order != q**s - 1:
         raise VerificationError("linear order of the generator is not q^s - 1",
@@ -106,8 +105,12 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
     mat = S.matrix_power(k)
-    rows = [linalg.matvec(mat, row, S.field) for row in X.basis]
-    return pspace.canonicalize(rows, S.q)
+    Y = pspace.span([linalg.matvec(mat, row, S.field) for row in X.basis], S.q)
+    # a collineation keeps dimension; a singular generator would not
+    if Y.t != X.t:
+        raise VerificationError("image of a subspace has the wrong dimension",
+                                {"case": (S.s, S.q), "basis": X.basis, "image": Y.basis})
+    return Y
 
 
 @dataclass(frozen=True)
@@ -215,11 +218,8 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     globally: the orbits partition the subspaces, and a spread orbit exists
     and is unique exactly when t divides s.
     """
-    limit = DEFAULT_CENSUS_CAP if cap is None else int(cap)
-    total = combinat.gaussian_binomial(s, t, q)
-    if total > limit:
-        raise CapExceeded(f"{total} subspaces exceed census cap {limit}")
-    fam = pspace.enumerate_subspaces(s, t, q, cap=max(limit, total))
+    limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
+    fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
     S = singer_generator(s, q)
     raw = []
     for members in orbit_partition(fam, lambda X: act(S, X)):

@@ -157,7 +157,7 @@ def test_criterion_5_conjugacy_criterion_both_directions():
                     scalar_equivalent(H1, H2) if H1.m == H2.m else None
                 )
                 if alpha is not None:
-                    g = conjugator(H1, H2, r)
+                    g = conjugator(H1, alpha, r)
                     ginv = mat_inverse(g, tower)
                     for lam in H1.elements():
                         lhs = matmul(matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower)

@@ -6,11 +6,15 @@ element, incidence compatibility) run exhaustively where the frame is
 small enough.
 """
 
+import itertools
+import random
+
 import pytest
 
 from galela import (
     StarFrame,
     common_intersection_check,
+    enumerate_points,
     group_from_elements,
     incidence_check,
     make_field,
@@ -267,6 +271,21 @@ class TestSampling:
         specs = sample_line_specs(f, size=3)
         # PG(1,16) has 17 points, giving C(17, 2) unordered pairs
         assert len(specs) == 17 * 16 // 2
+
+    @pytest.mark.parametrize("r,p,h", [(3, 2, 4), (2, 2, 7), (7, 2, 1)])
+    def test_pair_sample_matches_full_list(self, r, p, h):
+        # unranked indices are the pairs random.sample draws from the full list
+        f = StarFrame(r, p, h, h)
+        pairs = list(itertools.combinations(enumerate_points(r, p**h), 2))
+        assert len(pairs) > EXHAUSTIVE_LIMIT
+        for seed in range(3):
+            assert sample_line_specs(f, seed=seed) == random.Random(seed).sample(pairs, 256)
+
+    def test_pair_sample_of_large_plane(self):
+        # PG(2,256) has about 2.16e9 point pairs, never built
+        specs = sample_line_specs(StarFrame(3, 2, 8, 8))
+        assert len(set(specs)) == 256
+        assert all(P < Q for P, Q in specs)
 
     def test_admissible_orders(self):
         assert admissible_orders(4, 2) == [2, 4]

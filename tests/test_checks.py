@@ -60,6 +60,15 @@ def test_census_cover_check_survives_optimize():
     assert run_optimized(code) == ["1", "raised"]
 
 
+def test_act_dimension_check_survives_optimize():
+    # a singular generator sends the line <e0, e1> of PG(2,2) onto a point
+    code = PREAMBLE + """
+S = singer.SingerGroup(3, 2, ((1, 0, 0), (1, 0, 0), (0, 0, 1)), 7, gf.make_field(2, 1))
+X = pspace.span(((1, 0, 0), (0, 1, 0)), 2)
+""" + REPORT.format(call="singer.act(S, X)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
 def test_class_size_check_survives_optimize():
     # every subgroup reported as a GF(2)-space only: the GF(4)-class of
     # order-4 subgroups of GF(16) has 5 members, not theta(4, 2) = 15

@@ -94,6 +94,11 @@ class TestCensus:
         assert not r.stdout
         assert "cap" in r.stderr.lower()
 
+    def test_subspace_cap_env_exit_code(self):
+        r = run_cli("census", "--s", "4", "--t", "2", "--q", "2",
+                    env_extra={"GALELA_CAP_SUBSPACES": "10"})
+        assert r.returncode == 3
+
 
 class TestCount:
     def test_spot_values(self):
@@ -145,6 +150,12 @@ class TestVerify:
         assert payload["equivalent_pairs"] == 7
         assert payload["inequivalent_pairs"] == 3
         assert payload["group_order"] == 60
+
+    @pytest.mark.parametrize("r", ["1", "0"])
+    def test_lemma1_small_r_exit_code(self, r):
+        out = run_cli("verify", "lemma1", "--r", r, "--p", "2", "--h", "2")
+        assert out.returncode == 2
+        assert "need r >= 2" in out.stderr
 
     def test_lemma1_cap_exceeded_exit_code(self):
         r = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--cap", "100")

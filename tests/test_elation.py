@@ -96,7 +96,7 @@ class TestElationMatrix:
         q = t.order
         z = (0, 0, 1)
         M = elation_matrix(t, t.mu, 3)
-        for L in enumerate_subspaces(3, 2, q).members:
+        for L in enumerate_subspaces(3, 2, q):
             if not contains(L, z):
                 continue
             pts = set(subspace_points(L))
@@ -268,23 +268,23 @@ class TestConjugation:
         rep = cls[0].representative
         mem = cls[0].members[1]
         alpha = scalar_equivalent(rep, mem)
-        g = conjugator(rep, mem, 3)
+        g = conjugator(rep, alpha, 3)
         assert g == ((1, 0, 0), (0, 1, 0), (0, 0, alpha))
 
     def test_conjugator_identity_for_self(self):
         H = enumerate_subgroups(2, 4, 2)[0]
-        assert conjugator(H, H, 3) == identity(3)
+        assert conjugator(H, 1, 3) == identity(3)
 
     def test_conjugator_r2(self):
         cls = equivalence_classes(2, 2, 1)
         rep = cls[0].representative
-        for mem, w in zip(cls[0].members, cls[0].witness_scalars):
-            assert conjugator(rep, mem, 2) == ((1, 0), (0, w))
+        for w in cls[0].witness_scalars:
+            assert conjugator(rep, w, 2) == ((1, 0), (0, w))
 
-    def test_conjugator_rejects_inequivalent(self):
-        cls = equivalence_classes(2, 4, 2)
+    def test_conjugator_rejects_zero_scalar(self):
+        H = enumerate_subgroups(2, 4, 2)[0]
         with pytest.raises(ValueError):
-            conjugator(cls[0].representative, cls[1].representative, 3)
+            conjugator(H, 0, 3)
 
     def test_no_witness_for_equivalent_pair(self):
         cls = equivalence_classes(2, 2, 1)
@@ -434,6 +434,14 @@ class TestSubspaceBridge:
         with pytest.raises(ValueError):
             subspace_of_center(H, 2)
 
+    def test_non_injective_coords_raise(self, monkeypatch):
+        # a coords that sends every element to one vector loses rank
+        t = make_field(2, 4)
+        H = group_from_elements(t, t.subfield_elements(2))
+        monkeypatch.setattr(t, "coords", lambda a, n: (1, 0, 0, 0))
+        with pytest.raises(VerificationError):
+            subspace_of_center(H, 1)
+
     def test_round_trip_all_lines(self):
         subgroups = enumerate_subgroups(2, 4, 2)
         images = set()
@@ -441,7 +449,7 @@ class TestSubspaceBridge:
             X = subspace_of_center(H, 1)
             assert group_from_subspace(X, 4) == H
             images.add(X)
-        assert images == set(enumerate_subspaces(4, 2, 2).members)
+        assert images == set(enumerate_subspaces(4, 2, 2))
 
     def test_scalar_action_matches_collineation_action(self):
         # multiplying the subgroup by mu advances its subspace one step

@@ -219,7 +219,7 @@ class TestSubfields:
     def test_to_subfield_isomorphism(self):
         # the canonical identification matches multiplication and addition
         t = make_field(2, 4)
-        small = t.subfield(2)
+        small = make_field(2, 2)
         sub = t.subfield_elements(2)
         for a in sub:
             for b in sub:
@@ -298,7 +298,7 @@ class TestCoords:
 
     def test_linearity_over_subfield(self):
         t = make_field(2, 4)
-        small = t.subfield(2)
+        small = make_field(2, 2)
         sub = t.subfield_elements(2)
         for a in range(t.order):
             for b in range(t.order):

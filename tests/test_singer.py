@@ -51,7 +51,7 @@ def oracle_orbit_partition(s, t, q):
 
     remaining = {
         frozenset(subspace_points(X))
-        for X in enumerate_subspaces(s, t, q).members
+        for X in enumerate_subspaces(s, t, q)
     }
     sizes = []
     while remaining:
