@@ -32,12 +32,11 @@ from .elation import (
     group_from_subspace,
     no_conjugation_witness,
     scalar_equivalent,
-    subgroup_count,
     subspace_of_center,
     verify_correspondence,
 )
 from .errors import CapExceeded, VerificationError
-from .gf import FieldTower, format_field_spec, make_field, parse_field_spec
+from .gf import FieldTower, make_field
 from .pspace import (
     Subspace,
     enumerate_points,

@@ -15,7 +15,8 @@ and W the center section of E inside z* (the line's spread element).  base
 lies off A* (X00 = 0) and W inside it, so the span meets A* and z* in W.
 The elation with parameter lam acts as the translation adding coords(lam)
 to the last block, which fixes A* pointwise by construction and agrees
-with star_point by the additivity of coords.  Every check raises
+with star_point by the additivity of coords.  A sample checks each orbit
+it meets once, however many of its points it holds.  Every check raises
 VerificationError with a counterexample.
 """
 
@@ -186,19 +187,26 @@ def _orbit_closure(x, E, elements, section, frame):
 def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample) -> bool:
     """Every sampled orbit closure meets z* in the center section of E.
 
-    Checks once per sampled x that the orbit image is the affine part of
-    span(x*, section), which implies the claim: x* lies off A* and the
-    section inside z*, so the span meets z* in the section.  Returns True,
-    or raises VerificationError with the counterexample, the frame's params,
-    m and the subgroup's rows.
+    For each orbit x^E the sample meets, checks once that its image is the
+    affine part of span(x*, section), which implies the claim: x* lies off
+    A* and the section inside z*, so the span meets z* in the section.  A
+    further sample point of a checked orbit would repeat the check on the
+    same image set and span, so it is skipped; an orbit is keyed by its
+    least member.  Returns True, or raises VerificationError with the
+    counterexample, the frame's params, m and the subgroup's rows.
     """
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
     elements = E.elements()
+    checked = set()
     for x in sample:
-        _orbit_closure(x, E, elements, section, frame)
+        x = tuple(x)
+        key = min(_shifted(x, lam, frame.tower) for lam in elements)
+        if key not in checked:
+            checked.add(key)
+            _orbit_closure(x, E, elements, section, frame)
     return True
 
 

@@ -420,21 +420,15 @@ def count_classes(p: int, h: int, m: int, n: int, minimal: bool = False) -> int:
     return singer.predicted_orbit_count(h // n, m // n, p**n)
 
 
-def subgroup_count(p: int, h: int, m: int, n: int = 1) -> int:
-    """Raw number of GF(p^n)-closed subgroups of order p^m (not classes)."""
-    if n < 1 or gcd(m, h) % n != 0:
-        raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
-    return combinat.gaussian_binomial(h // n, m // n, p**n)
-
-
 def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     """Check that classes of GF(p^n)-closed subgroups biject with Singer orbits.
 
     subspace_of_center must send each class into a single orbit of
     (m/n)-subspaces of PG(h/n - 1, p^n), hitting every orbit exactly once,
     and the classes of minimal dimension must land exactly on the free
-    orbits (u = 1).  Raises VerificationError with a counterexample if any
-    part fails; returns a summary dict when everything holds.
+    orbits (u = 1).  The class counts must equal count_classes' closed
+    forms.  Raises VerificationError with a counterexample if any part
+    fails; returns a summary dict when everything holds.
     """
     if n < 1 or gcd(m, h) % n != 0:
         raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
@@ -473,6 +467,12 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
                  "class_representative": [list(r) for r in c.representative.rows],
                  "minimal_n": c.profile.minimal_n, "orbit_u": census.orbits[oi].u})
 
+    predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
+    if [len(classes), minimal_classes] != predicted:
+        raise VerificationError("class counts differ from the closed forms",
+                                {"params": [p, h, m, n],
+                                 "observed": [len(classes), minimal_classes],
+                                 "predicted": predicted})
     return {
         "params": {"p": p, "h": h, "m": m, "n": n},
         "classes": len(classes),
@@ -481,6 +481,6 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
         "minimal_classes": minimal_classes,
         "free_orbits": sum(1 for rec in census.orbits if rec.u == 1),
         "minimal_match": True,
-        "predicted_classes": count_classes(p, h, m, n),
-        "predicted_minimal": count_classes(p, h, m, n, minimal=True),
+        "predicted_classes": predicted[0],
+        "predicted_minimal": predicted[1],
     }

@@ -37,22 +37,6 @@ def make_field(p: int, h: int) -> "FieldTower":
     return _CACHE[key]
 
 
-def parse_field_spec(spec: str) -> tuple[int, int]:
-    """Parse "p^h" (or a plain prime power) into (p, h)."""
-    s = spec.strip()
-    if "^" in s:
-        base, _, exp = s.partition("^")
-        p, h = int(base), int(exp)
-        if not combinat.is_prime(p) or h < 1:
-            raise ValueError(f"bad field spec {spec!r}")
-        return p, h
-    return combinat.prime_power(int(s))
-
-
-def format_field_spec(p: int, h: int) -> str:
-    return str(p) if h == 1 else f"{p}^{h}"
-
-
 class FieldTower:
     """One field GF(p^h) with tables, plus canonical subfield structure."""
 

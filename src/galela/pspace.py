@@ -130,7 +130,10 @@ def contains(X: Subspace, point) -> bool:
     return linalg.in_rowspace(point, X.basis, pivots, field)
 
 
-@functools.lru_cache(maxsize=1 << 16)
+# maxsize=0 stores nothing and only counts calls: the census and the star
+# checks ask for each subspace's points about once.  The decorator stays only
+# because perfbench/trace_layers.py reads cache_info().
+@functools.lru_cache(maxsize=0)
 def subspace_points(X: Subspace) -> tuple:
     """All points of PG(s-1,q) lying in X.
 

@@ -26,6 +26,7 @@ from galela import (
     theta,
     verify_star_model,
 )
+from galela import bruckbose
 from galela.bruckbose import (
     EXHAUSTIVE_LIMIT,
     admissible_orders,
@@ -230,6 +231,12 @@ class TestGeometricChecks:
         with pytest.raises(ValueError):
             common_intersection_check(H, f, [])
 
+    def test_non_affine_sample_point_rejected(self):
+        f = small_frame()
+        H = group_from_elements(f.tower, (0, 1))
+        with pytest.raises(ValueError):
+            common_intersection_check(H, f, [(1, 0), (0, 1)])
+
     def test_incidence_exhaustive_small(self):
         f = small_frame()
         assert incidence_check(f, sample_line_specs(f)) is True
@@ -247,6 +254,56 @@ class TestGeometricChecks:
         # projectively equal infinite reps count as the same point
         with pytest.raises(ValueError):
             incidence_check(f, [((0, 1), (0, t.mu))])
+
+
+def count_closures(monkeypatch):
+    calls = []
+    real = bruckbose._orbit_closure
+
+    def counted(x, E, elements, section, frame):
+        calls.append(x)
+        return real(x, E, elements, section, frame)
+
+    monkeypatch.setattr(bruckbose, "_orbit_closure", counted)
+    return calls
+
+
+class TestOrbitsCheckedOnce:
+    def test_one_check_per_orbit_of_exhaustive_sample(self, monkeypatch):
+        # PG(1,16) over GF(2): the 16 affine points fall into 16/|E| orbits
+        f = StarFrame(2, 2, 4, 1)
+        sample = sample_affine_points(f)
+        assert len(sample) == 16
+        calls = count_closures(monkeypatch)
+        for m in admissible_orders(f.h, f.n):
+            for H in enumerate_subgroups(f.p, f.h, m):
+                calls.clear()
+                assert common_intersection_check(H, f, sample) is True
+                assert len(calls) == 16 // len(H.elements())
+                # the checked points lie in distinct orbits
+                elements = set(H.elements())
+                lasts = [x[-1] for x in calls]
+                assert all(f.tower.sub(a, b) not in elements
+                           for a, b in itertools.combinations(lasts, 2))
+
+    def test_points_of_one_orbit_give_one_check(self, monkeypatch):
+        f = plane_frame()
+        t = f.tower
+        H = group_from_elements(t, t.subfield_elements(2))
+        calls = count_closures(monkeypatch)
+        lam = max(H.elements())
+        x, y = (1, t.mu, 5), (1, t.mu, t.add(5, lam))
+        assert common_intersection_check(H, f, [x, y]) is True
+        assert calls == [x]
+
+    def test_same_last_coordinate_other_orbit_gives_two_checks(self, monkeypatch):
+        f = plane_frame()
+        t = f.tower
+        H = group_from_elements(t, t.subfield_elements(2))
+        calls = count_closures(monkeypatch)
+        x, y = (1, t.mu, 5), (1, 0, 5)
+        assert common_intersection_check(H, f, [x, y]) is True
+        assert calls == [x, y]
 
 
 class TestSampling:

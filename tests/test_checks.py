@@ -89,6 +89,15 @@ elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPa
     assert run_optimized(code) == ["1", "raised"]
 
 
+def test_correspondence_count_check_survives_optimize():
+    # a closed form one too high: GF(16) has 3 classes of order-4 subgroups
+    code = PREAMBLE + """
+real = elation.count_classes
+elation.count_classes = lambda p, h, m, n, minimal=False: real(p, h, m, n, minimal) + 1
+""" + REPORT.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    assert run_optimized(code) == ["1", "raised"]
+
+
 def test_spread_partition_check_survives_optimize():
     # one point short: the spread members no longer fill the hyperplane
     code = PREAMBLE + """

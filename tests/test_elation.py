@@ -30,7 +30,6 @@ from galela import (
     scalar_equivalent,
     singer_generator,
     span,
-    subgroup_count,
     subspace_of_center,
     subspace_points,
     verify_correspondence,
@@ -484,11 +483,6 @@ class TestCounting:
             assert count_classes(p, h, m, n, minimal=True) <= count_classes(
                 p, h, m, n
             )
-
-    def test_subgroup_count(self):
-        assert subgroup_count(2, 4, 2) == 35
-        assert subgroup_count(2, 4, 2, 2) == 5
-        assert subgroup_count(2, 6, 3) == 1395
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from galela import FieldTower, format_field_spec, make_field, parse_field_spec
+from galela import FieldTower, make_field
 
 
 def gf2_poly_mod(num, den):
@@ -338,23 +338,3 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_field(-3, 1)
 
-
-class TestFieldSpec:
-    def test_parse_forms(self):
-        assert parse_field_spec("2^4") == (2, 4)
-        assert parse_field_spec("16") == (2, 4)
-        assert parse_field_spec("7") == (7, 1)
-        assert parse_field_spec("3^2") == (3, 2)
-
-    def test_format(self):
-        assert format_field_spec(2, 4) == "2^4"
-        assert format_field_spec(7, 1) == "7"
-
-    def test_round_trip(self):
-        for p, h in [(2, 1), (2, 4), (3, 3), (5, 2), (7, 1)]:
-            assert parse_field_spec(format_field_spec(p, h)) == (p, h)
-
-    def test_rejects_garbage(self):
-        for bad in ("", "x", "6", "2^0", "4^2", "2^"):
-            with pytest.raises(ValueError):
-                parse_field_spec(bad)

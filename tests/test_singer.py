@@ -231,6 +231,10 @@ class TestCensus:
             for X in members:
                 assert census.orbit_index(X) == i
 
+    def test_census_keeps_no_subspace_points(self):
+        orbit_census(4, 2, 2)
+        assert subspace_points.cache_info().currsize == 0
+
     def test_orbits_sorted_by_u_then_representative(self):
         census = orbit_census(6, 2, 2)
         keys = [(r.u, r.representative.basis) for r in census.orbits]
