@@ -8,8 +8,10 @@ Orbit census under the cyclic collineation group
 # partitions all t-subspaces into its orbits
 from galela import (
     is_spread,
+    log_set,
     orbit_census,
     predicted_orbit_count,
+    rotate,
     singer_generator,
     theta,
 )
@@ -32,8 +34,14 @@ print(
     len(members) == theta(4, 2) // theta(2, 2),
 )
 
-# observed counts always agree with the closed form
+# the census carries a subspace as the Singer exponents of its points, and
+# the generator adds one to each exponent mod theta(4, 2) = 15
+logs = log_set(S, members[0])
+print("first spread line as point logs:", [k for k in range(15) if logs >> k & 1])
+print("its image under the generator: ", [k for k in range(15) if rotate(S, logs) >> k & 1])
+
+# orbit_census raises unless its counts agree with the closed form
 for s, t, q in [(4, 2, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3)]:
     census = orbit_census(s, t, q)
-    assert len(census.orbits) == predicted_orbit_count(s, t, q)
-    print(f"s={s} t={t} q={q}: {len(census.orbits)} orbits, as predicted")
+    print(f"s={s} t={t} q={q}: {len(census.orbits)} orbits, "
+          f"{predicted_orbit_count(s, t, q)} predicted")

@@ -53,10 +53,12 @@ from .singer import (
     OrbitRecord,
     SingerGroup,
     act,
+    log_set,
     orbit,
     orbit_census,
     predicted_free_orbit_count,
     predicted_orbit_count,
+    rotate,
     singer_generator,
 )
 

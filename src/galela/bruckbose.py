@@ -301,7 +301,10 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
     identity, then checks line incidences.
-    cap bounds each subgroup enumeration.
+    cap bounds each subgroup enumeration.  Each order's orbits_checked is
+    the number of (subgroup, sample point) pairs, len(groups) *
+    len(sample), not of distinct orbits: common_intersection_check checks
+    an orbit that holds several sample points only once.
     """
     frame = StarFrame(r, p, h, n)
     sample = sample_affine_points(frame, seed=seed, force=exhaustive)

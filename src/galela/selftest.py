@@ -39,25 +39,17 @@ STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, 
 
 
 def census_report(cases=CENSUS_CASES) -> list:
-    """Orbit censuses against the closed-form counts.
+    """Orbit censuses, summarized.
 
-    orbit_census itself checks each orbit's stabilizer and cover and the
-    spread count, so only the comparison with the closed forms is left here.
+    orbit_census checks every subspace's points, each orbit's stabilizer and
+    cover, the spread count and both closed-form counts, so this only
+    reports them.
     """
     out = []
     for s, t, q in cases:
         census = singer.orbit_census(s, t, q)
-        observed = len(census.orbits)
-        free_observed = sum(1 for rec in census.orbits if rec.u == 1)
-        predicted = singer.predicted_orbit_count(s, t, q)
-        predicted_free = singer.predicted_free_orbit_count(s, t, q)
-        if observed != predicted or free_observed != predicted_free:
-            raise VerificationError(
-                "orbit count differs from the closed form",
-                {"case": [s, t, q], "observed": [observed, free_observed],
-                 "predicted": [predicted, predicted_free]})
-        out.append({"s": s, "t": t, "q": q, "orbits": observed,
-                    "free_orbits": free_observed,
+        out.append({"s": s, "t": t, "q": q, "orbits": len(census.orbits),
+                    "free_orbits": sum(1 for rec in census.orbits if rec.u == 1),
                     "sizes": [rec.size for rec in census.orbits],
                     "spread": s % t == 0})
     return out

@@ -6,21 +6,35 @@ the power basis 1, mu, ..., mu^(s-1), that matrix is exactly multiplication
 by mu, which is what ties the orbit structure here to the scalar action on
 additive subgroups in the elation module.
 
-One orbit kernel, orbit_partition, serves the census, the point-transitivity
-check of singer_generator and the scalar classes of the elation module; it
-checks that the orbits it walks partition its items exactly.
+Singer's identification of the points with GF(q^s)*/GF(q)* comes from one
+linear walk e0, gen e0, ..., gen^theta e0, theta = theta(s,q): continued,
+it would meet all q^s - 1 nonzero vectors before it returns to e0, which
+makes the group point-transitive, and it gives every nonzero vector its
+exponent (SingerGroup.log) and each exponent k the Zech logarithm
+log(e0 + gen^k e0) (SingerGroup.zech).  The log of a point is its exponent
+mod theta(s,q).  The census carries each t-subspace as the set of its
+points' logs, one theta(s,q)-bit integer (log_set), on which the generator
+acts as a rotation by one bit (rotate): no matrix acts and no point set is
+listed during a census.  act and the point sets of pspace stay as the
+oracles the tests compare with.
+
+One orbit kernel, orbit_partition, serves the census and the scalar
+classes of the elation module; it checks that the orbits it walks partition
+its items exactly.
 
 Each orbit record carries the stabilizer parameter u: the orbit has length
 theta(s,q)/theta(u,q) and its members sweep out a cover in which every point
 of PG(s-1,q) lies on exactly theta(t,q)/theta(u,q) members.  u is read off
 the walked length, which must fit a divisor of gcd(t, s), and the census
-checks that every orbit is such a cover; both checks raise VerificationError.
-The walk's return to its start already shows that the theta(s,q)/theta(u,q)-th
-power of the generator fixes every member, so that is not checked again.
+tallies each orbit's log sets to check that it is such a cover; both checks
+raise VerificationError.  The walk's return to its start already shows that
+the theta(s,q)/theta(u,q)-th power of the generator fixes every member, so
+that is not checked again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -44,6 +58,69 @@ class SingerGroup:
     def __repr__(self):
         return f"SingerGroup(s={self.s}, q={self.q})"
 
+    @functools.cached_property
+    def log(self) -> dict:
+        """Exponent k with gen^k e0 = v, for each normalized v and each multiple of e0.
+
+        A normalized vector has first nonzero coordinate 1; a nonzero w is c
+        times one, so its exponent is log[w/c] + log[c e0].  One linear walk
+        e0, gen e0, ..., gen^theta e0 fills the table, theta = theta(s,q).
+        gen^theta commutes with gen, so gen^theta e0 = c e0 makes
+        gen^(j theta + r) e0 = c^j gen^r e0: the walk continued would close
+        after exactly q^s - 1 steps when the first theta steps span distinct
+        points and c has order q - 1, which is checked.  Then every nonzero
+        vector is met once, and gen^theta is the scalar c.
+        """
+        s, q, field = self.s, self.q, self.field
+        theta = self.projective_order
+        zero = (0,) * (s - 1)
+        walk = []
+        v = (1,) + zero
+        for k in range(theta):
+            lead = next((x for x in v if x), 0)
+            if not lead:
+                break
+            inv = field.inv(lead)
+            walk.append((tuple(field.mul(inv, x) for x in v), lead, k))
+            v = linalg.matvec(self.generator, v, field)
+        scalar = {}
+        if v[1:] == zero and v[0]:
+            c = 1
+            for j in range(q - 1):
+                scalar[c] = j * theta
+                c = field.mul(c, v[0])
+        log = {(c,) + zero: k for c, k in scalar.items()}
+        if len(scalar) == q - 1:
+            n = theta * (q - 1)
+            log.update((point, (k - scalar[lead]) % n) for point, lead, k in walk)
+        if len(log) != theta + q - 2:
+            raise VerificationError("linear walk does not close after q^s - 1 steps",
+                                    {"case": (s, q), "walked": len(walk),
+                                     "scalars": len(scalar), "entries": len(log)})
+        return log
+
+    @functools.cached_property
+    def zech(self) -> list:
+        """zech[k] = log(e0 + gen^k e0), the Zech logarithm, for 0 <= k < q^s - 1.
+
+        Where e0 + gen^k e0 = 0 the entry is 0, as if the sum were e0: a
+        basis row inside the span of the rows before it then repeats a point
+        in log_set and fails its point count.
+        """
+        log, field = self.log, self.field
+        n = self.projective_order * (self.q - 1)
+        zero = (0,) * (self.s - 1)
+        zech = [0] * n
+        v = (1,) + zero
+        for k in range(n):
+            w = (field.add(1, v[0]),) + v[1:]
+            lead = next((x for x in w if x), 0)
+            if lead:
+                inv = field.inv(lead)
+                zech[k] = (log[tuple(field.mul(inv, x) for x in w)] + log[(lead,) + zero]) % n
+            v = linalg.matvec(self.generator, v, field)
+        return zech
+
 
 def singer_generator(s: int, q: int) -> SingerGroup:
     """Canonical Singer group of PG(s-1, q), invariants verified on the spot."""
@@ -66,33 +143,14 @@ def singer_generator(s: int, q: int) -> SingerGroup:
         gen[i][s - 1] = small.neg(coeffs[i])
     gen = tuple(tuple(r) for r in gen)
 
-    # the point orbit walked below has length theta, so no gen^k with
-    # 0 < k < theta fixes every point: a scalar gen^theta makes theta the
+    S = SingerGroup(s, q, gen, combinat.theta(s, q), small)
+    # the walk behind S.log shows that gen has linear order q^s - 1, that it
+    # is transitive on the points and that gen^theta is a scalar of order
+    # q - 1, whose powers are GF(q)*; as the walk's first theta points are
+    # distinct, no gen^k with 0 < k < theta is scalar: theta is the
     # projective order
-    order = combinat.theta(s, q)
-    mat = linalg.mat_pow(gen, order, small)
-    if not _is_scalar(mat):
-        raise VerificationError("gen^theta(s,q) is not a scalar matrix",
-                                {"case": (s, q), "theta": order})
-    scalar = mat[0][0]
-    if small.element_order(scalar) * order != q**s - 1:
-        raise VerificationError("linear order of the generator is not q^s - 1",
-                                {"case": (s, q), "scalar": scalar})
-
-    orbits = orbit_partition(pspace.enumerate_points(s, q),
-                             lambda pt: pspace.normalize_point(linalg.matvec(gen, pt, small), q))
-    if len(orbits) != 1:
-        raise VerificationError("point action is not transitive",
-                                {"case": (s, q), "orbit_sizes": tuple(map(len, orbits))})
-    return SingerGroup(s, q, gen, order, small)
-
-
-def _is_scalar(mat):
-    d = mat[0][0]
-    if d == 0:
-        return False
-    k = len(mat)
-    return all(mat[i][j] == (d if i == j else 0) for i in range(k) for j in range(k))
+    S.log  # runs the walk and its checks
+    return S
 
 
 def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
@@ -107,6 +165,58 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
         raise VerificationError("image of a subspace has the wrong dimension",
                                 {"case": (S.s, S.q), "basis": X.basis, "image": Y.basis})
     return Y
+
+
+def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
+    """The points of X as a theta(s,q)-bit integer: bit k for the point of gen^k e0.
+
+    Row by row: the points of span(Y, b), b outside Y, are those of Y, b, and
+    y + b for every nonzero y of Y, with log(y + b) = log b + zech(log y -
+    log b); the nonzero vectors of Y are the GF(q)*-multiples of its point
+    representatives, and GF(q)* is the exponents j*theta.  Raises
+    VerificationError unless X has theta(t,q) points.
+    """
+    if X.q != S.q or X.s != S.s:
+        raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
+    log = S.log
+    zech = S.zech if X.t > 1 else None
+    theta = S.projective_order
+    n = theta * (S.q - 1)
+    scalars = range(0, n, theta)
+    reps = []
+    for row in X.basis:
+        b = log[row]
+        reps += [b] + [(b + zech[(y + c - b) % n]) % n for y in reps for c in scalars]
+    bits = 0
+    for k in reps:
+        bits |= 1 << k % theta
+    # row i adds 1 + (q-1) theta(i-1,q) exponents, theta(t,q) in all, so the
+    # count holds exactly when they name distinct points
+    if bits.bit_count() != len(reps):
+        raise VerificationError("subspace has the wrong number of points",
+                                {"case": (S.s, S.q), "basis": X.basis,
+                                 "points": bits.bit_count()})
+    return bits
+
+
+def rotate(S: SingerGroup, bits: int) -> int:
+    """log_set(S, X) -> log_set(S, act(S, X)): every exponent moves up by one mod theta."""
+    top = S.projective_order - 1
+    return (bits >> top) | ((bits & ~(1 << top)) << 1)
+
+
+def _tally(sets) -> list:
+    """How many sets hold each bit position, bit-sliced: bit i of tally[b] is bit b of i's count."""
+    planes = []
+    for carry in sets:
+        for b, plane in enumerate(planes):
+            planes[b], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
 
 
 @dataclass(frozen=True)
@@ -207,27 +317,40 @@ def _record_for(S: SingerGroup, t: int, members) -> OrbitRecord:
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
-    Verifies, per orbit: the u-derivation and the cover property (every
-    point on exactly theta(t)/theta(u) members); and
-    globally: the orbits partition the subspaces, and a spread orbit exists
-    and is unique exactly when t divides s.
+    Each subspace is walked as its log_set, on which the generator acts by
+    rotate, so no matrix acts during the census.  Verifies, per subspace:
+    theta(t,q) points; per orbit: the u-derivation and the cover property
+    (every point on exactly theta(t)/theta(u) members, tallied on the log
+    sets); and globally: the orbits partition the subspaces, a spread orbit
+    exists and is unique exactly when t divides s, and the orbit and free
+    orbit counts equal predicted_orbit_count and predicted_free_orbit_count.
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
     fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
     S = singer_generator(s, q)
+    sets = [log_set(S, X) for X in fam]
+    subspace_of = dict(zip(sets, fam))
+    every_point = (1 << S.projective_order) - 1
     raw = []
-    for members in orbit_partition(fam, lambda X: act(S, X)):
+    for walk in orbit_partition(sets, functools.partial(rotate, S)):
+        members = tuple(subspace_of[bits] for bits in walk)
         rec = _record_for(S, t, members)
         degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(rec.u, q))
-        if not pspace.is_cover(members, degree):
+        if _tally(walk) != [every_point * (degree >> b & 1) for b in range(degree.bit_length())]:
             raise VerificationError("orbit is not a uniform cover",
                                     {"case": (s, t, q), "representative": rec.representative.basis,
                                      "expected_degree": degree})
-        raw.append((rec, tuple(members)))
+        raw.append((rec, members))
     spreads = sum(1 for rec, _ in raw if rec.u == t)
     if spreads != int(s % t == 0):
         raise VerificationError("spread orbit count is wrong",
                                 {"case": (s, t, q), "spreads": spreads})
+    observed = [len(raw), sum(1 for rec, _ in raw if rec.u == 1)]
+    predicted = [predicted_orbit_count(s, t, q), predicted_free_orbit_count(s, t, q)]
+    if observed != predicted:
+        raise VerificationError("orbit count differs from the closed form",
+                                {"case": [s, t, q], "observed": observed,
+                                 "predicted": predicted})
 
     raw.sort(key=lambda pair: (pair[0].u, pair[0].representative.basis))
     return OrbitCensus(s, t, q,

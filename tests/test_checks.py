@@ -54,10 +54,82 @@ else:
 """
 
 
+MESSAGE = """
+try:
+    {call}
+except VerificationError as exc:
+    print(sys.flags.optimize, exc)
+else:
+    print(sys.flags.optimize, "passed")
+"""
+
+
+def optimized_message(code):
+    r = run_python_O(code)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
 def test_census_cover_check_survives_optimize():
-    code = PREAMBLE + "pspace.is_cover = lambda members, k: False\n" + \
-        REPORT.format(call="singer.orbit_census(4, 2, 2)")
-    assert run_optimized(code) == ["1", "raised"]
+    # every log set replaced by its complement: rotation still permutes the
+    # sets, so the orbits partition them, but a point of PG(3,2) now lies on
+    # 12 members of a line orbit, not 3
+    code = PREAMBLE + """
+real = singer.log_set
+singer.log_set = lambda S, X: real(S, X) ^ ((1 << S.projective_order) - 1)
+""" + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_message(code) == "1 orbit is not a uniform cover"
+
+
+def test_census_partition_check_survives_optimize():
+    # rotation followed by the complement: a permutation of the 15-bit sets
+    # whose walks leave the lines of PG(3,2)
+    code = PREAMBLE + """
+real = singer.rotate
+singer.rotate = lambda S, bits: real(S, bits) ^ ((1 << S.projective_order) - 1)
+""" + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_message(code) == "1 orbits do not partition the items"
+
+
+def test_census_stabilizer_check_survives_optimize():
+    # rotation by three splits the points of PG(3,2) into orbits of 5, and
+    # theta(4,2)/5 = 3 is theta(u,2) for no u dividing gcd(1, 4)
+    code = PREAMBLE + """
+real = singer.rotate
+singer.rotate = lambda S, bits: real(S, real(S, real(S, bits)))
+""" + MESSAGE.format(call="singer.orbit_census(4, 1, 2)")
+    assert optimized_message(code) == "1 orbit size fits no divisor of gcd(t, s)"
+
+
+def test_census_point_count_check_survives_optimize():
+    # a Zech table of zeros makes log(y + b) = log b: a line gets 2 points
+    code = PREAMBLE + """
+singer.SingerGroup.zech = property(lambda S: [0] * len(S.log))
+""" + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_message(code) == "1 subspace has the wrong number of points"
+
+
+def test_linear_walk_closure_check_survives_optimize():
+    # a singular generator: e0 -> (1, 1, 0) -> (1, 1, 0), never back to e0
+    code = PREAMBLE + """
+S = singer.SingerGroup(3, 2, ((1, 0, 0), (1, 0, 0), (0, 0, 1)), 7, gf.make_field(2, 1))
+X = pspace.span(((1, 0, 0),), 2)
+""" + MESSAGE.format(call="singer.log_set(S, X)")
+    assert optimized_message(code) == "1 linear walk does not close after q^s - 1 steps"
+
+
+def test_census_closed_form_check_survives_optimize():
+    # the census command used to print a wrong closed form beside the count
+    code = PREAMBLE + """
+from galela import cli
+singer.predicted_orbit_count = lambda s, d, q: 99
+sys.exit(cli.main(["census", "--s", "4", "--t", "2", "--q", "2", "--json"]))
+"""
+    r = run_python_O(code)
+    assert r.returncode == 1, r.stderr
+    out = json.loads(r.stdout)
+    assert out["message"] == "orbit count differs from the closed form"
+    assert out["details"] == {"case": [4, 2, 2], "observed": [3, 2], "predicted": [99, 2]}
 
 
 def test_act_dimension_check_survives_optimize():

@@ -15,18 +15,22 @@ from galela import (
     enumerate_subspaces,
     gaussian_binomial,
     is_spread,
+    log_set,
     orbit,
     orbit_census,
     predicted_free_orbit_count,
     predicted_orbit_count,
+    rotate,
     singer_generator,
     span,
     subspace_points,
     theta,
 )
-from galela.linalg import matvec
+from galela.gf import make_field
+from galela.linalg import mat_pow, matvec
 from galela.pspace import normalize_point
-from galela.singer import orbit_partition
+from galela.selftest import CENSUS_CASES
+from galela.singer import OrbitRecord, SingerGroup, orbit_partition
 
 
 def spread_members(census):
@@ -125,6 +129,16 @@ class TestGenerator:
     def test_rejects_degenerate_dimension(self):
         with pytest.raises(ValueError):
             singer_generator(1, 2)
+
+    def test_walk_rejects_point_transitive_non_singer_matrix(self):
+        # the cube of a Singer cycle of PG(1,4) still permutes the 5 points
+        # cyclically, but its 5th power is 1, not a scalar of order 3, so
+        # its walk would close after 5 steps, not 15
+        S = singer_generator(2, 4)
+        T = SingerGroup(2, 4, mat_pow(S.generator, 3, S.field), 5, S.field)
+        with pytest.raises(VerificationError) as exc:
+            T.log
+        assert exc.value.details == {"case": (2, 4), "walked": 5, "scalars": 1, "entries": 1}
 
 
 class TestAction:
@@ -239,6 +253,47 @@ class TestCensus:
         census = orbit_census(6, 2, 2)
         keys = [(r.u, r.representative.basis) for r in census.orbits]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("s,t,q", CENSUS_CASES + ((3, 1, 9),))
+class TestLogCoordinates:
+    """The census's log sets and rotation against the matrix action."""
+
+    def test_log_table_is_the_field_log(self, s, t, q):
+        # the companion matrix multiplies by mu: v_0 + v_1 mu + ... is mu^log(v)
+        S = singer_generator(s, q)
+        n = S.field.h
+        big = make_field(S.field.p, n * s)
+        for v, k in S.log.items():
+            x = 0
+            for i, c in enumerate(v):
+                if c:
+                    x = big.add(x, big.mul(big.from_subfield(c, n), big.pow(big.mu, i)))
+            assert big.log[x] == k
+
+    def test_log_sets_are_point_logs(self, s, t, q):
+        S = singer_generator(s, q)
+        for X in enumerate_subspaces(s, t, q):
+            logs = {S.log[pt] % S.projective_order for pt in subspace_points(X)}
+            assert log_set(S, X) == sum(1 << k for k in logs)
+
+    def test_rotation_is_the_generator(self, s, t, q):
+        S = singer_generator(s, q)
+        for X in enumerate_subspaces(s, t, q):
+            assert rotate(S, log_set(S, X)) == log_set(S, act(S, X))
+
+    def test_census_equals_matrix_walk(self, s, t, q):
+        S = singer_generator(s, q)
+        walks = orbit_partition(enumerate_subspaces(s, t, q), lambda X: act(S, X))
+        expected = []
+        for walk in walks:
+            (u,) = [u for u in range(1, t + 1) if len(walk) * theta(u, q) == theta(s, q)]
+            rec = OrbitRecord(min(walk, key=lambda X: X.basis), len(walk), u)
+            expected.append((rec, frozenset(walk)))
+        expected.sort(key=lambda pair: (pair[0].u, pair[0].representative.basis))
+        census = orbit_census(s, t, q)
+        got = [(rec, frozenset(census.orbit_members(i))) for i, rec in enumerate(census.orbits)]
+        assert got == expected
 
 
 class TestSpreadOrbit:
