@@ -10,8 +10,21 @@ field, carried here by the RREF basis of its coefficient vectors.
 Two subgroups give PGL-conjugate elation groups exactly when one is a
 GF(p^h)-scalar multiple of the other, so classification means partitioning
 subgroups into orbits under multiplication by the designated generator mu.
-The partition runs on the Singer census's orbit kernel with its own action
-and coordinates, so the correspondence check compares two computations.
+Multiplication by mu is a Singer cycle on the points of GF(p^h) seen as
+PG(h-1, p), so the partition runs in discrete-log coordinates, as the
+Singer census does: each subgroup is carried as log_set, the exponents of
+its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
+built from its basis by the field's own exp, log and Zech tables through
+singer.span_log_set, and mu acts on it as a rotation by one bit under the
+census's orbit kernel.  No table of singer_generator is used.
+
+The RREF definition of the action, scalar_multiple, is kept on one side of
+every check.  equivalence_classes requires once per class that mu times the
+representative is the walk's next member, which ties the rotation's
+direction and the tables to the action; verify_correspondence re-walks
+every class it maps, member by member, with scalar_multiple; and the unit
+tests compare the classes with orbit_partition under scalar_multiple.
+
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
 space over) is scalar-invariant and refines the classification; GF(p^n)* is
 the subgroup's stabilizer under scalars, which equivalence_classes checks
@@ -173,31 +186,58 @@ def scalar_equivalent(H1: ElationGroup, H2: ElationGroup):
     return None
 
 
+def log_set(H: ElationGroup) -> int:
+    """The points of H in PG(h-1, p) as a theta(h,p)-bit integer: bit k for mu^k.
+
+    The nonzero elements of H, exponents taken mod theta(h,p), read from the
+    field's own log and Zech tables by singer.span_log_set, which checks that
+    H has theta(m,p) points.
+    """
+    tower = H.tower
+    log, encode = tower.log, tower.from_coeffs
+    return singer.span_log_set([log[encode(row)] for row in H.rows],
+                               tower.zech if H.m > 1 else (),
+                               combinat.theta(tower.h, tower.p),
+                               {"field": (tower.p, tower.h), "rows": H.rows})
+
+
 def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceClass]:
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
-    Classes come back sorted by representative (the lexicographically least
-    RREF basis in the class).  Member k is the k-th step of the walk under
-    mu, so mu^k times the representative: mu^k is its witness scalar.  One
-    identity is checked per class: the stabilizer under scalars is GF(p^n)*,
-    n the representative's minimal_n, so the class has theta(h, p)/theta(n, p)
-    members.  It compares the walk's length with the profile read off by
-    contains(), two independent computations.  The profile is computed for
-    the representative alone, since H and alpha*H are spaces over the same
-    subfields.
+    Each subgroup is walked as its log_set, on which multiplication by mu is
+    a rotation by one bit, so no matrix is reduced during the walk.  Classes
+    come back sorted by representative (the lexicographically least RREF
+    basis in the class).  Member k is the k-th step of the walk, so mu^k
+    times the representative: mu^k is its witness scalar.  Two identities
+    are checked per class.  scalar_multiple(representative, mu), one RREF,
+    must be the walk's next member, which ties the rotation's direction and
+    the field tables to the definition of the action.  And the stabilizer
+    under scalars is GF(p^n)*, n the representative's minimal_n, so the
+    class has theta(h, p)/theta(n, p) members; this compares the walk's
+    length with the profile read off by contains().  The profile is computed
+    for the representative alone, since H and alpha*H are spaces over the
+    same subfields.
     """
     subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
-    mu = tower.mu
+    sets = [log_set(H) for H in subs]
+    group_of = dict(zip(sets, subs))
+    theta = combinat.theta(h, p)
     classes = []
-    for walk in singer.orbit_partition(subs, lambda H: scalar_multiple(H, mu)):
-        rep = walk[0]
+    for walk in singer.orbit_partition(sets, lambda bits: singer.rotate_bits(bits, theta)):
+        members = tuple(group_of[bits] for bits in walk)
+        rep = members[0]
+        image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
+        if image.rows != walked.rows:
+            raise VerificationError("mu times the representative is not the walk's next member",
+                                    {"field": (p, h), "representative": rep.rows,
+                                     "image": image.rows, "walked": walked.rows})
         profile = dimension_profile(rep)
-        if len(walk) * combinat.theta(profile.minimal_n, p) != combinat.theta(h, p):
+        if len(walk) * combinat.theta(profile.minimal_n, p) != theta:
             raise VerificationError("class size is not theta(h, p)/theta(minimal_n, p)",
                                     {"field": (p, h), "representative": rep.rows,
                                      "size": len(walk), "minimal_n": profile.minimal_n})
-        classes.append(EquivalenceClass(rep, tuple(walk), tuple(tower.exp[:len(walk)]), profile))
+        classes.append(EquivalenceClass(rep, members, tuple(tower.exp[:len(walk)]), profile))
     return classes
 
 
@@ -423,6 +463,9 @@ def count_classes(p: int, h: int, m: int, n: int, minimal: bool = False) -> int:
 def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     """Check that classes of GF(p^n)-closed subgroups biject with Singer orbits.
 
+    Each class, walked in log coordinates, is walked again member by member
+    with scalar_multiple, so that for n = 1, where the census is a rotation
+    of the same sets, one side of the comparison stays on RREF.
     subspace_of_center must send each class into a single orbit of
     (m/n)-subspaces of PG(h/n - 1, p^n), hitting every orbit exactly once,
     and the classes of minimal dimension must land exactly on the free
@@ -436,8 +479,19 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
                if n in {nn for nn, _ in c.profile.admissible}]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
 
+    mu = make_field(p, h).mu
     class_orbit = []
     for c in classes:
+        image = c.representative
+        for k, member in enumerate(c.members[1:] + c.members[:1], start=1):
+            image = scalar_multiple(image, mu)
+            if image.rows != member.rows:
+                raise VerificationError(
+                    "class walk differs from scalar multiplication",
+                    {"params": [p, h, m, n],
+                     "class_representative": [list(r) for r in c.representative.rows],
+                     "step": k, "walked": [list(r) for r in member.rows],
+                     "scalar_multiple": [list(r) for r in image.rows]})
         idxs = {census.orbit_index(subspace_of_center(H, n)) for H in c.members}
         if len(idxs) != 1:
             raise VerificationError(

@@ -15,11 +15,18 @@ generated by mu**((p^h-1)/(p^n-1)); conversion to the standalone canonical
 GF(p^n) goes through the smallest root of that generator's minimal
 polynomial, which makes the conversion a field isomorphism rather than a
 mere relabeling.
+
+The exp and log tables come from one walk of x -> x * mu, which is
+GF(p)-linear and so steps by table lookups on the digits; the walk must
+meet every nonzero element before it returns to 1.  The Zech table
+zech[k] = log(1 + mu^k), the one the log sets of subgroups are expanded
+with, is built from them on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import combinat, linalg
 from .errors import CapExceeded, VerificationError
@@ -52,6 +59,8 @@ class FieldTower:
         self.h = h
         self.order = order
         self._digit_cache = [self._digits_of(a) for a in range(order)] if order <= 1 << 16 else None
+        self._digit_index = None if self._digit_cache is None else \
+            {digits: a for a, digits in enumerate(self._digit_cache)}
         self.modulus = self._smallest_irreducible()
         self.mu = self._smallest_primitive()
         self._build_tables()
@@ -62,6 +71,9 @@ class FieldTower:
         self._subfield_maps: dict[int, tuple[dict, dict]] = {}
         self._coords_ctx: dict[int, tuple] = {}
         self._coords_cache: dict[tuple[int, int], tuple] = {}
+        # set here, not on first use: an attribute added to an instance after
+        # __init__ slows every attribute lookup on it
+        self._zech = None
 
     def __repr__(self):
         return f"GF({self.p}^{self.h})"
@@ -85,6 +97,10 @@ class FieldTower:
         return self._digits_of(a)
 
     def from_coeffs(self, cs) -> int:
+        if self._digit_index is not None:
+            a = self._digit_index.get(tuple(cs))
+            if a is not None:
+                return a
         if len(cs) != self.h or any(not 0 <= c < self.p for c in cs):
             raise ValueError(f"bad coefficient vector {cs!r} for {self!r}")
         a = 0
@@ -170,7 +186,24 @@ class FieldTower:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self):
+        p, h = self.p, self.h
         n = self.order - 1
+        # x -> x * mu is GF(p)-linear, so it is the digit combination of the
+        # images of the monomials x^i * mu; tabulating the combinations of the
+        # low and of the high digits leaves one addition per step
+        half = (h + 1) // 2
+        images = [self._raw_mul(p**i, self.mu) for i in range(h)]
+        combine = operator.xor if p == 2 else self.add
+
+        def combinations(imgs):
+            out = [0]
+            for img in imgs:
+                multiples = [self._raw_mul(c, img) for c in range(p)]
+                out = [combine(x, y) for y in multiples for x in out]
+            return out
+
+        low_table, high_table = combinations(images[:half]), combinations(images[half:])
+        split = p**half
         exp = [0] * (2 * n if n > 0 else 1)
         log = [-1] * self.order
         cur = 1
@@ -178,12 +211,31 @@ class FieldTower:
             exp[k] = cur
             exp[k + n] = cur
             log[cur] = k
-            cur = self._raw_mul(cur, self.mu)
+            high, low = divmod(cur, split)
+            cur = combine(low_table[low], high_table[high])
         if cur != 1 or -1 in log[1:]:  # mu^n = 1 and mu^k, k < n, hit every nonzero element
             raise VerificationError("designated generator does not have full order",
                                     {"field": (self.p, self.h), "mu": self.mu})
         self.exp = exp
         self.log = log
+
+    @property
+    def zech(self) -> list:
+        """zech[k] = log(1 + mu^k), the Zech logarithm, for 0 <= k < p^h - 1.
+
+        Adding 1 changes only the constant coefficient.  Where 1 + mu^k = 0
+        the entry is 0, as if the sum were 1: a basis element inside the span
+        of the ones before it then repeats a point of the span's log set and
+        fails its point count.  Built on first use.
+        """
+        if self._zech is None:
+            p, log = self.p, self.log
+            zech = []
+            for x in self.exp[:self.order - 1]:
+                s = x + 1 if x % p != p - 1 else x + 1 - p
+                zech.append(log[s] if s else 0)
+            self._zech = zech
+        return self._zech
 
     # -- arithmetic --------------------------------------------------------
 
@@ -191,6 +243,8 @@ class FieldTower:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.h == 1:
+            return (a + b) % p
         out = 0
         mult = 1
         while a or b:
@@ -204,6 +258,8 @@ class FieldTower:
         if self.p == 2:
             return a
         p = self.p
+        if self.h == 1:
+            return -a % p
         out = 0
         mult = 1
         while a:
@@ -215,6 +271,8 @@ class FieldTower:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.h == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -105,19 +105,25 @@ def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
     field = field_for(q)
-    members = []
+    bases = []
     for pivots in itertools.combinations(range(s), t):
         pivset = set(pivots)
-        free = [(i, j) for i in range(t) for j in range(pivots[i] + 1, s) if j not in pivset]
-        base = [[0] * s for _ in range(t)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        for assignment in itertools.product(field.elements(), repeat=len(free)):
-            rows = [list(r) for r in base]
-            for (i, j), v in zip(free, assignment):
-                rows[i][j] = v
-            members.append(Subspace(q, tuple(tuple(r) for r in rows)))
-    members.sort(key=lambda X: X.basis)
+        # the rows vary independently, so a basis is one choice per row and
+        # the row tuples are shared between the bases that choose them
+        choices = []
+        for pc in pivots:
+            free = [j for j in range(pc + 1, s) if j not in pivset]
+            rows = []
+            for assignment in itertools.product(field.elements(), repeat=len(free)):
+                row = [0] * s
+                row[pc] = 1
+                for j, v in zip(free, assignment):
+                    row[j] = v
+                rows.append(tuple(row))
+            choices.append(rows)
+        bases.extend(itertools.product(*choices))
+    bases.sort()
+    members = [Subspace(q, basis) for basis in bases]
     if len(members) != total:
         raise VerificationError("subspace count is not the Gaussian binomial",
                                 {"case": (s, t, q), "subspaces": len(members)})

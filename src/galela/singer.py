@@ -20,7 +20,8 @@ oracles the tests compare with.
 
 One orbit kernel, orbit_partition, serves the census and the scalar
 classes of the elation module; it checks that the orbits it walks partition
-its items exactly.
+its items exactly.  One expansion, span_log_set, builds the log sets of
+both, from this module's tables here and from the field's own there.
 
 Each orbit record carries the stabilizer parameter u: the orbit has length
 theta(s,q)/theta(u,q) and its members sweep out a cover in which every point
@@ -170,38 +171,53 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
 def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
     """The points of X as a theta(s,q)-bit integer: bit k for the point of gen^k e0.
 
-    Row by row: the points of span(Y, b), b outside Y, are those of Y, b, and
-    y + b for every nonzero y of Y, with log(y + b) = log b + zech(log y -
-    log b); the nonzero vectors of Y are the GF(q)*-multiples of its point
-    representatives, and GF(q)* is the exponents j*theta.  Raises
+    span_log_set expands the logs of X's basis rows with S.zech.  Raises
     VerificationError unless X has theta(t,q) points.
     """
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
     log = S.log
-    zech = S.zech if X.t > 1 else None
-    theta = S.projective_order
-    n = theta * (S.q - 1)
+    return span_log_set([log[row] for row in X.basis], S.zech if X.t > 1 else (),
+                        S.projective_order, {"case": (S.s, S.q), "basis": X.basis})
+
+
+def span_log_set(logs, zech, theta: int, where: dict) -> int:
+    """The points spanned by independent vectors with the given logs, as a theta-bit integer.
+
+    logs lie in [0, n), n = q^s - 1 = theta (q - 1), and zech[k] is
+    log(v + gen^k v) - log v for every nonzero v, n entries; zech may be
+    empty when there is one vector.  Vector by vector: the points of
+    span(Y, b), b outside Y, are those of Y, b, and y + b for every nonzero
+    y of Y, with log(y + b) = log b + zech(log y - log b).  The nonzero
+    vectors of Y are the GF(q)*-multiples of its points, and GF(q)* is the
+    exponents j*theta, so a point's log mod theta stands for all of them.
+    Vector i adds 1 + (q-1) theta(i-1,q) points, theta(t,q) in all, so the
+    point count holds exactly when they are distinct; otherwise
+    VerificationError, with where among its details.
+    """
+    n = len(zech)
     scalars = range(0, n, theta)
     reps = []
-    for row in X.basis:
-        b = log[row]
-        reps += [b] + [(b + zech[(y + c - b) % n]) % n for y in reps for c in scalars]
+    for b in logs:
+        # y + c - b lies in (-n, n), where Python's indexing wraps mod n
+        reps += [b % theta] + [(b + zech[y + c - b]) % theta for y in reps for c in scalars]
     bits = 0
     for k in reps:
-        bits |= 1 << k % theta
-    # row i adds 1 + (q-1) theta(i-1,q) exponents, theta(t,q) in all, so the
-    # count holds exactly when they name distinct points
+        bits |= 1 << k
     if bits.bit_count() != len(reps):
         raise VerificationError("subspace has the wrong number of points",
-                                {"case": (S.s, S.q), "basis": X.basis,
-                                 "points": bits.bit_count()})
+                                {**where, "points": bits.bit_count()})
     return bits
 
 
 def rotate(S: SingerGroup, bits: int) -> int:
     """log_set(S, X) -> log_set(S, act(S, X)): every exponent moves up by one mod theta."""
-    top = S.projective_order - 1
+    return rotate_bits(bits, S.projective_order)
+
+
+def rotate_bits(bits: int, theta: int) -> int:
+    """Rotate a theta-bit integer up by one bit: k -> k + 1 mod theta on its positions."""
+    top = theta - 1
     return (bits >> top) | ((bits & ~(1 << top)) << 1)
 
 

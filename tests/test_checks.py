@@ -150,6 +150,35 @@ elation.dimension_profile = lambda H: elation.DimensionProfile(((1, H.m),), 1, H
     assert run_optimized(code) == ["1", "raised"]
 
 
+def test_field_zech_check_survives_optimize():
+    # zech[1] = 1 says 1 + mu = mu: the third point of the line spanned by
+    # mu^b and mu^(b+1) repeats the first
+    code = PREAMBLE + """
+gf.make_field(2, 4).zech[1] = 1
+""" + MESSAGE.format(call="elation.equivalence_classes(2, 4, 2)")
+    assert optimized_message(code) == "1 subspace has the wrong number of points"
+
+
+def test_class_walk_direction_check_survives_optimize():
+    # rotating down by one bit walks each class of GF(16) against mu
+    code = PREAMBLE + """
+singer.rotate_bits = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
+""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    assert optimized_message(code) == "1 mu times the representative is not the walk's next member"
+
+
+def test_correspondence_rewalk_check_survives_optimize():
+    # classes handed over with their members backwards still land one class
+    # per orbit; only the re-walk through scalar_multiple sees the order
+    code = PREAMBLE + """
+real = elation.equivalence_classes
+elation.equivalence_classes = lambda p, h, m, cap=None: [
+    elation.EquivalenceClass(c.representative, c.members[:1] + c.members[:0:-1],
+                             c.witness_scalars, c.profile) for c in real(p, h, m, cap)]
+""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    assert optimized_message(code) == "1 class walk differs from scalar multiplication"
+
+
 def test_lemma1_partition_check_survives_optimize():
     # a sweep that conjugates nothing: the order-2 subgroups of GF(4) form
     # one scalar class, which now spans three classes of the sweep

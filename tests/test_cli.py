@@ -10,11 +10,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from galela import VerificationError, cli
 
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 SELFTEST_SHA256 = "057ea3b0742add06be83912c2d83226bb1ad584fe45c82ca7ee3882818a9cd88"
 
@@ -131,6 +134,15 @@ class TestClassify:
             env_extra={"GALELA_CAP_SUBSPACES": "10"},
         )
         assert r.returncode == 3
+
+    def test_benchmark_workload_matches_recorded_digest(self, capsys):
+        # the classify workload of perfbench/run.py, whose recorded digest
+        # this only reads
+        for m in range(1, 7):
+            assert cli.main(["classify", "--p", "3", "--h", "6", "--m", str(m), "--json"]) == 0
+        out = capsys.readouterr().out
+        reference = json.loads(REFERENCE.read_text())
+        assert hashlib.sha256(out.encode()).hexdigest() == reference["classify"]["sha256"]
 
 
 class TestVerify:

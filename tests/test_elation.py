@@ -38,6 +38,7 @@ from galela import elation, selftest
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, normalize_point
+from galela.singer import orbit_partition
 
 
 def oracle_class_sizes(p, h, m):
@@ -259,6 +260,40 @@ class TestEquivalenceClasses:
         descending = [c for c in cls if c.profile.minimal_n == 2]
         assert len(descending) == 1
         assert descending[0].size == 5
+
+
+class TestLogWalk:
+    """The classes are walked on log sets; scalar_multiple is the oracle."""
+
+    @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 6, 3), (3, 4, 2), (3, 3, 1), (5, 2, 1)])
+    def test_classes_equal_the_rref_walk(self, p, h, m):
+        subs = enumerate_subgroups(p, h, m)
+        tower = subs[0].tower
+        walks = orbit_partition(subs, lambda H: scalar_multiple(H, tower.mu))
+        classes = equivalence_classes(p, h, m)
+        assert [c.members for c in classes] == [tuple(walk) for walk in walks]
+        for c, walk in zip(classes, walks):
+            assert c.representative == walk[0]
+            assert c.witness_scalars == tuple(tower.exp[k] for k in range(len(walk)))
+            for H, alpha in zip(c.members, c.witness_scalars):
+                assert scalar_multiple(c.representative, alpha) == H
+
+    @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 4, 4), (3, 3, 2), (3, 4, 3), (5, 2, 1)])
+    def test_log_set_is_the_point_logs(self, p, h, m):
+        theta = gaussian_binomial(h, 1, p)
+        for H in enumerate_subgroups(p, h, m):
+            tower = H.tower
+            logs = {tower.log[x] % theta for x in H.elements() if x}
+            assert elation.log_set(H) == sum(1 << k for k in logs)
+            assert len(logs) == gaussian_binomial(m, 1, p)
+
+    def test_dependent_rows_fail_the_point_count(self):
+        # 2 = -1 in GF(3): both rows name one point, and 1 + 2 = 0 takes
+        # the Zech entry 0 that repeats it
+        t = make_field(3, 3)
+        H = elation.ElationGroup(t, ((1, 0, 0), (2, 0, 0)))
+        with pytest.raises(VerificationError, match="wrong number of points"):
+            elation.log_set(H)
 
 
 class TestConjugation:

@@ -133,6 +133,17 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             t.inv(0)
 
+    def test_coeff_round_trip_without_digit_tables(self):
+        # above order 2^16 no digit tables are kept
+        t = make_field(2, 17)
+        for a in (0, 1, 2, 12345, t.order - 1):
+            assert t.from_coeffs(t.coeffs(a)) == a
+        for t in (make_field(2, 17), make_field(3, 3)):
+            with pytest.raises(ValueError):
+                t.from_coeffs((t.p,) + (0,) * (t.h - 1))
+            with pytest.raises(ValueError):
+                t.from_coeffs((0,) * (t.h + 1))
+
     def test_coeff_round_trip(self):
         t = make_field(3, 3)
         for a in range(t.order):
@@ -162,6 +173,14 @@ class TestGenerator:
         for k in range(t.order - 1):
             assert t.log[t.exp[k]] == k
             assert t.exp[k] == t.pow(t.mu, k)
+
+    @pytest.mark.parametrize("p,h", [(2, 12), (2, 17), (3, 7), (5, 4), (7, 3), (3, 1)])
+    def test_exp_steps_by_polynomial_multiplication(self, p, h):
+        t = make_field(p, h)
+        n = t.order - 1
+        for k in range(0, n, max(1, n // 500)):
+            assert t.exp[k + 1] == t._raw_mul(t.exp[k], t.mu)
+            assert t.log[t.exp[k]] == k
 
     def test_element_orders(self):
         t = make_field(2, 4)

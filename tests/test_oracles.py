@@ -74,6 +74,24 @@ def test_generator_is_least_primitive(p, h):
                    for a in range(1, tower.mu))
 
 
+@pytest.mark.parametrize("p,h", [(p, h) for p, h in CONSTRUCTED if p**h <= 3**6])
+def test_exp_and_zech_tables_match_sympy(p, h):
+    """exp[k] is mu^k mod the modulus, and zech[k] is the log of 1 + mu^k."""
+    tower = make_field(p, h)
+    modulus = sympy_modulus(tower)
+    mu = to_poly(tower, tower.mu)
+    powers = [[1]]
+    for _ in range(tower.order - 2):
+        powers.append(galoistools.gf_rem(galoistools.gf_mul(powers[-1], mu, p, ZZ),
+                                         modulus, p, ZZ))
+    assert [to_poly(tower, tower.exp[k]) for k in range(tower.order - 1)] == powers
+    log = {tuple(poly): k for k, poly in enumerate(powers)}
+    for k, power in enumerate(powers):
+        one_plus = galoistools.gf_add(power, [1], p, ZZ)
+        # 1 + mu^k = 0 has no log; the table holds 0 there
+        assert tower.zech[k] == (log[tuple(one_plus)] if one_plus else 0)
+
+
 # every GF(p^h) of order at most 4096 with a proper subfield; in a field of
 # prime order the only subfield is the field itself
 TOWERS = [(p, h) for p in range(2, 65) if all(p % d for d in range(2, p))
