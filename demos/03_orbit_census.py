@@ -7,16 +7,16 @@ Orbit census under the cyclic collineation group
 # a single matrix of full projective order acts on PG(s-1, q); the census
 # partitions all t-subspaces into its orbits
 from galela import (
+    SingerGroup,
     is_spread,
     log_set,
     orbit_census,
     predicted_orbit_count,
     rotate,
-    singer_generator,
     theta,
 )
 
-S = singer_generator(4, 2)
+S = SingerGroup(4, 2)
 print("generator matrix:", S.generator)
 print("projective order:", S.projective_order)
 
@@ -38,7 +38,8 @@ print(
 # the generator adds one to each exponent mod theta(4, 2) = 15
 logs = log_set(S, members[0])
 print("first spread line as point logs:", [k for k in range(15) if logs >> k & 1])
-print("its image under the generator: ", [k for k in range(15) if rotate(S, logs) >> k & 1])
+image = rotate(logs, S.projective_order)
+print("its image under the generator: ", [k for k in range(15) if image >> k & 1])
 
 # orbit_census raises unless its counts agree with the closed form
 for s, t, q in [(4, 2, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3)]:

@@ -54,12 +54,10 @@ from .singer import (
     SingerGroup,
     act,
     log_set,
-    orbit,
     orbit_census,
     predicted_free_orbit_count,
     predicted_orbit_count,
     rotate,
-    singer_generator,
 )
 
 __version__ = "0.1.0"

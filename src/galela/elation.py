@@ -16,7 +16,8 @@ Singer census does: each subgroup is carried as log_set, the exponents of
 its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
 built from its basis by the field's own exp, log and Zech tables through
 singer.span_log_set, and mu acts on it as a rotation by one bit under the
-census's orbit kernel.  No table of singer_generator is used.
+census's orbit kernel.  The census reads its log sets from the tables of
+GF(q^s) in the same way, so every log set comes from a field's own tables.
 
 The RREF definition of the action, scalar_multiple, is kept on one side of
 every check.  equivalence_classes requires once per class that mu times the
@@ -224,7 +225,7 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     group_of = dict(zip(sets, subs))
     theta = combinat.theta(h, p)
     classes = []
-    for walk in singer.orbit_partition(sets, lambda bits: singer.rotate_bits(bits, theta)):
+    for walk in singer.orbit_partition(sets, lambda bits: singer.rotate(bits, theta)):
         members = tuple(group_of[bits] for bits in walk)
         rep = members[0]
         image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]

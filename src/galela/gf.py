@@ -19,8 +19,9 @@ mere relabeling.
 The exp and log tables come from one walk of x -> x * mu, which is
 GF(p)-linear and so steps by table lookups on the digits; the walk must
 meet every nonzero element before it returns to 1.  The Zech table
-zech[k] = log(1 + mu^k), the one the log sets of subgroups are expanded
-with, is built from them on first use.
+zech[k] = log(1 + mu^k) is built from them on first use.  Every log set is
+expanded with it: those of the subgroups of this field, and, when this
+field is GF(q^s), those of the subspaces in the Singer census of PG(s-1,q).
 """
 
 from __future__ import annotations

@@ -1,27 +1,24 @@
 """Singer cyclic groups of PG(s-1, q) and their subspace orbit censuses.
 
-The generator is the companion matrix of the minimal polynomial over GF(q)
-of the designated generator mu of GF(q^s).  Acting on coordinate columns in
-the power basis 1, mu, ..., mu^(s-1), that matrix is exactly multiplication
-by mu, which is what ties the orbit structure here to the scalar action on
-additive subgroups in the elation module.
-
-Singer's identification of the points with GF(q^s)*/GF(q)* comes from one
-linear walk e0, gen e0, ..., gen^theta e0, theta = theta(s,q): continued,
-it would meet all q^s - 1 nonzero vectors before it returns to e0, which
-makes the group point-transitive, and it gives every nonzero vector its
-exponent (SingerGroup.log) and each exponent k the Zech logarithm
-log(e0 + gen^k e0) (SingerGroup.zech).  The log of a point is its exponent
-mod theta(s,q).  The census carries each t-subspace as the set of its
-points' logs, one theta(s,q)-bit integer (log_set), on which the generator
-acts as a rotation by one bit (rotate): no matrix acts and no point set is
-listed during a census.  act and the point sets of pspace stay as the
-oracles the tests compare with.
+The Singer group is GF(q^s)*/GF(q)* acting by multiplication by the
+designated generator mu of GF(q^s), so SingerGroup reads it off that
+field's own tables.  In the power basis 1, mu, ..., mu^(s-1) over GF(q),
+a nonzero vector v is the field element mu^log(v), and the points of
+PG(s-1,q) are the nonzero elements up to GF(q)*.  The generator is
+multiplication by mu in that basis; the field's table walk has already
+checked that mu has order q^s - 1, which makes the group point-transitive
+of projective order theta(s,q).  The log of a point is its exponent mod
+theta(s,q).  The census carries each t-subspace as the set of its points'
+logs, one theta(s,q)-bit integer (log_set), on which the generator acts as
+a rotation by one bit (rotate): no matrix acts and no point set is listed
+during a census.  act and the point sets of pspace stay as the oracles the
+tests compare with.
 
 One orbit kernel, orbit_partition, serves the census and the scalar
 classes of the elation module; it checks that the orbits it walks partition
 its items exactly.  One expansion, span_log_set, builds the log sets of
-both, from this module's tables here and from the field's own there.
+both from a field's own log and Zech tables: those of GF(q^s) here and
+those of GF(p^h) there.
 
 Each orbit record carries the stabilizer parameter u: the orbit has length
 theta(s,q)/theta(u,q) and its members sweep out a cover in which every point
@@ -35,123 +32,42 @@ that is not checked again.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import gcd
 
 from . import combinat, linalg, pspace
-from .errors import CapExceeded, VerificationError
-from .gf import FIELD_ORDER_CAP, make_field
+from .errors import VerificationError
+from .gf import make_field
 
 DEFAULT_CENSUS_CAP = 10**6
 
 
 class SingerGroup:
-    """Cyclic collineation group acting transitively on the points of PG(s-1,q)."""
+    """Cyclic collineation group acting transitively on the points of PG(s-1,q).
 
-    def __init__(self, s, q, generator, projective_order, field):
+    field is GF(q) and big is GF(q^s).  generator is multiplication by mu
+    in the power basis: columns e_1, ..., e_(s-1), then the coordinates of
+    mu^s.  log maps each of the theta(s,q) normalized vectors (first
+    nonzero coordinate 1) v to the exponent k with mu^k = v.
+    """
+
+    def __init__(self, s: int, q: int):
+        if s < 1:
+            raise ValueError(f"need ambient dimension s >= 1, got {s}")
+        p, n = combinat.prime_power(q)
+        big = make_field(p, n * s)
         self.s = s
         self.q = q
-        self.generator = generator
-        self.projective_order = projective_order
-        self.field = field
+        self.field = make_field(p, n)
+        self.big = big
+        self.projective_order = combinat.theta(s, q)
+        last = big.coords(big.exp[s], n)
+        self.generator = tuple(tuple(int(i == j + 1) for j in range(s - 1)) + (last[i],)
+                               for i in range(s))
+        self.log = {v: big.log[big.from_coords(v, n)] for v in pspace.enumerate_points(s, q)}
 
     def __repr__(self):
         return f"SingerGroup(s={self.s}, q={self.q})"
-
-    @functools.cached_property
-    def log(self) -> dict:
-        """Exponent k with gen^k e0 = v, for each normalized v and each multiple of e0.
-
-        A normalized vector has first nonzero coordinate 1; a nonzero w is c
-        times one, so its exponent is log[w/c] + log[c e0].  One linear walk
-        e0, gen e0, ..., gen^theta e0 fills the table, theta = theta(s,q).
-        gen^theta commutes with gen, so gen^theta e0 = c e0 makes
-        gen^(j theta + r) e0 = c^j gen^r e0: the walk continued would close
-        after exactly q^s - 1 steps when the first theta steps span distinct
-        points and c has order q - 1, which is checked.  Then every nonzero
-        vector is met once, and gen^theta is the scalar c.
-        """
-        s, q, field = self.s, self.q, self.field
-        theta = self.projective_order
-        zero = (0,) * (s - 1)
-        walk = []
-        v = (1,) + zero
-        for k in range(theta):
-            lead = next((x for x in v if x), 0)
-            if not lead:
-                break
-            inv = field.inv(lead)
-            walk.append((tuple(field.mul(inv, x) for x in v), lead, k))
-            v = linalg.matvec(self.generator, v, field)
-        scalar = {}
-        if v[1:] == zero and v[0]:
-            c = 1
-            for j in range(q - 1):
-                scalar[c] = j * theta
-                c = field.mul(c, v[0])
-        log = {(c,) + zero: k for c, k in scalar.items()}
-        if len(scalar) == q - 1:
-            n = theta * (q - 1)
-            log.update((point, (k - scalar[lead]) % n) for point, lead, k in walk)
-        if len(log) != theta + q - 2:
-            raise VerificationError("linear walk does not close after q^s - 1 steps",
-                                    {"case": (s, q), "walked": len(walk),
-                                     "scalars": len(scalar), "entries": len(log)})
-        return log
-
-    @functools.cached_property
-    def zech(self) -> list:
-        """zech[k] = log(e0 + gen^k e0), the Zech logarithm, for 0 <= k < q^s - 1.
-
-        Where e0 + gen^k e0 = 0 the entry is 0, as if the sum were e0: a
-        basis row inside the span of the rows before it then repeats a point
-        in log_set and fails its point count.
-        """
-        log, field = self.log, self.field
-        n = self.projective_order * (self.q - 1)
-        zero = (0,) * (self.s - 1)
-        zech = [0] * n
-        v = (1,) + zero
-        for k in range(n):
-            w = (field.add(1, v[0]),) + v[1:]
-            lead = next((x for x in w if x), 0)
-            if lead:
-                inv = field.inv(lead)
-                zech[k] = (log[tuple(field.mul(inv, x) for x in w)] + log[(lead,) + zero]) % n
-            v = linalg.matvec(self.generator, v, field)
-        return zech
-
-
-def singer_generator(s: int, q: int) -> SingerGroup:
-    """Canonical Singer group of PG(s-1, q), invariants verified on the spot."""
-    if s < 2:
-        raise ValueError(f"need ambient dimension s >= 2, got {s}")
-    p, n = combinat.prime_power(q)
-    if q**s > FIELD_ORDER_CAP:
-        raise CapExceeded(f"GF({q}^{s}) exceeds the field order cap")
-    big = make_field(p, n * s)
-    small = make_field(p, n)
-    mpoly = big.minimal_polynomial(big.mu, n)
-    if len(mpoly) != s + 1:
-        raise VerificationError("designated generator is not primitive over the subfield",
-                                {"case": (s, q), "minimal_polynomial": tuple(mpoly)})
-    coeffs = [big.to_subfield(c, n) for c in mpoly[:-1]]
-    gen = [[0] * s for _ in range(s)]
-    for j in range(s - 1):
-        gen[j + 1][j] = 1
-    for i in range(s):
-        gen[i][s - 1] = small.neg(coeffs[i])
-    gen = tuple(tuple(r) for r in gen)
-
-    S = SingerGroup(s, q, gen, combinat.theta(s, q), small)
-    # the walk behind S.log shows that gen has linear order q^s - 1, that it
-    # is transitive on the points and that gen^theta is a scalar of order
-    # q - 1, whose powers are GF(q)*; as the walk's first theta points are
-    # distinct, no gen^k with 0 < k < theta is scalar: theta is the
-    # projective order
-    S.log  # runs the walk and its checks
-    return S
 
 
 def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
@@ -169,15 +85,15 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
 
 
 def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
-    """The points of X as a theta(s,q)-bit integer: bit k for the point of gen^k e0.
+    """The points of X as a theta(s,q)-bit integer: bit k for the point mu^k.
 
-    span_log_set expands the logs of X's basis rows with S.zech.  Raises
-    VerificationError unless X has theta(t,q) points.
+    span_log_set expands the logs of X's basis rows with the Zech table of
+    GF(q^s).  Raises VerificationError unless X has theta(t,q) points.
     """
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
     log = S.log
-    return span_log_set([log[row] for row in X.basis], S.zech if X.t > 1 else (),
+    return span_log_set([log[row] for row in X.basis], S.big.zech if X.t > 1 else (),
                         S.projective_order, {"case": (S.s, S.q), "basis": X.basis})
 
 
@@ -185,15 +101,15 @@ def span_log_set(logs, zech, theta: int, where: dict) -> int:
     """The points spanned by independent vectors with the given logs, as a theta-bit integer.
 
     logs lie in [0, n), n = q^s - 1 = theta (q - 1), and zech[k] is
-    log(v + gen^k v) - log v for every nonzero v, n entries; zech may be
-    empty when there is one vector.  Vector by vector: the points of
-    span(Y, b), b outside Y, are those of Y, b, and y + b for every nonzero
-    y of Y, with log(y + b) = log b + zech(log y - log b).  The nonzero
-    vectors of Y are the GF(q)*-multiples of its points, and GF(q)* is the
-    exponents j*theta, so a point's log mod theta stands for all of them.
-    Vector i adds 1 + (q-1) theta(i-1,q) points, theta(t,q) in all, so the
-    point count holds exactly when they are distinct; otherwise
-    VerificationError, with where among its details.
+    log(1 + mu^k), n entries, so that log(v + mu^k v) = log v + zech[k];
+    zech may be empty when there is one vector.  Vector by vector: the
+    points of span(Y, b), b outside Y, are those of Y, b, and y + b for
+    every nonzero y of Y, with log(y + b) = log b + zech(log y - log b).
+    The nonzero vectors of Y are the GF(q)*-multiples of its points, and
+    GF(q)* is the exponents j*theta, so a point's log mod theta stands for
+    all of them.  Vector i adds 1 + (q-1) theta(i-1,q) points, theta(t,q)
+    in all, so the point count holds exactly when they are distinct;
+    otherwise VerificationError, with where among its details.
     """
     n = len(zech)
     scalars = range(0, n, theta)
@@ -210,13 +126,12 @@ def span_log_set(logs, zech, theta: int, where: dict) -> int:
     return bits
 
 
-def rotate(S: SingerGroup, bits: int) -> int:
-    """log_set(S, X) -> log_set(S, act(S, X)): every exponent moves up by one mod theta."""
-    return rotate_bits(bits, S.projective_order)
+def rotate(bits: int, theta: int) -> int:
+    """Rotate a theta-bit integer up by one bit: k -> k + 1 mod theta on its positions.
 
-
-def rotate_bits(bits: int, theta: int) -> int:
-    """Rotate a theta-bit integer up by one bit: k -> k + 1 mod theta on its positions."""
+    With theta = theta(s,q) this is the generator on log sets, taking
+    log_set(S, X) to log_set(S, act(S, X)).
+    """
     top = theta - 1
     return (bits >> top) | ((bits & ~(1 << top)) << 1)
 
@@ -312,12 +227,6 @@ def orbit_partition(items, step) -> list:
     return orbits
 
 
-def orbit(S: SingerGroup, X: pspace.Subspace) -> OrbitRecord:
-    """Orbit of X with its stabilizer parameter u, read off the walked length."""
-    members = _walk_orbit(X, lambda Y: act(S, Y))
-    return _record_for(S, X.t, members)
-
-
 def _record_for(S: SingerGroup, t: int, members) -> OrbitRecord:
     size = len(members)
     q = S.q
@@ -343,12 +252,13 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
     fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
-    S = singer_generator(s, q)
+    S = SingerGroup(s, q)
     sets = [log_set(S, X) for X in fam]
     subspace_of = dict(zip(sets, fam))
-    every_point = (1 << S.projective_order) - 1
+    theta = S.projective_order
+    every_point = (1 << theta) - 1
     raw = []
-    for walk in orbit_partition(sets, functools.partial(rotate, S)):
+    for walk in orbit_partition(sets, lambda bits: rotate(bits, theta)):
         members = tuple(subspace_of[bits] for bits in walk)
         rec = _record_for(S, t, members)
         degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(rec.u, q))

@@ -102,6 +102,22 @@ class TestCensus:
                     env_extra={"GALELA_CAP_SUBSPACES": "10"})
         assert r.returncode == 3
 
+    def test_one_point_space(self, capsys):
+        # PG(0,4) is one point: one orbit, u = 1, and it is a spread
+        assert cli.main(["census", "--s", "1", "--t", "1", "--q", "4", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["orbits"] == [{"representative": [[1]], "size": 1, "u": 1,
+                                      "is_spread": True}]
+        assert payload["predicted"] == {"eq2": 1, "eq3": 1}
+
+    def test_benchmark_workload_matches_recorded_digest(self, capsys):
+        # the census workload of perfbench/run.py, whose recorded digest
+        # this only reads
+        assert cli.main(["census", "--s", "8", "--t", "4", "--q", "2", "--json"]) == 0
+        out = capsys.readouterr().out
+        reference = json.loads(REFERENCE.read_text())
+        assert hashlib.sha256(out.encode()).hexdigest() == reference["census"]["sha256"]
+
 
 class TestCount:
     def test_spot_values(self):
@@ -154,6 +170,14 @@ class TestVerify:
         assert r.returncode == 0
         payload = json.loads(r.stdout)
         assert payload["bijection"] is True
+
+    def test_correspondence_with_n_equal_to_h(self, capsys):
+        # n = h: the whole field is one class and PG(0, p^h) one point
+        assert cli.main(["verify", "correspondence", "--p", "3", "--h", "2", "--m", "2",
+                         "--n", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload["classes"], payload["orbits"], payload["bijection"]] == [1, 1, True]
+        assert [payload["minimal_classes"], payload["free_orbits"]] == [1, 1]
 
     def test_lemma1_small(self):
         r = run_cli("verify", "lemma1", "--r", "2", "--p", "2", "--h", "2", "--json")

@@ -12,6 +12,7 @@ import pytest
 
 from galela import (
     CapExceeded,
+    SingerGroup,
     VerificationError,
     act,
     conjugacy_partition,
@@ -28,7 +29,6 @@ from galela import (
     make_field,
     no_conjugation_witness,
     scalar_equivalent,
-    singer_generator,
     span,
     subspace_of_center,
     subspace_points,
@@ -488,7 +488,7 @@ class TestSubspaceBridge:
     def test_scalar_action_matches_collineation_action(self):
         # multiplying the subgroup by mu advances its subspace one step
         t = make_field(2, 4)
-        S = singer_generator(4, 2)
+        S = SingerGroup(4, 2)
         for H in enumerate_subgroups(2, 4, 2):
             X = subspace_of_center(H, 1)
             Y = subspace_of_center(scalar_multiple(H, t.mu), 1)

@@ -10,27 +10,26 @@ from collections import Counter
 import pytest
 
 from galela import (
+    SingerGroup,
     VerificationError,
     act,
     enumerate_subspaces,
     gaussian_binomial,
     is_spread,
     log_set,
-    orbit,
     orbit_census,
     predicted_free_orbit_count,
     predicted_orbit_count,
     rotate,
-    singer_generator,
     span,
     subspace_points,
     theta,
 )
 from galela.gf import make_field
-from galela.linalg import mat_pow, matvec
+from galela.linalg import matvec
 from galela.pspace import normalize_point
 from galela.selftest import CENSUS_CASES
-from galela.singer import OrbitRecord, SingerGroup, orbit_partition
+from galela.singer import OrbitRecord, orbit_partition
 
 
 def spread_members(census):
@@ -46,7 +45,7 @@ def oracle_orbit_partition(s, t, q):
     the generator maps point sets to point sets, so no canonical form
     is involved.  Returns the sorted list of orbit sizes.
     """
-    S = singer_generator(s, q)
+    S = SingerGroup(s, q)
 
     def image(ptset):
         return frozenset(
@@ -100,19 +99,19 @@ class TestOrbitPartition:
 
 class TestGenerator:
     def test_small_binary_generator(self):
-        S = singer_generator(2, 2)
+        S = SingerGroup(2, 2)
         assert S.generator == ((0, 1), (1, 1))
         assert S.projective_order == 3
 
     def test_projective_order(self):
-        assert singer_generator(4, 2).projective_order == 15
-        assert singer_generator(2, 4).projective_order == 5
-        assert singer_generator(3, 4).projective_order == 21
-        assert singer_generator(6, 2).projective_order == 63
+        assert SingerGroup(4, 2).projective_order == 15
+        assert SingerGroup(2, 4).projective_order == 5
+        assert SingerGroup(3, 4).projective_order == 21
+        assert SingerGroup(6, 2).projective_order == 63
 
     @pytest.mark.parametrize("s,q", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 4)])
     def test_transitive_on_points(self, s, q):
-        S = singer_generator(s, q)
+        S = SingerGroup(s, q)
         pt = (1,) + (0,) * (s - 1)
         seen = set()
         for _ in range(S.projective_order):
@@ -122,44 +121,34 @@ class TestGenerator:
 
     def test_generator_invertible(self):
         # order of the matrix in PGL equals the point cycle length
-        S = singer_generator(3, 2)
+        S = SingerGroup(3, 2)
         X = span(((1, 0, 0),), 2)
         assert act(S, X, S.projective_order) == X
 
     def test_rejects_degenerate_dimension(self):
         with pytest.raises(ValueError):
-            singer_generator(1, 2)
-
-    def test_walk_rejects_point_transitive_non_singer_matrix(self):
-        # the cube of a Singer cycle of PG(1,4) still permutes the 5 points
-        # cyclically, but its 5th power is 1, not a scalar of order 3, so
-        # its walk would close after 5 steps, not 15
-        S = singer_generator(2, 4)
-        T = SingerGroup(2, 4, mat_pow(S.generator, 3, S.field), 5, S.field)
-        with pytest.raises(VerificationError) as exc:
-            T.log
-        assert exc.value.details == {"case": (2, 4), "walked": 5, "scalars": 1, "entries": 1}
+            SingerGroup(0, 2)
 
 
 class TestAction:
     def test_identity_power(self):
-        S = singer_generator(4, 2)
+        S = SingerGroup(4, 2)
         X = span(((1, 0, 0, 0), (0, 1, 0, 0)), 2)
         assert act(S, X, 0) == X
         assert act(S, X, S.projective_order) == X
 
     def test_action_composes(self):
-        S = singer_generator(4, 2)
+        S = SingerGroup(4, 2)
         X = span(((1, 0, 1, 0), (0, 1, 1, 1)), 2)
         assert act(S, act(S, X, 3), 4) == act(S, X, 7)
 
     def test_action_preserves_dimension(self):
-        S = singer_generator(4, 3)
+        S = SingerGroup(4, 3)
         X = span(((1, 0, 0, 2), (0, 1, 1, 0)), 3)
         assert act(S, X).t == X.t
 
     def test_action_matches_pointwise_map(self):
-        S = singer_generator(4, 2)
+        S = SingerGroup(4, 2)
         X = span(((1, 0, 1, 1), (0, 1, 0, 1)), 2)
         Y = act(S, X)
         mapped = {
@@ -170,24 +159,10 @@ class TestAction:
 
 
 class TestOrbit:
-    def test_generic_line_orbit(self):
-        S = singer_generator(4, 2)
-        X = span(((1, 0, 0, 0), (0, 1, 0, 0)), 2)
-        rec = orbit(S, X)
-        assert rec.size == 15
-        assert rec.u == 1
-
     def test_short_orbit_is_spread(self):
         census = orbit_census(4, 2, 2)
         assert [rec.size for rec in census.orbits if rec.u == 2] == [5]
         assert is_spread(spread_members(census))
-
-    def test_representative_is_minimal(self):
-        S = singer_generator(4, 2)
-        X = span(((1, 1, 0, 0), (0, 0, 1, 1)), 2)
-        rec = orbit(S, X)
-        members = [act(S, X, k) for k in range(rec.size)]
-        assert rec.representative == min(members, key=lambda Z: Z.basis)
 
 
 class TestCensus:
@@ -261,7 +236,7 @@ class TestLogCoordinates:
 
     def test_log_table_is_the_field_log(self, s, t, q):
         # the companion matrix multiplies by mu: v_0 + v_1 mu + ... is mu^log(v)
-        S = singer_generator(s, q)
+        S = SingerGroup(s, q)
         n = S.field.h
         big = make_field(S.field.p, n * s)
         for v, k in S.log.items():
@@ -271,19 +246,31 @@ class TestLogCoordinates:
                     x = big.add(x, big.mul(big.from_subfield(c, n), big.pow(big.mu, i)))
             assert big.log[x] == k
 
+    def test_generator_is_the_companion_matrix(self, s, t, q):
+        # the companion matrix of mu's minimal polynomial over GF(q)
+        S = SingerGroup(s, q)
+        n = S.field.h
+        big = make_field(S.field.p, n * s)
+        mpoly = big.minimal_polynomial(big.mu, n)
+        assert len(mpoly) == s + 1
+        companion = [[int(i == j + 1) for j in range(s - 1)] for i in range(s)]
+        for i in range(s):
+            companion[i].append(S.field.neg(big.to_subfield(mpoly[i], n)))
+        assert S.generator == tuple(map(tuple, companion))
+
     def test_log_sets_are_point_logs(self, s, t, q):
-        S = singer_generator(s, q)
+        S = SingerGroup(s, q)
         for X in enumerate_subspaces(s, t, q):
             logs = {S.log[pt] % S.projective_order for pt in subspace_points(X)}
             assert log_set(S, X) == sum(1 << k for k in logs)
 
     def test_rotation_is_the_generator(self, s, t, q):
-        S = singer_generator(s, q)
+        S = SingerGroup(s, q)
         for X in enumerate_subspaces(s, t, q):
-            assert rotate(S, log_set(S, X)) == log_set(S, act(S, X))
+            assert rotate(log_set(S, X), S.projective_order) == log_set(S, act(S, X))
 
     def test_census_equals_matrix_walk(self, s, t, q):
-        S = singer_generator(s, q)
+        S = SingerGroup(s, q)
         walks = orbit_partition(enumerate_subspaces(s, t, q), lambda X: act(S, X))
         expected = []
         for walk in walks:
