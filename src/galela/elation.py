@@ -275,38 +275,53 @@ def pgl_order(r: int, q: int) -> int:
     return combinat.exact_div(num, q - 1)
 
 
-def _grow_span(rows, pivots, v, tower):
-    """Extend a frame by one row: the RREF basis of rows + v and its pivots,
-    or None when v already lies in the span of rows."""
-    if linalg.in_rowspace(v, rows, pivots, tower):
+def _field_tables(tower):
+    """GF(q)'s add, sub and mul as q x q tables and its inverses as a list
+    (None at 0), each entry read from the tower's own methods."""
+    elems = range(tower.order)
+    add = [[tower.add(a, b) for b in elems] for a in elems]
+    sub = [[tower.sub(a, b) for b in elems] for a in elems]
+    mul = [[tower.mul(a, b) for b in elems] for a in elems]
+    return add, sub, mul, [None] + [tower.inv(a) for a in elems[1:]]
+
+
+def _grow_span(span, v, add, mul):
+    """The span of a frame's rows grown by the row v: every s + c v with s in
+    span and c in GF(q), a set of q |span| vectors.  None when v already
+    lies in span.  add and mul are the field's tables."""
+    if v in span:
         return None
-    return linalg.rref(rows + (v,), tower)
+    multiples = [[row[x] for x in v] for row in mul]
+    return {tuple(add[a][b] for a, b in zip(s, w)) for s in span for w in multiples}
 
 
 def _iterate_pgl(r: int, tower: FieldTower):
     """All of PGL(r, q), one matrix per projective class, streamed.
 
-    The first row is a normalized projective point, later rows are arbitrary
-    vectors outside the span of the earlier ones.  Independence is decided by
-    reducing each candidate against the RREF basis of the rows chosen so far.
+    The first row is a normalized projective point, later rows are nonzero
+    vectors in itertools.product order outside the span of the earlier
+    ones.  Independence is a lookup in the set of vectors the rows chosen so
+    far span, which grows q-fold with each row.
     """
     q = tower.order
+    add, _, mul, _ = _field_tables(tower)
     nonzero = [v for v in itertools.product(range(q), repeat=r) if any(v)]
 
-    def extend(frame, rows, pivots):
+    def extend(frame, span):
         if len(frame) == r - 1:
-            # the last row's extended basis is never used, only its independence
+            # the last row's span is never used, only its independence
             for v in nonzero:
-                if not linalg.in_rowspace(v, rows, pivots, tower):
+                if v not in span:
                     yield frame + (v,)
             return
         for v in nonzero:
-            grown = _grow_span(rows, pivots, v, tower)
+            grown = _grow_span(span, v, add, mul)
             if grown is not None:
-                yield from extend(frame + (v,), *grown)
+                yield from extend(frame + (v,), grown)
 
+    zero = {(0,) * r}
     for fr in pspace.enumerate_points(r, q):
-        yield from extend((fr,), *_grow_span((), (), fr, tower))
+        yield from extend((fr,), _grow_span(zero, fr, add, mul))
 
 
 @dataclass(frozen=True)
@@ -328,17 +343,23 @@ class ConjugacyPartition:
 def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     """Partition subgroups by PGL(r, q)-conjugacy in one exhaustive pass.
 
-    For every g in PGL(r, q) and every subgroup H the pass forms the projective
-    set {g M_lam : lam in H} and looks each member up in {N_mu g : mu in GF(q)}.
-    g conjugates E(H) onto E(H') exactly when every lookup hits and the mu
-    found are the elements of H', which is the comparison {g M} == {N g} of
-    g E(H) g^-1 == E(H') with no inverse formed.  g M_lam is g with lam times
-    column r-1 added to column 0 and N_mu g is g with mu times row 0 added to
-    row r-1, so each product is a rank-1 update.  A subgroup is dropped for g
-    at its first nonzero lam that misses; every match joins the two subgroups
-    in a union-find, whose blocks are the classes.  No theory beyond the
-    definition is used: every element of PGL is visited and the count is
-    checked against pgl_order.
+    g conjugates E(H) onto E(H') exactly when for every lam in H there are
+    mu in H' and a nonzero c with g M_lam == c N_mu g, every entry compared,
+    and the mu found are the elements of H'; no inverse is formed.  g M_lam
+    is g with lam times column r-1 added to column 0, and N_mu g is g with mu
+    times row 0 added to row r-1, so rows 0..r-2 of N_mu g are g's own.  c
+    is therefore forced by the pivot k0 of row 0, c == (g M_lam)[0][k0] /
+    g[0][k0], and rows 0..r-2 of g M_lam must be c times g's rows; this
+    depends on g's first r-1 rows (its head) only, so the (lam, c)
+    candidates are found once per head.  For each g the last row then forces
+    mu == (g M_lam)[r-1][k0] / c - g[r-1][k0], and the whole last row must
+    equal c (g[r-1] + mu g[0]).  All arithmetic reads GF(q)'s tables.  A
+    subgroup matches for g when every nonzero lam in it has a mu, and the
+    first match of each pair joins the two subgroups in a union-find, whose
+    blocks are the classes.  The matches depend on g only through its map
+    lam -> mu, so a map met before is not matched again.  No theory beyond
+    the definition is used: every element of PGL is visited and checked,
+    and the count is checked against pgl_order.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
@@ -352,12 +373,13 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     limit = PGL_CAP if cap is None else cap
     if size > limit:
         raise CapExceeded(f"|PGL({r},{q})| = {size} exceeds cap {limit}")
-    add, mul, key = tower.add, tower.mul, linalg.scale_projective
+    add, sub, mul, inv = _field_tables(tower)
     # lam = 0 always matches through N_0 = identity, so it is skipped
-    nonzero = [tuple(lam for lam in H.elements() if lam) for H in subgroups]
+    nonzero = [frozenset(lam for lam in H.elements() if lam) for H in subgroups]
+    all_lams = sorted(set().union(*nonzero))
     by_elements: dict[frozenset, list] = {}
-    for i, H in enumerate(subgroups):
-        by_elements.setdefault(frozenset(H.elements()), []).append(i)
+    for i, lams in enumerate(nonzero):
+        by_elements.setdefault(lams, []).append(i)
     parent = list(range(len(subgroups)))
 
     def find(i):
@@ -366,30 +388,48 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
             i = parent[i]
         return i
 
+    def head_candidates(head):
+        """(lam, c, 1/c) for every lam whose g M_lam agrees with c g on the head."""
+        top = head[0]
+        k0 = next(k for k, x in enumerate(top) if x)
+        out = []
+        for lam in all_lams:
+            moved = [(add[row[0]][mul[lam][row[-1]]],) + row[1:] for row in head]
+            c = mul[moved[0][k0]][inv[top[k0]]]
+            if c and all(m == tuple(mul[c][x] for x in row) for m, row in zip(moved, head)):
+                out.append((lam, c, inv[c]))
+        return k0, out
+
     witnesses = {}
+    seen = set()  # every image map whose matches are recorded
     count = 0
+    head = None
     for g in _iterate_pgl(r, tower):
         count += 1
+        if g[:-1] != head:
+            head = g[:-1]
+            k0, candidates = head_candidates(head)
+        if not candidates:
+            continue
         top, last = g[0], g[-1]
-        right = {}  # projective class of N_mu g -> mu
-        for mu in range(q):
-            ng = g[:-1] + (tuple(add(a, mul(mu, b)) for a, b in zip(last, top)),)
-            right[key(ng, tower)] = mu
-        image = {}  # lam -> mu with g M_lam ~ N_mu g, or None
+        image = {}  # lam -> mu with g M_lam == c N_mu g
+        for lam, c, ic in candidates:
+            moved = (add[last[0]][mul[lam][last[-1]]],) + last[1:]
+            mu = sub[mul[ic][moved[k0]]][last[k0]]
+            cm, mm = mul[c], mul[mu]
+            if all(x == cm[add[y][mm[t]]] for x, y, t in zip(moved, last, top)):
+                image[lam] = mu
+        # an image map already met matches the same pairs, all witnessed
+        mapping = tuple(image.items())
+        if mapping in seen:
+            continue
+        seen.add(mapping)
+        matched = image.keys()
         for i, lams in enumerate(nonzero):
-            mus = {0}
-            for lam in lams:
-                if lam not in image:
-                    gm = tuple((add(row[0], mul(lam, row[-1])),) + row[1:] for row in g)
-                    image[lam] = right.get(key(gm, tower))
-                mu = image[lam]
-                if mu is None:
-                    break
-                mus.add(mu)
-            else:
-                for j in by_elements.get(frozenset(mus), ()):
-                    if j != i:
-                        witnesses.setdefault((i, j), g)
+            if lams <= matched:
+                for j in by_elements.get(frozenset(map(image.__getitem__, lams)), ()):
+                    if j != i and (i, j) not in witnesses:
+                        witnesses[i, j] = g
                         parent[find(i)] = find(j)
     if count != size:
         raise VerificationError("PGL sweep visited the wrong number of elements",

@@ -187,6 +187,34 @@ class TestVerify:
         assert payload["inequivalent_pairs"] == 3
         assert payload["group_order"] == 60
 
+    @pytest.mark.parametrize("p,h,expected", [
+        # subgroups, equivalent pairs, inequivalent pairs, |PGL(2, p^h)|
+        ("3", "3", [27, 183, 195, 19656]),
+        ("5", "2", [7, 22, 6, 15600]),
+    ])
+    def test_lemma1_odd_characteristic(self, capsys, p, h, expected):
+        assert cli.main(["verify", "lemma1", "--r", "2", "--p", p, "--h", h, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[k] for k in ("subgroups", "equivalent_pairs", "inequivalent_pairs",
+                                     "group_order")] == expected
+
+    def test_lemma1_workload_matches_recorded_digest(self, capsys):
+        # the lemma1 workload of perfbench/run.py, whose recorded digest
+        # this only reads
+        assert cli.main(["verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--json"]) == 0
+        out = capsys.readouterr().out
+        reference = json.loads(REFERENCE.read_text())
+        assert hashlib.sha256(out.encode()).hexdigest() == reference["lemma1"]["sha256"]
+
+    def test_star_workload_matches_recorded_digest(self, capsys):
+        # the star workload of perfbench/run.py at seed 0, whose recorded
+        # digest this only reads
+        assert cli.main(["verify", "bruckbose", "--r", "3", "--p", "2", "--h", "4", "--n", "1",
+                         "--seed", "0", "--json"]) == 0
+        out = capsys.readouterr().out
+        reference = json.loads(REFERENCE.read_text())["star"]
+        assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256_by_seed"]["0"]
+
     @pytest.mark.parametrize("r", ["1", "0"])
     def test_lemma1_small_r_exit_code(self, r):
         out = run_cli("verify", "lemma1", "--r", r, "--p", "2", "--h", "2")

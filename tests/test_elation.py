@@ -34,10 +34,10 @@ from galela import (
     subspace_points,
     verify_correspondence,
 )
-from galela import elation, selftest
+from galela import elation, linalg, selftest
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
-from galela.pspace import contains, normalize_point
+from galela.pspace import contains, enumerate_points, normalize_point
 from galela.singer import orbit_partition
 
 
@@ -379,6 +379,76 @@ def oracle_conjugacy_blocks(subgroups, r):
     return {frozenset(i for i, b in enumerate(block) if b == label) for label in set(block)}
 
 
+def reference_iterate_pgl(r, tower):
+    """PGL(r, q) in the sweep's order, frames grown by rref rank.
+
+    The first row runs over enumerate_points, each later row over the
+    nonzero vectors in itertools.product order, kept when the rref rank of
+    the frame grows.
+    """
+    nonzero = [v for v in itertools.product(range(tower.order), repeat=r) if any(v)]
+
+    def extend(frame):
+        if len(frame) == r:
+            yield frame
+            return
+        for v in nonzero:
+            if len(rref(frame + (v,), tower)[0]) == len(frame) + 1:
+                yield from extend(frame + (v,))
+
+    for fr in enumerate_points(r, tower.order):
+        yield from extend((fr,))
+
+
+def reference_partition(subgroups, r, sweep=None):
+    """The normalize-and-look-up pass over sweep, as (labels, witnesses).
+
+    For every g the q matrices N_mu g are scaled with scale_projective and
+    keyed to mu; each g M_lam, lam in H, is scaled and looked up there, and
+    H matches H' when every lookup hits and the mu found are H's elements.
+    Matches join a union-find and the first g of each (i, j) is kept.  The
+    sweep defaults to _iterate_pgl.
+    """
+    tower = subgroups[0].tower
+    add, mul = tower.add, tower.mul
+    nonzero = [tuple(lam for lam in H.elements() if lam) for H in subgroups]
+    by_elements = {}
+    for i, H in enumerate(subgroups):
+        by_elements.setdefault(frozenset(H.elements()), []).append(i)
+    parent = list(range(len(subgroups)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    witnesses = {}
+    for g in _iterate_pgl(r, tower) if sweep is None else sweep:
+        top, last = g[0], g[-1]
+        right = {}
+        for mu in range(tower.order):
+            ng = g[:-1] + (tuple(add(a, mul(mu, b)) for a, b in zip(last, top)),)
+            right[scale_projective(ng, tower)] = mu
+        for i, lams in enumerate(nonzero):
+            mus = {0}
+            for lam in lams:
+                gm = tuple((add(row[0], mul(lam, row[-1])),) + row[1:] for row in g)
+                mu = right.get(scale_projective(gm, tower))
+                if mu is None:
+                    break
+                mus.add(mu)
+            else:
+                for j in by_elements.get(frozenset(mus), ()):
+                    if j != i:
+                        witnesses.setdefault((i, j), g)
+                        parent[find(i)] = find(j)
+    roots = [find(i) for i in range(len(subgroups))]
+    least = {}
+    for i, root in enumerate(roots):
+        least.setdefault(root, i)
+    return tuple(least[root] for root in roots), witnesses
+
+
 def scalar_blocks(subgroups):
     """Partition subgroups by alpha * H on raw element sets, alpha nonzero."""
     tower = subgroups[0].tower
@@ -399,20 +469,54 @@ class TestConjugacyPartition:
         assert sweep == scalar_blocks(subgroups)
 
     def test_witnesses_conjugate(self):
-        subgroups = enumerate_subgroups(2, 3, 1)
-        tower = subgroups[0].tower
-        part = conjugacy_partition(subgroups, 2)
-        assert part.witnesses
-        for (i, j), g in part.witnesses.items():
-            ginv = mat_inverse(g, tower)
-            image = {
-                scale_projective(
-                    matmul(matmul(g, elation_matrix(tower, lam, 2), tower), ginv, tower),
-                    tower)
-                for lam in subgroups[i].elements()
-            }
-            assert image == {scale_projective(elation_matrix(tower, lam, 2), tower)
-                             for lam in subgroups[j].elements()}
+        # every witness, conjugated explicitly: order-2 subgroups of GF(8)
+        # under PGL(2, 8), and all subgroups of GF(4) under PGL(3, 4)
+        for r, subgroups in ((2, enumerate_subgroups(2, 3, 1)),
+                             (3, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)])):
+            tower = subgroups[0].tower
+            part = conjugacy_partition(subgroups, r)
+            assert part.witnesses
+            for (i, j), g in part.witnesses.items():
+                ginv = mat_inverse(g, tower)
+                image = {
+                    scale_projective(
+                        matmul(matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower),
+                        tower)
+                    for lam in subgroups[i].elements()
+                }
+                assert image == {scale_projective(elation_matrix(tower, lam, r), tower)
+                                 for lam in subgroups[j].elements()}
+
+    @pytest.mark.parametrize("r,p,h", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (3, 3, 1), (3, 2, 2)])
+    def test_matches_the_normalizing_pass(self, r, p, h):
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        part = conjugacy_partition(subgroups, r)
+        labels, witnesses = reference_partition(subgroups, r)
+        assert part.labels == labels
+        assert part.witnesses == witnesses
+
+    def test_sweep_solves_without_normalizing(self, monkeypatch):
+        # c and mu are solved for, so no matrix is scaled and no row reduced
+        def refuse(*args):
+            raise AssertionError("called from the sweep")
+
+        subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
+        monkeypatch.setattr(linalg, "scale_projective", refuse)
+        monkeypatch.setattr(linalg, "in_rowspace", refuse)
+        monkeypatch.setattr(linalg, "rref", refuse)
+        assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
+
+    @pytest.mark.parametrize("r,p,h", [(2, 3, 2), (3, 2, 2)])
+    def test_matches_the_normalizing_pass_in_reverse_order(self, monkeypatch, r, p, h):
+        # the order may change the speed but not the checks: swept backwards,
+        # the first witness of a pair is one the forward sweep never keeps
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        backwards = list(_iterate_pgl(r, subgroups[0].tower))[::-1]
+        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
+        part = conjugacy_partition(subgroups, r)
+        labels, witnesses = reference_partition(subgroups, r, backwards)
+        assert part.labels == labels
+        assert part.witnesses == witnesses
 
     def test_labels_are_least_member(self):
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
@@ -444,6 +548,12 @@ class TestConjugacyPartition:
                             lambda subgroups, r, cap=None: elation.ConjugacyPartition(labels, {}))
         with pytest.raises(VerificationError, match=message):
             selftest.lemma1_report([(2, 2, 2)])
+
+    @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
+    def test_iterate_pgl_order(self, r, p, h):
+        # the witnesses are the first g swept, so the order is pinned too
+        tower = make_field(p, h)
+        assert list(_iterate_pgl(r, tower)) == list(reference_iterate_pgl(r, tower))
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1)])
     def test_iterate_pgl_is_pgl(self, r, p, h):
