@@ -152,16 +152,17 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
 def _check_affine_image(images, base, W, frame, error, kinds) -> pspace.Subspace:
     """Raise unless images are exactly the affine points of span(base, W).
 
-    A pass costs one span and one point-set comparison; only a failure spans
-    the images, to tell a different span (kinds[0], with closure and
-    expected) from extra affine points (kinds[1]).  error(kind, **fields)
+    W lies in A*, so span(base, W) has q^W.t affine points; the images,
+    affine points of their own span, are all of them exactly when the spans
+    are equal and there are q^W.t images.  A different span is kinds[0],
+    with closure and expected, missing points kinds[1]; error(kind, **fields)
     builds the VerificationError.  Returns span(base, W).
     """
     expected = pspace.span([base, *W.basis], frame.q)
-    if {pt for pt in pspace.subspace_points(expected) if pt[0] != 0} != images:
-        closure = pspace.span(sorted(images), frame.q)
-        if closure != expected:
-            raise error(kinds[0], closure=closure.basis, expected=expected.basis)
+    closure = pspace.span(images, frame.q)
+    if closure != expected:
+        raise error(kinds[0], closure=closure.basis, expected=expected.basis)
+    if len(images) != frame.q ** W.t:
         raise error(kinds[1])
     return expected
 
@@ -240,7 +241,7 @@ def incidence_check(frame: StarFrame, sample) -> bool:
                 lambda kind, **_: VerificationError("incidence check failed",
                                                     {"kind": kind, **where}),
                 ("affine line image does not cut a spread element",
-                 "line image has extra affine points"))
+                 "line image is missing affine points"))
         else:
             closure = pspace.subspace_sum(star_infinite(x, frame), star_infinite(y, frame))
             if closure.t != 2 * frame.dprime:

@@ -16,8 +16,9 @@ Singer census does: each subgroup is carried as log_set, the exponents of
 its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
 built from its basis by the field's own exp, log and Zech tables through
 singer.span_log_set, and mu acts on it as a rotation by one bit under the
-census's orbit kernel.  The census reads its log sets from the tables of
-GF(q^s) in the same way, so every log set comes from a field's own tables.
+census's kernel, singer.rotation_orbits.  The census reads its log sets
+from the tables of GF(q^s) in the same way, so every log set comes from a
+field's own tables.
 
 The RREF definition of the action, scalar_multiple, is kept on one side of
 every check.  equivalence_classes requires once per class that mu times the
@@ -29,12 +30,13 @@ tests compare the classes with orbit_partition under scalar_multiple.
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
 space over) is scalar-invariant and refines the classification; GF(p^n)* is
 the subgroup's stabilizer under scalars, which equivalence_classes checks
-once per class through the class size.  Each class carries the witness
-scalar of every member, and conjugator builds the diagonal conjugator from
-it.  The correspondence checker maps each class through coords() onto a
-subspace of PG(h/n - 1, p^n), where the rank of the image alone tells
-whether H is a GF(p^n)-space, and confirms the classes biject with Singer
-orbits.
+once per class as u == n, u read off the class size by the kernel, which
+also checks the closed-form class counts for every n | gcd(m, h).  Each
+class carries the witness scalar of every member, and conjugator builds the
+diagonal conjugator from it.  The correspondence checker maps each class
+through coords() onto a subspace of PG(h/n - 1, p^n), where the rank of the
+image alone tells whether H is a GF(p^n)-space, and confirms the classes
+biject with Singer orbits.
 """
 
 from __future__ import annotations
@@ -155,20 +157,21 @@ def dimension_profile(H: ElationGroup) -> DimensionProfile:
 
     Closure under the canonical subfield generator suffices, since the whole
     subfield is its GF(p)-span of powers.  Candidates are the divisors of
-    gcd(m, h), and the admissible set is closed under lcm, so it has a
-    unique maximum: the field over which H has minimal dimension.
+    gcd(m, h).  A space over GF(p^a) and GF(p^b) is one over GF(p^lcm(a,b))
+    and over their subfields, so the admissible degrees must be exactly the
+    divisors of the largest, minimal_n, over which H has minimal dimension;
+    VerificationError otherwise.
     """
     tower = H.tower
-    admissible = []
-    for n in combinat.divisors(gcd(H.m, tower.h)):
-        gamma = tower.subfield_generator(n)
-        if all(H.contains(tower.mul(gamma, b)) for b in H.basis_elements):
-            admissible.append((n, H.m // n))
-    if not admissible or admissible[0] != (1, H.m):
-        raise VerificationError("subgroup is not closed under prime-field scalars",
-                                {"field": (tower.p, tower.h), "rows": H.rows})
-    minimal_n = max(n for n, _ in admissible)
-    return DimensionProfile(tuple(admissible), minimal_n, H.m // minimal_n)
+    degrees = [n for n in combinat.divisors(gcd(H.m, tower.h))
+               if all(H.contains(tower.mul(tower.subfield_generator(n), b))
+                      for b in H.basis_elements)]
+    minimal_n = max(degrees, default=1)
+    if degrees != combinat.divisors(minimal_n):
+        raise VerificationError("admissible subfield degrees are not the divisors of the largest",
+                                {"field": (tower.p, tower.h), "rows": H.rows,
+                                 "degrees": degrees})
+    return DimensionProfile(tuple((n, H.m // n) for n in degrees), minimal_n, H.m // minimal_n)
 
 
 def scalar_equivalent(H1: ElationGroup, H2: ElationGroup):
@@ -205,28 +208,24 @@ def log_set(H: ElationGroup) -> int:
 def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceClass]:
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
-    Each subgroup is walked as its log_set, on which multiplication by mu is
-    a rotation by one bit, so no matrix is reduced during the walk.  Classes
-    come back sorted by representative (the lexicographically least RREF
-    basis in the class).  Member k is the k-th step of the walk, so mu^k
-    times the representative: mu^k is its witness scalar.  Two identities
-    are checked per class.  scalar_multiple(representative, mu), one RREF,
-    must be the walk's next member, which ties the rotation's direction and
-    the field tables to the definition of the action.  And the stabilizer
-    under scalars is GF(p^n)*, n the representative's minimal_n, so the
-    class has theta(h, p)/theta(n, p) members; this compares the walk's
-    length with the profile read off by contains().  The profile is computed
-    for the representative alone, since H and alpha*H are spaces over the
-    same subfields.
+    singer.rotation_orbits walks the subgroups, m-subspaces of PG(h-1, p),
+    as log_sets, so no matrix is reduced in the walk, reads each class's
+    stabilizer parameter u off its length and checks the closed-form class
+    counts for every n | gcd(m, h).  Classes come back sorted by
+    representative (the lexicographically least RREF basis in the class).
+    Member k is the k-th step of the walk, so mu^k times the representative:
+    mu^k is its witness scalar.  Two identities are checked per class.
+    scalar_multiple(representative, mu), one RREF, must be the walk's next
+    member, which ties the rotation's direction and the field tables to the
+    definition of the action.  And the stabilizer under scalars is GF(p^n)*,
+    n the representative's minimal_n, as contains() reads it, so u == n.
+    The profile is computed for the representative alone, since H and
+    alpha*H are spaces over the same subfields.
     """
     subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
-    sets = [log_set(H) for H in subs]
-    group_of = dict(zip(sets, subs))
-    theta = combinat.theta(h, p)
     classes = []
-    for walk in singer.orbit_partition(sets, lambda bits: singer.rotate(bits, theta)):
-        members = tuple(group_of[bits] for bits in walk)
+    for u, _, members in singer.rotation_orbits(subs, [log_set(H) for H in subs], h, m, p):
         rep = members[0]
         image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
         if image.rows != walked.rows:
@@ -234,11 +233,12 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
                                     {"field": (p, h), "representative": rep.rows,
                                      "image": image.rows, "walked": walked.rows})
         profile = dimension_profile(rep)
-        if len(walk) * combinat.theta(profile.minimal_n, p) != theta:
+        if u != profile.minimal_n:
             raise VerificationError("class size is not theta(h, p)/theta(minimal_n, p)",
                                     {"field": (p, h), "representative": rep.rows,
-                                     "size": len(walk), "minimal_n": profile.minimal_n})
-        classes.append(EquivalenceClass(rep, members, tuple(tower.exp[:len(walk)]), profile))
+                                     "size": len(members), "u": u,
+                                     "minimal_n": profile.minimal_n})
+        classes.append(EquivalenceClass(rep, members, tuple(tower.exp[:len(members)]), profile))
     return classes
 
 
@@ -509,10 +509,12 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     of the same sets, one side of the comparison stays on RREF.
     subspace_of_center must send each class into a single orbit of
     (m/n)-subspaces of PG(h/n - 1, p^n), hitting every orbit exactly once,
-    and the classes of minimal dimension must land exactly on the free
-    orbits (u = 1).  The class counts must equal count_classes' closed
-    forms.  Raises VerificationError with a counterexample if any part
-    fails; returns a summary dict when everything holds.
+    and the class's stabilizer GF(p^minimal_n)* must be the orbit's, so
+    minimal_n == n u; for u = 1 that sends the classes of minimal dimension
+    exactly onto the free orbits.  The class counts must equal
+    count_classes' closed forms.  Raises VerificationError with a
+    counterexample if any part fails; returns a summary dict when everything
+    holds.
     """
     if n < 1 or gcd(m, h) % n != 0:
         raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
@@ -551,17 +553,15 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
                                  "hit": sorted(set(class_orbit)),
                                  "orbits": len(census.orbits)})
 
-    minimal_classes = 0
     for c, oi in zip(classes, class_orbit):
-        is_minimal = c.profile.minimal_n == n
-        minimal_classes += is_minimal
-        if is_minimal != (census.orbits[oi].u == 1):
+        if c.profile.minimal_n != n * census.orbits[oi].u:
             raise VerificationError(
-                "minimal-dimension refinement mismatch",
+                "class stabilizer differs from its orbit's",
                 {"params": [p, h, m, n],
                  "class_representative": [list(r) for r in c.representative.rows],
                  "minimal_n": c.profile.minimal_n, "orbit_u": census.orbits[oi].u})
 
+    minimal_classes = sum(1 for c in classes if c.profile.minimal_n == n)
     predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
     if [len(classes), minimal_classes] != predicted:
         raise VerificationError("class counts differ from the closed forms",

@@ -14,20 +14,16 @@ a rotation by one bit (rotate): no matrix acts and no point set is listed
 during a census.  act and the point sets of pspace stay as the oracles the
 tests compare with.
 
-One orbit kernel, orbit_partition, serves the census and the scalar
-classes of the elation module; it checks that the orbits it walks partition
-its items exactly.  One expansion, span_log_set, builds the log sets of
-both from a field's own log and Zech tables: those of GF(q^s) here and
-those of GF(p^h) there.
-
-Each orbit record carries the stabilizer parameter u: the orbit has length
-theta(s,q)/theta(u,q) and its members sweep out a cover in which every point
-of PG(s-1,q) lies on exactly theta(t,q)/theta(u,q) members.  u is read off
-the walked length, which must fit a divisor of gcd(t, s), and the census
-tallies each orbit's log sets to check that it is such a cover; both checks
-raise VerificationError.  The walk's return to its start already shows that
-the theta(s,q)/theta(u,q)-th power of the generator fixes every member, so
-that is not checked again.
+One kernel, rotation_orbits, walks the log sets of the census and of the
+scalar classes of the elation module (span_log_set builds both from a
+field's own log and Zech tables) under orbit_partition, which checks that
+the orbits partition the items.  It reads each orbit's stabilizer parameter
+u off the walked length theta(s,q)/theta(u,q) and checks both closed-form
+counts for every subfield degree d | gcd(t, s).  The census also tallies
+each orbit's log sets to check that its members cover every point
+theta(t,q)/theta(u,q) times.  The walk's return to its start already shows
+that the theta(s,q)/theta(u,q)-th power of the generator fixes every
+member, so that is not checked again.
 """
 
 from __future__ import annotations
@@ -227,61 +223,66 @@ def orbit_partition(items, step) -> list:
     return orbits
 
 
-def _record_for(S: SingerGroup, t: int, members) -> OrbitRecord:
-    size = len(members)
-    q = S.q
-    theta_u = combinat.exact_div(combinat.theta(S.s, q), size)
-    u = next((d for d in combinat.divisors(gcd(t, S.s))
-              if combinat.theta(d, q) == theta_u), None)
-    if u is None:
-        raise VerificationError("orbit size fits no divisor of gcd(t, s)",
-                                {"case": (S.s, t, q), "size": size})
-    return OrbitRecord(min(members, key=lambda m: m.basis), size, u)
+def rotation_orbits(items, sets, s: int, t: int, q: int) -> list:
+    """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
+
+    sets[i] is the log set of items[i]; sorted items give orbits led by their
+    least member.  Returns (u, walk, members) per orbit: its log sets and
+    items in walk order, and u, read off the length theta(s,q)/theta(u,q)
+    with u | gcd(t, s).  The orbits with d | u are those of the GF(q^d)-closed
+    subspaces, the Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces
+    (the paper's correspondence), so for every d | gcd(t, s), d = 1 first,
+    they must number predicted_orbit_count(s/d, t/d, q^d), and those with
+    u = d predicted_free_orbit_count(s/d, t/d, q^d).  Raises
+    VerificationError.
+    """
+    theta = combinat.theta(s, q)
+    degrees = combinat.divisors(gcd(t, s))
+    degree_of = {combinat.theta(d, q): d for d in degrees}
+    item_of = dict(zip(sets, items))
+    orbits = []
+    for walk in orbit_partition(sets, lambda bits: rotate(bits, theta)):
+        u = degree_of.get(combinat.exact_div(theta, len(walk)))
+        if u is None:
+            raise VerificationError("orbit size fits no divisor of gcd(t, s)",
+                                    {"case": (s, t, q), "size": len(walk)})
+        orbits.append((u, walk, tuple(item_of[bits] for bits in walk)))
+    for d in degrees:
+        case = [s // d, t // d, q**d]
+        observed = [sum(1 for u, _, _ in orbits if u % d == 0),
+                    sum(1 for u, _, _ in orbits if u == d)]
+        predicted = [predicted_orbit_count(*case), predicted_free_orbit_count(*case)]
+        if observed != predicted:
+            raise VerificationError("orbit count differs from the closed form",
+                                    {"case": case, "observed": observed,
+                                     "predicted": predicted})
+    return orbits
 
 
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
-    Each subspace is walked as its log_set, on which the generator acts by
-    rotate, so no matrix acts during the census.  Verifies, per subspace:
-    theta(t,q) points; per orbit: the u-derivation and the cover property
+    Each subspace is walked as its log_set by rotation_orbits, so no matrix
+    acts during the census.  Verifies, per subspace: theta(t,q) points; per
+    orbit: rotation_orbits' stabilizer parameter u and the cover property
     (every point on exactly theta(t)/theta(u) members, tallied on the log
-    sets); and globally: the orbits partition the subspaces, a spread orbit
-    exists and is unique exactly when t divides s, and the orbit and free
-    orbit counts equal predicted_orbit_count and predicted_free_orbit_count.
+    sets); and globally: the orbits partition the subspaces and, for every
+    subfield degree d | gcd(t, s), both closed-form counts.
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
     fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
     S = SingerGroup(s, q)
-    sets = [log_set(S, X) for X in fam]
-    subspace_of = dict(zip(sets, fam))
-    theta = S.projective_order
-    every_point = (1 << theta) - 1
-    raw = []
-    for walk in orbit_partition(sets, lambda bits: rotate(bits, theta)):
-        members = tuple(subspace_of[bits] for bits in walk)
-        rec = _record_for(S, t, members)
-        degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(rec.u, q))
+    every_point = (1 << S.projective_order) - 1
+    orbits = sorted(rotation_orbits(fam, [log_set(S, X) for X in fam], s, t, q),
+                    key=lambda orbit: (orbit[0], orbit[2][0].basis))
+    for u, walk, members in orbits:
+        degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(u, q))
         if _tally(walk) != [every_point * (degree >> b & 1) for b in range(degree.bit_length())]:
             raise VerificationError("orbit is not a uniform cover",
-                                    {"case": (s, t, q), "representative": rec.representative.basis,
+                                    {"case": (s, t, q), "representative": members[0].basis,
                                      "expected_degree": degree})
-        raw.append((rec, members))
-    spreads = sum(1 for rec, _ in raw if rec.u == t)
-    if spreads != int(s % t == 0):
-        raise VerificationError("spread orbit count is wrong",
-                                {"case": (s, t, q), "spreads": spreads})
-    observed = [len(raw), sum(1 for rec, _ in raw if rec.u == 1)]
-    predicted = [predicted_orbit_count(s, t, q), predicted_free_orbit_count(s, t, q)]
-    if observed != predicted:
-        raise VerificationError("orbit count differs from the closed form",
-                                {"case": [s, t, q], "observed": observed,
-                                 "predicted": predicted})
-
-    raw.sort(key=lambda pair: (pair[0].u, pair[0].representative.basis))
-    return OrbitCensus(s, t, q,
-                       tuple(rec for rec, _ in raw),
-                       tuple(mem for _, mem in raw))
+    return OrbitCensus(s, t, q, tuple(OrbitRecord(mem[0], len(mem), u) for u, _, mem in orbits),
+                       tuple(mem for _, _, mem in orbits))
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

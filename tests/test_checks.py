@@ -124,6 +124,78 @@ sys.exit(cli.main(["census", "--s", "4", "--t", "2", "--q", "2", "--json"]))
     assert out["details"] == {"case": [4, 2, 2], "observed": [3, 2], "predicted": [99, 2]}
 
 
+DETAILS = """
+import json
+try:
+    {call}
+except VerificationError as exc:
+    print(json.dumps([sys.flags.optimize, str(exc), exc.details]))
+else:
+    print(json.dumps([sys.flags.optimize, "passed", None]))
+"""
+
+
+def optimized_details(code):
+    return json.loads(optimized_message(code))
+
+
+def test_census_subfield_closed_form_check_survives_optimize():
+    # a closed form off by one over GF(4) only: the census of lines of
+    # PG(3,2) reads its GF(4)-closed orbit as the points of PG(1,4)
+    code = PREAMBLE + """
+real = singer.predicted_orbit_count
+singer.predicted_orbit_count = lambda s, d, q: real(s, d, q) + (q > 2)
+""" + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_details(code) == [
+        1, "orbit count differs from the closed form",
+        {"case": [2, 1, 4], "observed": [1, 1], "predicted": [2, 1]}]
+
+
+def test_classify_closed_form_check_survives_optimize():
+    # the classes of order-4 subgroups of GF(16) are the line orbits of PG(3,2)
+    code = PREAMBLE + """
+from galela import cli
+real = singer.predicted_free_orbit_count
+singer.predicted_free_orbit_count = lambda s, d, q: real(s, d, q) + 1
+sys.exit(cli.main(["classify", "--p", "2", "--h", "4", "--m", "2", "--json"]))
+"""
+    r = run_python_O(code)
+    assert r.returncode == 1, r.stderr
+    out = json.loads(r.stdout)
+    assert out["message"] == "orbit count differs from the closed form"
+    assert out["details"] == {"case": [4, 2, 2], "observed": [3, 2], "predicted": [3, 3]}
+
+
+def test_profile_divisor_closure_check_survives_optimize():
+    # GF(16) inside GF(256) is a GF(4)-space, but with mu standing in for
+    # GF(4)'s generator only the degrees 1 and 4 pass, and 2 divides 4
+    code = PREAMBLE + """
+tower = gf.make_field(2, 8)
+gamma = tower.subfield_generator(4)
+H = elation.group_from_elements(tower, [tower.pow(gamma, k) for k in range(4)])
+real = gf.FieldTower.subfield_generator
+gf.FieldTower.subfield_generator = lambda self, n: self.mu if n == 2 else real(self, n)
+""" + DETAILS.format(call="elation.dimension_profile(H)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "admissible subfield degrees are not the divisors of the largest"]
+    assert got[2]["degrees"] == [1, 4]
+
+
+def test_correspondence_stabilizer_check_survives_optimize():
+    # the spread orbit of PG(3,2) read as u = 4: its class, a GF(4)-space,
+    # is still not minimal over GF(2), but its stabilizer is GF(4)*, not GF(16)*
+    code = PREAMBLE + """
+import dataclasses
+real = singer.orbit_census
+def census(*args, **kwargs):
+    c = real(*args, **kwargs)
+    c.orbits = tuple(dataclasses.replace(rec, u=4) if rec.u == 2 else rec for rec in c.orbits)
+    return c
+singer.orbit_census = census
+""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    assert optimized_message(code) == "1 class stabilizer differs from its orbit's"
+
+
 def test_act_dimension_check_survives_optimize():
     # a singular generator sends the line <e0, e1> of PG(2,2) onto a point
     code = PREAMBLE + """

@@ -233,8 +233,9 @@ class TestEquivalenceClasses:
 
     @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 6, 2), (3, 2, 1), (3, 4, 2), (3, 3, 1)])
     def test_member_facts_against_element_sets(self, p, h, m):
-        # equivalence_classes checks only the class size; the facts it
-        # leaves implied are checked here member by member on element sets
+        # equivalence_classes checks only the class size, as u == minimal_n;
+        # the facts it leaves implied are checked here member by member on
+        # element sets
         for c in equivalence_classes(p, h, m):
             tower = c.representative.tower
             rep = set(c.representative.elements())

@@ -224,6 +224,18 @@ class TestCensus:
         orbit_census(4, 2, 2)
         assert subspace_points.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("s,t,q", [(4, 2, 2), (4, 2, 3), (6, 2, 2), (6, 3, 2)])
+    def test_subfield_orbits_match_the_smaller_census(self, s, t, q):
+        # the orbits with d | u are the Singer orbits of PG(s/d - 1, q^d),
+        # those with u = d its free orbits
+        census = orbit_census(s, t, q)
+        for d in range(1, t + 1):
+            if s % d or t % d:
+                continue
+            small = orbit_census(s // d, t // d, q**d)
+            assert sum(r.u % d == 0 for r in census.orbits) == len(small.orbits)
+            assert sum(r.u == d for r in census.orbits) == sum(r.u == 1 for r in small.orbits)
+
     def test_orbits_sorted_by_u_then_representative(self):
         census = orbit_census(6, 2, 2)
         keys = [(r.u, r.representative.basis) for r in census.orbits]
