@@ -14,11 +14,13 @@ Multiplication by mu is a Singer cycle on the points of GF(p^h) seen as
 PG(h-1, p), so the partition runs in discrete-log coordinates, as the
 Singer census does: each subgroup is carried as log_set, the exponents of
 its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
-built from its basis by the field's own exp, log and Zech tables through
-singer.span_log_set, and mu acts on it as a rotation by one bit under the
-census's kernel, singer.rotation_orbits.  The census reads its log sets
-from the tables of GF(q^s) in the same way, so every log set comes from a
-field's own tables.
+and mu acts on it as a rotation by one bit under the census's kernel,
+singer.rotation_orbits.  singer.span_log_sets builds the log sets of all
+subgroups of one order in one pass over their sorted bases, from the
+field's own log and Zech tables, with the log of a row read through
+from_coeffs; the census reads its log sets from the tables of GF(q^s)
+through the same routine, so every log set comes from a field's own tables
+by one expansion rule.
 
 The RREF definition of the action, scalar_multiple, is kept on one side of
 every check.  equivalence_classes requires once per class that mu times the
@@ -194,15 +196,18 @@ def log_set(H: ElationGroup) -> int:
     """The points of H in PG(h-1, p) as a theta(h,p)-bit integer: bit k for mu^k.
 
     The nonzero elements of H, exponents taken mod theta(h,p), read from the
-    field's own log and Zech tables by singer.span_log_set, which checks that
-    H has theta(m,p) points.
+    field's own log and Zech tables by singer.span_log_sets, which checks
+    that H has theta(m,p) points.
     """
-    tower = H.tower
+    return _class_log_sets(H.tower, H.m, [H.rows])[0]
+
+
+def _class_log_sets(tower: FieldTower, m: int, bases) -> list:
+    """singer.span_log_sets of m-row coefficient bases, from the tower's tables."""
     log, encode = tower.log, tower.from_coeffs
-    return singer.span_log_set([log[encode(row)] for row in H.rows],
-                               tower.zech if H.m > 1 else (),
-                               combinat.theta(tower.h, tower.p),
-                               {"field": (tower.p, tower.h), "rows": H.rows})
+    return singer.span_log_sets(bases, lambda row: log[encode(row)],
+                                tower.zech if m > 1 else (), combinat.theta(tower.h, tower.p),
+                                lambda rows: {"field": (tower.p, tower.h), "rows": rows})
 
 
 def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceClass]:
@@ -225,7 +230,8 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
     classes = []
-    for u, _, members in singer.rotation_orbits(subs, [log_set(H) for H in subs], h, m, p):
+    sets = _class_log_sets(tower, m, (H.rows for H in subs))
+    for u, _, members in singer.rotation_orbits(subs, sets, h, m, p):
         rep = members[0]
         image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
         if image.rows != walked.rows:

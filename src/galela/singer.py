@@ -14,12 +14,15 @@ a rotation by one bit (rotate): no matrix acts and no point set is listed
 during a census.  act and the point sets of pspace stay as the oracles the
 tests compare with.
 
-One kernel, rotation_orbits, walks the log sets of the census and of the
-scalar classes of the elation module (span_log_set builds both from a
-field's own log and Zech tables) under orbit_partition, which checks that
-the orbits partition the items.  It reads each orbit's stabilizer parameter
-u off the walked length theta(s,q)/theta(u,q) and checks both closed-form
-counts for every subfield degree d | gcd(t, s).  The census also tallies
+span_log_sets builds the log sets of the census and of the scalar classes
+of the elation module from a field's own log and Zech tables, a whole
+sorted family in one pass: neighbours share their leading rows, so each
+shared prefix of rows is expanded once and only the last row is expanded
+per subspace, and every subspace's point count is still checked.  One
+kernel, rotation_orbits, walks these log sets under orbit_partition, which
+checks that the orbits partition the items.  It reads each orbit's
+stabilizer parameter u off the walked length theta(s,q)/theta(u,q) and
+checks both closed-form counts for every subfield degree d | gcd(t, s).  The census also tallies
 each orbit's log sets to check that its members cover every point
 theta(t,q)/theta(u,q) times.  The walk's return to its start already shows
 that the theta(s,q)/theta(u,q)-th power of the generator fixes every
@@ -83,43 +86,70 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
 def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
     """The points of X as a theta(s,q)-bit integer: bit k for the point mu^k.
 
-    span_log_set expands the logs of X's basis rows with the Zech table of
+    span_log_sets expands the logs of X's basis rows with the Zech table of
     GF(q^s).  Raises VerificationError unless X has theta(t,q) points.
     """
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
-    log = S.log
-    return span_log_set([log[row] for row in X.basis], S.big.zech if X.t > 1 else (),
-                        S.projective_order, {"case": (S.s, S.q), "basis": X.basis})
+    return _census_log_sets(S, X.t, [X.basis])[0]
 
 
-def span_log_set(logs, zech, theta: int, where: dict) -> int:
-    """The points spanned by independent vectors with the given logs, as a theta-bit integer.
+def _census_log_sets(S: SingerGroup, t: int, bases) -> list:
+    """span_log_sets of t-row bases of PG(s-1,q), from the tables of GF(q^s)."""
+    return span_log_sets(bases, S.log.__getitem__, S.big.zech if t > 1 else (),
+                         S.projective_order, lambda basis: {"case": (S.s, S.q), "basis": basis})
 
-    logs lie in [0, n), n = q^s - 1 = theta (q - 1), and zech[k] is
-    log(1 + mu^k), n entries, so that log(v + mu^k v) = log v + zech[k];
-    zech may be empty when there is one vector.  Vector by vector: the
-    points of span(Y, b), b outside Y, are those of Y, b, and y + b for
-    every nonzero y of Y, with log(y + b) = log b + zech(log y - log b).
-    The nonzero vectors of Y are the GF(q)*-multiples of its points, and
-    GF(q)* is the exponents j*theta, so a point's log mod theta stands for
-    all of them.  Vector i adds 1 + (q-1) theta(i-1,q) points, theta(t,q)
-    in all, so the point count holds exactly when they are distinct;
-    otherwise VerificationError, with where among its details.
+
+def span_log_sets(bases, rowlog, zech, theta: int, where) -> list:
+    """The points spanned by each basis, as theta-bit integers, in the order of bases.
+
+    A basis is a tuple of independent rows, and rowlog(row) is the row's log
+    in [0, n), n = q^s - 1 = theta (q - 1); zech[k] is log(1 + mu^k), n
+    entries, so that log(v + mu^k v) = log v + zech[k], and may be empty
+    when every basis has one row.  Row by row: the points of span(Y, b), b
+    outside Y, are those of Y, b, and y + b for every nonzero y of Y, with
+    log(y + b) = log b + zech(log y - log b).  The nonzero vectors of Y are
+    the GF(q)*-multiples of its points, and GF(q)* is the exponents
+    j*theta, so a point's log mod theta stands for all of them.  Row i adds
+    1 + (q-1) theta(i-1,q) points, theta(t,q) in all, so the point count
+    holds exactly when they are distinct; otherwise VerificationError, with
+    where(basis) among its details.
+
+    A stack keeps one entry per expanded prefix of rows: the row, the logs
+    of every nonzero vector of the prefix's span, its points as bits and
+    their count.  Each basis pops only the rows in which it differs from
+    the previous basis, so a sorted family, whose neighbours share their
+    leading rows, expands each shared prefix once; the order of bases
+    changes only how much is shared.  The last row ORs its points into the
+    prefix's bits.
     """
-    n = len(zech)
-    scalars = range(0, n, theta)
-    reps = []
-    for b in logs:
-        # y + c - b lies in (-n, n), where Python's indexing wraps mod n
-        reps += [b % theta] + [(b + zech[y + c - b]) % theta for y in reps for c in scalars]
-    bits = 0
-    for k in reps:
-        bits |= 1 << k
-    if bits.bit_count() != len(reps):
-        raise VerificationError("subspace has the wrong number of points",
-                                {**where, "points": bits.bit_count()})
-    return bits
+    scalars = range(0, len(zech), theta)
+    stack = [((), [], 0, 0)]  # the zero space
+    sets = []
+    for basis in bases:
+        depth = 1
+        while depth < len(stack) and depth < len(basis) and stack[depth][0] == basis[depth - 1]:
+            depth += 1
+        del stack[depth:]
+        _, logs, bits, points = stack[-1]
+        for row in basis[depth - 1:-1]:
+            b = rowlog(row)
+            # y - b lies in (-n, n), where Python's indexing wraps mod n
+            new = [b % theta] + [(b + zech[y - b]) % theta for y in logs]
+            logs = logs + [k + c for k in new for c in scalars]
+            for k in new:
+                bits |= 1 << k
+            points += len(new)
+            stack.append((row, logs, bits, points))
+        b = rowlog(basis[-1])
+        bits |= 1 << b % theta
+        for y in logs:
+            bits |= 1 << (b + zech[y - b]) % theta
+        if bits.bit_count() != points + 1 + len(logs):
+            raise VerificationError("subspace has the wrong number of points",
+                                    {**where(basis), "points": bits.bit_count()})
+        sets.append(bits)
+    return sets
 
 
 def rotate(bits: int, theta: int) -> int:
@@ -273,7 +303,8 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
     S = SingerGroup(s, q)
     every_point = (1 << S.projective_order) - 1
-    orbits = sorted(rotation_orbits(fam, [log_set(S, X) for X in fam], s, t, q),
+    sets = _census_log_sets(S, t, (X.basis for X in fam))
+    orbits = sorted(rotation_orbits(fam, sets, s, t, q),
                     key=lambda orbit: (orbit[0], orbit[2][0].basis))
     for u, walk, members in orbits:
         degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(u, q))

@@ -75,8 +75,9 @@ def test_census_cover_check_survives_optimize():
     # sets, so the orbits partition them, but a point of PG(3,2) now lies on
     # 12 members of a line orbit, not 3
     code = PREAMBLE + """
-real = singer.log_set
-singer.log_set = lambda S, X: real(S, X) ^ ((1 << S.projective_order) - 1)
+real = singer.span_log_sets
+singer.span_log_sets = lambda bases, rowlog, zech, theta, where: [
+    bits ^ ((1 << theta) - 1) for bits in real(bases, rowlog, zech, theta, where)]
 """ + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
     assert optimized_message(code) == "1 orbit is not a uniform cover"
 
@@ -108,6 +109,48 @@ def test_census_point_count_check_survives_optimize():
 gf.make_field(2, 4).zech[:] = [0] * 15
 """ + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
     assert optimized_message(code) == "1 subspace has the wrong number of points"
+
+
+def test_bad_zech_entry_fails_the_same_basis_in_batch_and_one_by_one():
+    # zech[5] = 0 makes log(y + b) = log b whenever log y - log b = 5 mod 63,
+    # so some 3-spaces of GF(2)^6 repeat a point; the first of them is the
+    # seventh basis, which shares its first two rows with the sixth, so a
+    # prefix kept from an earlier basis must not hide or fake the failure
+    code = PREAMBLE + """
+import json
+gf.make_field(2, 6).zech[5] = 0
+S = singer.SingerGroup(6, 2)
+fam = pspace.enumerate_subspaces(6, 3, 2)
+out = [sys.flags.optimize]
+
+def first_failure(sets):
+    for i, make in enumerate(sets):
+        try:
+            make()
+        except VerificationError as exc:
+            return [i, exc.details]
+
+out.append(first_failure([lambda X=X: singer.log_set(S, X) for X in fam]))
+out.append(first_failure([lambda H=H: elation.log_set(H)
+                          for H in elation.enumerate_subgroups(2, 6, 3)]))
+for call in (lambda: singer.orbit_census(6, 3, 2), lambda: elation.equivalence_classes(2, 6, 3)):
+    try:
+        call()
+    except VerificationError as exc:
+        out.append([str(exc), exc.details])
+    else:
+        out.append("passed")
+i = out[1][0]
+out.append(fam[i - 1].basis[:2] == fam[i].basis[:2])
+print(json.dumps(out))
+"""
+    optimize, census_first, classes_first, census, classes, shared = \
+        json.loads(optimized_message(code))
+    assert optimize == 1
+    assert census_first[0] == 6 and shared
+    assert census == ["subspace has the wrong number of points", census_first[1]]
+    assert classes == ["subspace has the wrong number of points", classes_first[1]]
+    assert classes_first[1]["rows"] == census_first[1]["basis"]
 
 
 def test_census_closed_form_check_survives_optimize():

@@ -38,7 +38,7 @@ from galela import elation, linalg, selftest
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point
-from galela.singer import orbit_partition
+from galela.singer import orbit_partition, span_log_sets
 
 
 def oracle_class_sizes(p, h, m):
@@ -287,6 +287,20 @@ class TestLogWalk:
             logs = {tower.log[x] % theta for x in H.elements() if x}
             assert elation.log_set(H) == sum(1 << k for k in logs)
             assert len(logs) == gaussian_binomial(m, 1, p)
+
+    @pytest.mark.parametrize("p,h,m", [(3, 6, m) for m in range(1, 7)]
+                             + [(2, 8, m) for m in range(1, 9)])
+    def test_batch_log_sets_equal_one_call_per_subgroup(self, p, h, m):
+        subs = enumerate_subgroups(p, h, m)
+        tower = subs[0].tower
+        one_by_one = [elation.log_set(H) for H in subs]
+
+        def batch(groups):
+            return span_log_sets([H.rows for H in groups],
+                                 lambda row: tower.log[tower.from_coeffs(row)], tower.zech,
+                                 gaussian_binomial(h, 1, p), lambda rows: {"rows": rows})
+        assert batch(subs) == one_by_one
+        assert batch(subs[::-1]) == one_by_one[::-1]
 
     def test_dependent_rows_fail_the_point_count(self):
         # 2 = -1 in GF(3): both rows name one point, and 1 + 2 = 0 takes

@@ -14,6 +14,7 @@ from galela import (
     VerificationError,
     act,
     enumerate_subspaces,
+    equivalence_classes,
     gaussian_binomial,
     is_spread,
     log_set,
@@ -29,7 +30,7 @@ from galela.gf import make_field
 from galela.linalg import matvec
 from galela.pspace import normalize_point
 from galela.selftest import CENSUS_CASES
-from galela.singer import OrbitRecord, orbit_partition
+from galela.singer import OrbitRecord, orbit_partition, span_log_sets
 
 
 def spread_members(census):
@@ -293,6 +294,55 @@ class TestLogCoordinates:
         census = orbit_census(s, t, q)
         got = [(rec, frozenset(census.orbit_members(i))) for i, rec in enumerate(census.orbits)]
         assert got == expected
+
+
+def census_log_sets(S, bases):
+    return span_log_sets(bases, S.log.__getitem__, S.big.zech, S.projective_order,
+                         lambda basis: {"basis": basis})
+
+
+class CountingList(list):
+    """A list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+class TestBatchLogSets:
+    @pytest.mark.parametrize("s,t,q", CENSUS_CASES)
+    def test_batch_equals_one_call_per_subspace(self, s, t, q):
+        S = SingerGroup(s, q)
+        fam = enumerate_subspaces(s, t, q)
+        one_by_one = [log_set(S, X) for X in fam]
+        assert census_log_sets(S, [X.basis for X in fam]) == one_by_one
+        assert census_log_sets(S, [X.basis for X in reversed(fam)]) == one_by_one[::-1]
+
+    def test_shuffled_family_gives_the_same_sets(self):
+        S = SingerGroup(6, 2)
+        fam = enumerate_subspaces(6, 3, 2)
+        order = sorted(range(len(fam)), key=lambda i: (i * 7919) % len(fam))
+        sets = census_log_sets(S, [X.basis for X in fam])
+        assert census_log_sets(S, [fam[i].basis for i in order]) == [sets[i] for i in order]
+
+    @pytest.mark.parametrize("call", [lambda: orbit_census(6, 3, 2),
+                                      lambda: equivalence_classes(2, 6, 3)],
+                             ids=["census", "classes"])
+    def test_each_shared_prefix_is_expanded_once(self, call, monkeypatch):
+        # pushing a row onto a d-row prefix reads zech once per nonzero
+        # vector of the prefix, (q-1) theta(d,q) times; the last row is
+        # pushed for every basis, the others once per distinct prefix
+        s, t, q = 6, 3, 2
+        big = make_field(2, 6)
+        counting = CountingList(big.zech)
+        monkeypatch.setattr(big, "_zech", counting)
+        fam = enumerate_subspaces(s, t, q)
+        expected = sum(len({X.basis[:d + 1] for X in fam}) * (q - 1) * theta(d, q)
+                       for d in range(t - 1)) + len(fam) * (q - 1) * theta(t - 1, q)
+        call()
+        assert counting.reads == expected
 
 
 class TestSpreadOrbit:
