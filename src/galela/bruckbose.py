@@ -315,7 +315,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
         if mm % n != 0 or not 1 <= mm <= h:
             raise ValueError(f"order exponent {mm} is not admissible for n = {n}")
         groups = [H for H in elation.enumerate_subgroups(p, h, mm, cap=cap)
-                  if n in {nn for nn, _ in elation.dimension_profile(H).admissible}]
+                  if elation.dimension_profile(H).minimal_n % n == 0]
         for H in groups:
             common_intersection_check(H, frame, sample)
         per_order.append({

@@ -37,8 +37,10 @@ also checks the closed-form class counts for every n | gcd(m, h).  Each
 class carries the witness scalar of every member, and conjugator builds the
 diagonal conjugator from it.  The correspondence checker maps each class
 through coords() onto a subspace of PG(h/n - 1, p^n), where the rank of the
-image alone tells whether H is a GF(p^n)-space, and confirms the classes
-biject with Singer orbits.
+image alone tells whether H is a GF(p^n)-space.  Both sides walk by
+multiplication by mu, so it checks one identity per class, the class walk
+mapped step by step onto its orbit's walk, which carries the single orbit
+and the equal stabilizers, and then that the classes hit every orbit once.
 """
 
 from __future__ import annotations
@@ -84,15 +86,7 @@ class ElationGroup:
         return tuple(sorted(out))
 
     def contains(self, lam: int) -> bool:
-        tower = self.tower
-        p = tower.p
-        v = list(tower.coeffs(lam))
-        for row in self.rows:
-            c = next(j for j, x in enumerate(row) if x)
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return not any(v)
+        return pspace.contains(pspace.Subspace(self.tower.p, self.rows), self.tower.coeffs(lam))
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,7 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     tower = make_field(p, h)
     classes = []
     sets = _class_log_sets(tower, m, (H.rows for H in subs))
-    for u, _, members in singer.rotation_orbits(subs, sets, h, m, p):
+    for u, members in singer.rotation_orbits(subs, sets, h, m, p):
         rep = members[0]
         image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
         if image.rows != walked.rows:
@@ -512,60 +506,52 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
 
     Each class, walked in log coordinates, is walked again member by member
     with scalar_multiple, so that for n = 1, where the census is a rotation
-    of the same sets, one side of the comparison stays on RREF.
-    subspace_of_center must send each class into a single orbit of
-    (m/n)-subspaces of PG(h/n - 1, p^n), hitting every orbit exactly once,
-    and the class's stabilizer GF(p^minimal_n)* must be the orbit's, so
-    minimal_n == n u; for u = 1 that sends the classes of minimal dimension
-    exactly onto the free orbits.  The class counts must equal
-    count_classes' closed forms.  Raises VerificationError with a
-    counterexample if any part fails; returns a summary dict when everything
-    holds.
+    of the same sets, one side of the comparison stays on RREF.  Both the
+    class walk and the census walk are multiplication by mu of GF(p^h), and
+    subspace_of_center is GF(p^n)-linear, so one identity is checked per
+    class: subspace_of_center sends the class walk, step by step, onto its
+    orbit's walk started at the representative's image.  That puts the
+    class in a single orbit of (m/n)-subspaces of PG(h/n - 1, p^n), and the
+    equal lengths theta(h,p)/theta(minimal_n,p) and
+    theta(h/n,p^n)/theta(u,p^n) make the class's stabilizer GF(p^minimal_n)*
+    the orbit's, minimal_n == n u; for u = 1 that sends the classes of
+    minimal dimension exactly onto the free orbits.  The classes must hit
+    every orbit once, and their counts must equal count_classes' closed
+    forms.  Raises VerificationError with a counterexample if any part
+    fails; returns a summary dict when everything holds.
     """
     if n < 1 or gcd(m, h) % n != 0:
         raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
-    classes = [c for c in equivalence_classes(p, h, m, cap=cap)
-               if n in {nn for nn, _ in c.profile.admissible}]
+    classes = [c for c in equivalence_classes(p, h, m, cap=cap) if c.profile.minimal_n % n == 0]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
 
     mu = make_field(p, h).mu
-    class_orbit = []
+    hit = []
     for c in classes:
+        where = {"params": [p, h, m, n],
+                 "class_representative": [list(r) for r in c.representative.rows]}
         image = c.representative
         for k, member in enumerate(c.members[1:] + c.members[:1], start=1):
             image = scalar_multiple(image, mu)
             if image.rows != member.rows:
                 raise VerificationError(
                     "class walk differs from scalar multiplication",
-                    {"params": [p, h, m, n],
-                     "class_representative": [list(r) for r in c.representative.rows],
-                     "step": k, "walked": [list(r) for r in member.rows],
+                    {**where, "step": k, "walked": [list(r) for r in member.rows],
                      "scalar_multiple": [list(r) for r in image.rows]})
-        idxs = {census.orbit_index(subspace_of_center(H, n)) for H in c.members}
-        if len(idxs) != 1:
-            raise VerificationError(
-                "class scatters over several orbits",
-                {"params": [p, h, m, n],
-                 "class_representative": [list(r) for r in c.representative.rows],
-                 "orbit_indices": sorted(idxs)})
-        class_orbit.append(idxs.pop())
-
-    if len(set(class_orbit)) != len(classes):
-        raise VerificationError("class-to-orbit map is not injective",
-                                {"params": [p, h, m, n], "orbit_indices": class_orbit})
-    if set(class_orbit) != set(range(len(census.orbits))):
-        raise VerificationError("class-to-orbit map is not surjective",
-                                {"params": [p, h, m, n],
-                                 "hit": sorted(set(class_orbit)),
+        walk = [subspace_of_center(H, n) for H in c.members]
+        hit.append(census.orbit_index(walk[0]))
+        orbit = census.orbit_members(hit[-1])
+        start = orbit.index(walk[0])
+        for k, (X, Y) in enumerate(itertools.zip_longest(walk, orbit[start:] + orbit[:start])):
+            if X != Y:
+                raise VerificationError(
+                    "class walk differs from its orbit's walk",
+                    {**where, "step": k, "class_walk": X and [list(r) for r in X.basis],
+                     "orbit_walk": Y and [list(r) for r in Y.basis]})
+    if sorted(hit) != list(range(len(census.orbits))):
+        raise VerificationError("classes do not hit every orbit once",
+                                {"params": [p, h, m, n], "orbit_indices": hit,
                                  "orbits": len(census.orbits)})
-
-    for c, oi in zip(classes, class_orbit):
-        if c.profile.minimal_n != n * census.orbits[oi].u:
-            raise VerificationError(
-                "class stabilizer differs from its orbit's",
-                {"params": [p, h, m, n],
-                 "class_representative": [list(r) for r in c.representative.rows],
-                 "minimal_n": c.profile.minimal_n, "orbit_u": census.orbits[oi].u})
 
     minimal_classes = sum(1 for c in classes if c.profile.minimal_n == n)
     predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]

@@ -44,9 +44,9 @@ STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, 
 def census_report() -> list:
     """Orbit censuses, summarized.
 
-    orbit_census checks every subspace's points, each orbit's stabilizer and
-    cover, and both closed-form counts for every subfield degree, so this
-    only reports them.
+    orbit_census checks every subspace's points, each orbit's stabilizer
+    and both closed-form counts for every subfield degree, which with the
+    walk imply each orbit's cover, so this only reports them.
     """
     out = []
     for s, t, q in CENSUS_CASES:
@@ -74,7 +74,7 @@ def classification_report() -> list:
                 for n in combinat.divisors(gcd(m, h)):
                     out.append({"p": p, "h": h, "m": m, "n": n,
                                 "classes": sum(1 for c in classes
-                                               if n in dict(c.profile.admissible)),
+                                               if c.profile.minimal_n % n == 0),
                                 "minimal": sum(1 for c in classes
                                                if c.profile.minimal_n == n)})
     rows = {(row["p"], row["h"], row["m"], row["n"]): row for row in out}

@@ -22,11 +22,12 @@ per subspace, and every subspace's point count is still checked.  One
 kernel, rotation_orbits, walks these log sets under orbit_partition, which
 checks that the orbits partition the items.  It reads each orbit's
 stabilizer parameter u off the walked length theta(s,q)/theta(u,q) and
-checks both closed-form counts for every subfield degree d | gcd(t, s).  The census also tallies
-each orbit's log sets to check that its members cover every point
-theta(t,q)/theta(u,q) times.  The walk's return to its start already shows
-that the theta(s,q)/theta(u,q)-th power of the generator fixes every
-member, so that is not checked again.
+checks both closed-form counts for every subfield degree d | gcd(t, s).
+The walk carries the other orbit facts, so none is checked again: its
+return to its start shows that the theta(s,q)/theta(u,q)-th power of the
+generator fixes every member, and with each member's point count that
+makes the orbit cover every point theta(t,q)/theta(u,q) times
+(orbit_census gives the argument).
 """
 
 from __future__ import annotations
@@ -162,20 +163,6 @@ def rotate(bits: int, theta: int) -> int:
     return (bits >> top) | ((bits & ~(1 << top)) << 1)
 
 
-def _tally(sets) -> list:
-    """How many sets hold each bit position, bit-sliced: bit i of tally[b] is bit b of i's count."""
-    planes = []
-    for carry in sets:
-        for b, plane in enumerate(planes):
-            planes[b], carry = plane ^ carry, plane & carry
-            if not carry:
-                break
-        else:
-            if carry:
-                planes.append(carry)
-    return planes
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     representative: pspace.Subspace
@@ -257,14 +244,13 @@ def rotation_orbits(items, sets, s: int, t: int, q: int) -> list:
     """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
 
     sets[i] is the log set of items[i]; sorted items give orbits led by their
-    least member.  Returns (u, walk, members) per orbit: its log sets and
-    items in walk order, and u, read off the length theta(s,q)/theta(u,q)
-    with u | gcd(t, s).  The orbits with d | u are those of the GF(q^d)-closed
-    subspaces, the Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces
-    (the paper's correspondence), so for every d | gcd(t, s), d = 1 first,
-    they must number predicted_orbit_count(s/d, t/d, q^d), and those with
-    u = d predicted_free_orbit_count(s/d, t/d, q^d).  Raises
-    VerificationError.
+    least member.  Returns (u, members) per orbit: its items in walk order,
+    and u, read off the length theta(s,q)/theta(u,q) with u | gcd(t, s).
+    The orbits with d | u are those of the GF(q^d)-closed subspaces, the
+    Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's
+    correspondence), so for every d | gcd(t, s), d = 1 first, they must
+    number predicted_orbit_count(s/d, t/d, q^d), and those with u = d
+    predicted_free_orbit_count(s/d, t/d, q^d).  Raises VerificationError.
     """
     theta = combinat.theta(s, q)
     degrees = combinat.divisors(gcd(t, s))
@@ -276,11 +262,11 @@ def rotation_orbits(items, sets, s: int, t: int, q: int) -> list:
         if u is None:
             raise VerificationError("orbit size fits no divisor of gcd(t, s)",
                                     {"case": (s, t, q), "size": len(walk)})
-        orbits.append((u, walk, tuple(item_of[bits] for bits in walk)))
+        orbits.append((u, tuple(item_of[bits] for bits in walk)))
     for d in degrees:
         case = [s // d, t // d, q**d]
-        observed = [sum(1 for u, _, _ in orbits if u % d == 0),
-                    sum(1 for u, _, _ in orbits if u == d)]
+        observed = [sum(1 for u, _ in orbits if u % d == 0),
+                    sum(1 for u, _ in orbits if u == d)]
         predicted = [predicted_orbit_count(*case), predicted_free_orbit_count(*case)]
         if observed != predicted:
             raise VerificationError("orbit count differs from the closed form",
@@ -294,26 +280,29 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
 
     Each subspace is walked as its log_set by rotation_orbits, so no matrix
     acts during the census.  Verifies, per subspace: theta(t,q) points; per
-    orbit: rotation_orbits' stabilizer parameter u and the cover property
-    (every point on exactly theta(t)/theta(u) members, tallied on the log
-    sets); and globally: the orbits partition the subspaces and, for every
-    subfield degree d | gcd(t, s), both closed-form counts.
+    orbit: rotation_orbits' stabilizer parameter u; and globally: the orbits
+    partition the subspaces and, for every subfield degree d | gcd(t, s),
+    both closed-form counts.
+
+    Each orbit is a uniform cover, every point on exactly
+    theta(t,q)/theta(u,q) members, and that follows from the checks above,
+    so it is not tallied.  The walk returns to its start X after
+    L = theta(s,q)/theta(u,q) rotations, so the log set of X is invariant
+    under rotation by L: it is the positions whose residue mod L lies in
+    some R, with |R| = L |X| / theta(s,q).  A position k lies in the j-th
+    member exactly when (k - j) mod L is in R, and as j runs over the L
+    members, (k - j) mod L runs over every residue once: k lies in |R|
+    members.  With |X| = theta(t,q), checked for every subspace, that is
+    theta(t,q)/theta(u,q).
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
     fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
     S = SingerGroup(s, q)
-    every_point = (1 << S.projective_order) - 1
     sets = _census_log_sets(S, t, (X.basis for X in fam))
     orbits = sorted(rotation_orbits(fam, sets, s, t, q),
-                    key=lambda orbit: (orbit[0], orbit[2][0].basis))
-    for u, walk, members in orbits:
-        degree = combinat.exact_div(combinat.theta(t, q), combinat.theta(u, q))
-        if _tally(walk) != [every_point * (degree >> b & 1) for b in range(degree.bit_length())]:
-            raise VerificationError("orbit is not a uniform cover",
-                                    {"case": (s, t, q), "representative": members[0].basis,
-                                     "expected_degree": degree})
-    return OrbitCensus(s, t, q, tuple(OrbitRecord(mem[0], len(mem), u) for u, _, mem in orbits),
-                       tuple(mem for _, _, mem in orbits))
+                    key=lambda orbit: (orbit[0], orbit[1][0].basis))
+    return OrbitCensus(s, t, q, tuple(OrbitRecord(mem[0], len(mem), u) for u, mem in orbits),
+                       tuple(mem for _, mem in orbits))
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

@@ -70,18 +70,6 @@ def optimized_message(code):
     return r.stdout.strip()
 
 
-def test_census_cover_check_survives_optimize():
-    # every log set replaced by its complement: rotation still permutes the
-    # sets, so the orbits partition them, but a point of PG(3,2) now lies on
-    # 12 members of a line orbit, not 3
-    code = PREAMBLE + """
-real = singer.span_log_sets
-singer.span_log_sets = lambda bases, rowlog, zech, theta, where: [
-    bits ^ ((1 << theta) - 1) for bits in real(bases, rowlog, zech, theta, where)]
-""" + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
-    assert optimized_message(code) == "1 orbit is not a uniform cover"
-
-
 def test_census_partition_check_survives_optimize():
     # rotation followed by the complement: a permutation of the 15-bit sets
     # whose walks leave the lines of PG(3,2)
@@ -224,19 +212,34 @@ gf.FieldTower.subfield_generator = lambda self, n: self.mu if n == 2 else real(s
     assert got[2]["degrees"] == [1, 4]
 
 
-def test_correspondence_stabilizer_check_survives_optimize():
-    # the spread orbit of PG(3,2) read as u = 4: its class, a GF(4)-space,
-    # is still not minimal over GF(2), but its stabilizer is GF(4)*, not GF(16)*
+def test_correspondence_walk_order_check_survives_optimize():
+    # every orbit of the census handed over with its members backwards, its
+    # representative still first: one class per orbit, sizes and u unchanged,
+    # and only the walk-to-walk identity sees that the class steps by mu
+    # where its orbit steps by mu^-1
     code = PREAMBLE + """
-import dataclasses
 real = singer.orbit_census
 def census(*args, **kwargs):
     c = real(*args, **kwargs)
-    c.orbits = tuple(dataclasses.replace(rec, u=4) if rec.u == 2 else rec for rec in c.orbits)
-    return c
+    return singer.OrbitCensus(c.s, c.t, c.q, c.orbits, tuple(
+        mem[:1] + mem[:0:-1] for mem in map(c.orbit_members, range(len(c)))))
 singer.orbit_census = census
-""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
-    assert optimized_message(code) == "1 class stabilizer differs from its orbit's"
+""" + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "class walk differs from its orbit's walk"]
+    assert got[2]["step"] == 1
+
+
+def test_correspondence_orbit_hit_check_survives_optimize():
+    # the last class of order-4 subgroups of GF(16) dropped: its orbit of
+    # lines of PG(3,2) is hit by no class
+    code = PREAMBLE + """
+real = elation.equivalence_classes
+elation.equivalence_classes = lambda p, h, m, cap=None: real(p, h, m, cap)[:-1]
+""" + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "classes do not hit every orbit once"]
+    assert sorted(got[2]["orbit_indices"]) == [0, 1] and got[2]["orbits"] == 3
 
 
 def test_act_dimension_check_survives_optimize():

@@ -7,6 +7,7 @@ collineation action.
 """
 
 import itertools
+from math import gcd
 
 import pytest
 
@@ -667,3 +668,13 @@ class TestCorrespondence:
         assert report["minimal_classes"] == 2
         assert report["predicted_classes"] == 3
         assert report["predicted_minimal"] == 2
+
+    # every n | gcd(m, h) on GF(2^6) and GF(3^4): n = h puts the census on
+    # PG(0, q), and GF(3^4) has odd p with n > 1
+    @pytest.mark.parametrize("p,h,m,n", [
+        (p, h, m, n) for p, h in [(2, 6), (3, 4)] for m in range(1, h + 1)
+        for n in range(1, h + 1) if gcd(m, h) % n == 0])
+    def test_every_subfield_degree(self, p, h, m, n):
+        report = verify_correspondence(p, h, m, n)
+        assert report["classes"] == report["orbits"] == report["predicted_classes"]
+        assert report["minimal_classes"] == report["free_orbits"] == report["predicted_minimal"]

@@ -26,11 +26,12 @@ from galela import (
     subspace_points,
     theta,
 )
+from galela.combinat import divisors
 from galela.gf import make_field
 from galela.linalg import matvec
 from galela.pspace import normalize_point
 from galela.selftest import CENSUS_CASES
-from galela.singer import OrbitRecord, orbit_partition, span_log_sets
+from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets
 
 
 def spread_members(census):
@@ -96,6 +97,28 @@ class TestOrbitPartition:
         with pytest.raises(VerificationError) as exc:
             orbit_partition(range(4), step)
         assert exc.value.details == {"walked": 4}
+
+    def test_rotation_walk_covers_every_position_evenly(self):
+        # the identity orbit_census relies on instead of tallying covers: a
+        # width-bit set whose walk under rotate has length L holds each
+        # position in L * popcount / width of the walk's members
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            width = data.draw(st.integers(1, 64), label="width")
+            period = data.draw(st.sampled_from(divisors(width)), label="period")
+            pattern = data.draw(st.integers(0, (1 << period) - 1), label="pattern")
+            bits = sum(pattern << k for k in range(0, width, period))
+            walk = _walk_orbit(bits, lambda x: rotate(x, width))
+            cover = Counter(k for x in walk for k in range(width) if x >> k & 1)
+            degree, rest = divmod(len(walk) * bits.bit_count(), width)
+            assert rest == 0
+            assert [cover[k] for k in range(width)] == [degree] * width
+
+        check()
 
 
 class TestGenerator:
