@@ -5,7 +5,9 @@ Orbit census under the cyclic collineation group
 """
 
 # a single matrix of full projective order acts on PG(s-1, q); the census
-# partitions all t-subspaces into its orbits
+# partitions all t-subspaces into its orbits, streaming them and keeping
+# only each orbit's record (its least subspace, size and u) and one index
+# from a subspace's log set to its orbit
 from galela import (
     SingerGroup,
     is_spread,
@@ -25,7 +27,8 @@ census = orbit_census(4, 2, 2)
 for rec in census.orbits:
     print(f"orbit: size {rec.size}, periodicity u = {rec.u}")
 
-# the short orbit is special: its 5 lines partition the point set
+# the short orbit is special: its 5 lines partition the point set;
+# orbit_members rebuilds them by applying the matrix to the representative
 short = min(range(len(census.orbits)), key=lambda i: census.orbits[i].size)
 members = census.orbit_members(short)
 print("short orbit is a spread:", is_spread(members))

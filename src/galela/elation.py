@@ -39,12 +39,14 @@ diagonal conjugator from it.  The correspondence checker maps each class
 through coords() onto a subspace of PG(h/n - 1, p^n), where the rank of the
 image alone tells whether H is a GF(p^n)-space.  Both sides walk by
 multiplication by mu, so it checks one identity per class, the class walk
-mapped step by step onto its orbit's walk, which carries the single orbit
-and the equal stabilizers, and then that the classes hit every orbit once.
+mapped step by step onto its orbit's walk in the census's log-set
+coordinates, which carries the single orbit and the equal stabilizers, and
+then that the classes hit every orbit once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -134,9 +136,9 @@ def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
     """All additive subgroups of GF(p^h) of order p^m, sorted canonically."""
     if not 1 <= m <= h:
         raise ValueError(f"bad subgroup rank {m} for GF({p}^{h})")
+    bases = pspace.subspace_bases(h, m, p, cap=cap)
     tower = make_field(p, h)
-    fam = pspace.enumerate_subspaces(h, m, p, cap=cap)
-    return [ElationGroup(tower, X.basis) for X in fam]
+    return [ElationGroup(tower, rows) for rows in bases]
 
 
 def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
@@ -212,21 +214,27 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     stabilizer parameter u off its length and checks the closed-form class
     counts for every n | gcd(m, h).  Classes come back sorted by
     representative (the lexicographically least RREF basis in the class).
-    Member k is the k-th step of the walk, so mu^k times the representative:
-    mu^k is its witness scalar.  Two identities are checked per class.
-    scalar_multiple(representative, mu), one RREF, must be the walk's next
-    member, which ties the rotation's direction and the field tables to the
-    definition of the action.  And the stabilizer under scalars is GF(p^n)*,
-    n the representative's minimal_n, as contains() reads it, so u == n.
-    The profile is computed for the representative alone, since H and
-    alpha*H are spaces over the same subfields.
+    Member k is the k-th step of the walk, read off the kernel's index, so
+    mu^k times the representative: mu^k is its witness scalar.  Two
+    identities are checked per class.  scalar_multiple(representative, mu),
+    one RREF, must be the walk's next member, which ties the rotation's
+    direction and the field tables to the definition of the action.  And
+    the stabilizer under scalars is GF(p^n)*, n the representative's
+    minimal_n, as contains() reads it, so u == n.  The profile is computed
+    for the representative alone, since H and alpha*H are spaces over the
+    same subfields.
     """
     subs = enumerate_subgroups(p, h, m, cap=cap)
     tower = make_field(p, h)
     classes = []
     sets = _class_log_sets(tower, m, (H.rows for H in subs))
-    for u, members in singer.rotation_orbits(subs, sets, h, m, p):
-        rep = members[0]
+    index, orbits = singer.rotation_orbits(zip(sets, subs), h, m, p)
+    # the index's keys run through the walks, one class after another, and
+    # every log set is a key, so its values become the subgroups in walk order
+    index.update(zip(sets, subs))
+    in_walk_order = iter(index.values())
+    for u, size, rep in orbits:
+        members = tuple(itertools.islice(in_walk_order, size))
         image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
         if image.rows != walked.rows:
             raise VerificationError("mu times the representative is not the walk's next member",
@@ -509,21 +517,25 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     of the same sets, one side of the comparison stays on RREF.  Both the
     class walk and the census walk are multiplication by mu of GF(p^h), and
     subspace_of_center is GF(p^n)-linear, so one identity is checked per
-    class: subspace_of_center sends the class walk, step by step, onto its
-    orbit's walk started at the representative's image.  That puts the
-    class in a single orbit of (m/n)-subspaces of PG(h/n - 1, p^n), and the
-    equal lengths theta(h,p)/theta(minimal_n,p) and
-    theta(h/n,p^n)/theta(u,p^n) make the class's stabilizer GF(p^minimal_n)*
-    the orbit's, minimal_n == n u; for u = 1 that sends the classes of
-    minimal dimension exactly onto the free orbits.  The classes must hit
-    every orbit once, and their counts must equal count_classes' closed
-    forms.  Raises VerificationError with a counterexample if any part
-    fails; returns a summary dict when everything holds.
+    class, in the census's log-set coordinates: the representative's image
+    lies in the orbit that orbit_index names, and the log set of member k's
+    image is that of the representative's image rotated k times, for every
+    k up to the orbit's length.  That puts the class in a single orbit of
+    (m/n)-subspaces of PG(h/n - 1, p^n), and the equal lengths
+    theta(h,p)/theta(minimal_n,p) and theta(h/n,p^n)/theta(u,p^n) make the
+    class's stabilizer GF(p^minimal_n)* the orbit's, minimal_n == n u; for
+    u = 1 that sends the classes of minimal dimension exactly onto the free
+    orbits.  The classes must hit every orbit once, and their counts must
+    equal count_classes' closed forms.  Raises VerificationError with a
+    counterexample if any part fails; returns a summary dict when
+    everything holds.
     """
     if n < 1 or gcd(m, h) % n != 0:
         raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
     classes = [c for c in equivalence_classes(p, h, m, cap=cap) if c.profile.minimal_n % n == 0]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
+    S = census.singer
+    step = functools.partial(singer.rotate, theta=S.projective_order)
 
     mu = make_field(p, h).mu
     hit = []
@@ -538,16 +550,16 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
                     "class walk differs from scalar multiplication",
                     {**where, "step": k, "walked": [list(r) for r in member.rows],
                      "scalar_multiple": [list(r) for r in image.rows]})
-        walk = [subspace_of_center(H, n) for H in c.members]
-        hit.append(census.orbit_index(walk[0]))
-        orbit = census.orbit_members(hit[-1])
-        start = orbit.index(walk[0])
-        for k, (X, Y) in enumerate(itertools.zip_longest(walk, orbit[start:] + orbit[:start])):
-            if X != Y:
+        start = subspace_of_center(c.representative, n)
+        hit.append(census.orbit_index(start))
+        walk = [singer.log_set(S, start)] + [singer.log_set(S, subspace_of_center(H, n))
+                                             for H in c.members[1:]]
+        orbit = singer._walk_orbit(walk[0], step)
+        for k, (x, y) in enumerate(itertools.zip_longest(walk, orbit)):
+            if x != y:
                 raise VerificationError(
                     "class walk differs from its orbit's walk",
-                    {**where, "step": k, "class_walk": X and [list(r) for r in X.basis],
-                     "orbit_walk": Y and [list(r) for r in Y.basis]})
+                    {**where, "step": k, "class_walk": x and hex(x), "orbit_walk": y and hex(y)})
     if sorted(hit) != list(range(len(census.orbits))):
         raise VerificationError("classes do not hit every orbit once",
                                 {"params": [p, h, m, n], "orbit_indices": hit,

@@ -5,9 +5,9 @@ coordinate is 1.  A t-dimensional subspace (vector dimension t, projective
 dimension t-1) is carried by the unique reduced-row-echelon basis of its row
 space, pivots ascending, stored as a tuple of row tuples; equal subspaces
 therefore compare equal as values, and span is the one way from generating
-rows to that form.  Enumeration walks pivot-column patterns and fills the
-free entries, returning a sorted tuple of subspaces, so the number emitted
-matching the Gaussian binomial is a structural fact, not a coincidence.
+rows to that form.  Enumeration (subspace_bases) streams the RREF bases row
+by row in sorted order, holding only the rows of the current prefix, and
+checks at the end that it emitted the Gaussian binomial's count.
 """
 
 from __future__ import annotations
@@ -91,12 +91,21 @@ def span(rows, q: int) -> Subspace:
     return Subspace(q, red)
 
 
-def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:
-    """All t-dimensional subspaces of GF(q)^s in sorted canonical order.
+def subspace_bases(s: int, t: int, q: int, cap=None):
+    """The RREF bases of all t-dimensional subspaces of GF(q)^s, streamed in sorted order.
 
-    Walks every ascending pivot pattern; the entries right of each pivot in
-    non-pivot columns range freely over GF(q).  Raises CapExceeded before
-    doing any work if the Gaussian binomial says the output is too big.
+    Raises ValueError or CapExceeded here, before the first basis is asked
+    for, if t is out of range, the Gaussian binomial exceeds the cap or q
+    is not a prime power.  The stream raises VerificationError at its end
+    unless it yielded exactly the Gaussian binomial's count.  A basis is a
+    tuple of row tuples, and bases with the same leading rows share them.
+
+    The bases are walked row by row.  A row has its pivot, a 1, in a column
+    where the earlier rows are 0, and anything right of it; the later pivots
+    must fall where this row is 0 too, so a row is kept only if enough such
+    columns remain.  Rows are tried with their pivot right to left and then
+    in tuple order, which is sorted order, so the bases come out sorted and
+    the bases sharing a prefix of rows are consecutive.
     """
     if not 1 <= t <= s:
         raise ValueError(f"bad subspace dimension {t} in ambient {s}")
@@ -104,30 +113,42 @@ def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:
     limit = subspace_cap(cap)
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
-    field = field_for(q)
-    bases = []
-    for pivots in itertools.combinations(range(s), t):
-        pivset = set(pivots)
-        # the rows vary independently, so a basis is one choice per row and
-        # the row tuples are shared between the bases that choose them
-        choices = []
-        for pc in pivots:
-            free = [j for j in range(pc + 1, s) if j not in pivset]
-            rows = []
-            for assignment in itertools.product(field.elements(), repeat=len(free)):
-                row = [0] * s
-                row[pc] = 1
-                for j, v in zip(free, assignment):
-                    row[j] = v
-                rows.append(tuple(row))
-            choices.append(rows)
-        bases.extend(itertools.product(*choices))
-    bases.sort()
-    members = [Subspace(q, basis) for basis in bases]
-    if len(members) != total:
-        raise VerificationError("subspace count is not the Gaussian binomial",
-                                {"case": (s, t, q), "subspaces": len(members)})
-    return tuple(members)
+    combinat.prime_power(q)  # ValueError unless q is the order of a field
+    # rows[p]: every row with its pivot in column p, sorted
+    rows = [[(0,) * p + (1,) + tail for tail in itertools.product(range(q), repeat=s - p - 1)]
+            for p in range(s)]
+    last = [[(row,) for row in group] for group in rows]
+
+    def extend(prefix, zero):
+        """Groups of the bases that begin with prefix; zero lists the columns
+        right of its last pivot where all its rows are 0."""
+        need = t - len(prefix)
+        if need == 1:
+            for p in reversed(zero):
+                yield last[p], prefix.__add__
+            return
+        for k in range(len(zero) - need, -1, -1):
+            later = zero[k + 1:]
+            for row in rows[zero[k]]:
+                free = [j for j in later if not row[j]]
+                if len(free) >= need - 1:
+                    yield from extend(prefix + (row,), free)
+
+    def groups():
+        count = 0
+        for group, join in extend((), list(range(s))):
+            count += len(group)
+            yield map(join, group)
+        if count != total:
+            raise VerificationError("subspace count is not the Gaussian binomial",
+                                    {"case": (s, t, q), "subspaces": count})
+
+    return itertools.chain.from_iterable(groups())
+
+
+def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:
+    """All t-dimensional subspaces of GF(q)^s in sorted canonical order, from subspace_bases."""
+    return tuple(Subspace(q, basis) for basis in subspace_bases(s, t, q, cap))
 
 
 def contains(X: Subspace, point) -> bool:

@@ -19,21 +19,30 @@ of the elation module from a field's own log and Zech tables, a whole
 sorted family in one pass: neighbours share their leading rows, so each
 shared prefix of rows is expanded once and only the last row is expanded
 per subspace, and every subspace's point count is still checked.  One
-kernel, rotation_orbits, walks these log sets under orbit_partition, which
-checks that the orbits partition the items.  It reads each orbit's
+kernel, rotation_orbits, walks these log sets under walk_orbits, whose one
+dict from log set to orbit number both tells a new orbit's first member
+and checks that the orbits partition the items.  It reads each orbit's
 stabilizer parameter u off the walked length theta(s,q)/theta(u,q) and
 checks both closed-form counts for every subfield degree d | gcd(t, s).
-The walk carries the other orbit facts, so none is checked again: its
-return to its start shows that the theta(s,q)/theta(u,q)-th power of the
-generator fixes every member, and with each member's point count that
-makes the orbit cover every point theta(t,q)/theta(u,q) times
-(orbit_census gives the argument).
+
+The census streams: the bases come from pspace.subspace_bases in sorted
+order, so the first basis of each orbit is its least, the representative,
+and the census keeps only the representatives, the orbit records and that
+dict; orbit_members rebuilds an orbit on demand by walking its
+representative with act.  The walk carries the other orbit facts, so none
+is checked again: its return to its start shows that the
+theta(s,q)/theta(u,q)-th power of the generator fixes every member, and
+with each member's point count that makes the orbit cover every point
+theta(t,q)/theta(u,q) times (orbit_census gives the argument).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
+from operator import itemgetter
 
 from . import combinat, linalg, pspace
 from .errors import VerificationError
@@ -171,27 +180,30 @@ class OrbitRecord:
 
 
 class OrbitCensus:
-    """All Singer orbits on t-dimensional subspaces, sorted by (u, representative)."""
+    """All Singer orbits on t-dimensional subspaces, sorted by (u, representative).
 
-    def __init__(self, s, t, q, orbits, members):
-        self.s = s
+    Holds the orbit records, the Singer group and one index from the log
+    set of every subspace to its orbit's number; no subspace but the
+    representatives is kept.
+    """
+
+    def __init__(self, S: SingerGroup, t: int, orbits, index: dict):
+        self.s = S.s
         self.t = t
-        self.q = q
+        self.q = S.q
+        self.singer = S
         self.orbits = orbits
-        self._members = members
-        self._index = None
+        self._index = index
 
     def orbit_index(self, X: pspace.Subspace) -> int:
-        # built on first use: most censuses are never asked for an index
-        if self._index is None:
-            self._index = {Y.basis: i for i, mem in enumerate(self._members) for Y in mem}
         try:
-            return self._index[X.basis]
+            return self._index[log_set(self.singer, X)]
         except KeyError:
             raise ValueError("subspace not covered by this census") from None
 
-    def orbit_members(self, i: int):
-        return self._members[i]
+    def orbit_members(self, i: int) -> tuple:
+        """Orbit i in walk order from its representative, walked by act, the matrix oracle."""
+        return tuple(_walk_orbit(self.orbits[i].representative, partial(act, self.singer)))
 
     def __len__(self):
         return len(self.orbits)
@@ -218,71 +230,91 @@ def _walk_orbit(start, step):
     return members
 
 
-def orbit_partition(items, step) -> list:
-    """Orbits of step on items, each walked from the first item no earlier orbit holds.
+def walk_orbits(pairs, step):
+    """Orbits of step on the keys of (key, item) pairs, one walk per orbit.
 
-    Sorted items therefore give orbits led by their least member, in order of
-    that member.  Raises VerificationError unless the orbits partition items
-    exactly: none leaves items or meets another, and together they cover them.
+    A key that no earlier orbit holds starts the walk of a new orbit, which
+    records the key's item as its first.  Returns (index, firsts): index
+    maps every walked key to its orbit's number, and its keys run through
+    the walks one after another, each in walk order; firsts[i] is orbit i's
+    (first item, size).  Sorted pairs give orbits led by their least item,
+    in order of that item.  Raises VerificationError unless the orbits
+    partition the keys exactly: none leaves them or meets another, and
+    together they cover them.
     """
-    seen = set()
-    orbits = []
-    for x in items:
-        if x in seen:
-            continue
-        members = _walk_orbit(x, step)
-        seen.update(members)
-        orbits.append(members)
+    index = {}
+    firsts = []
+    count = 0
+    for key, item in pairs:
+        count += 1
+        if key not in index:
+            walk = _walk_orbit(key, step)
+            index.update(dict.fromkeys(walk, len(firsts)))
+            firsts.append((item, len(walk)))
     # walks return only around cycles of step, so the orbits are disjoint
-    if len(seen) != len(items):
+    if len(index) != count:
         raise VerificationError("orbits do not partition the items", {
-            "items": len(items), "covered": len(seen), "walked": sum(map(len, orbits))})
-    return orbits
+            "items": count, "covered": len(index), "walked": sum(n for _, n in firsts)})
+    return index, firsts
 
 
-def rotation_orbits(items, sets, s: int, t: int, q: int) -> list:
+def orbit_partition(items, step) -> list:
+    """The orbits of step on items, each a list in walk order from its first item (walk_orbits)."""
+    index, firsts = walk_orbits(((x, x) for x in items), step)
+    walked = iter(index)
+    return [list(itertools.islice(walked, size)) for _, size in firsts]
+
+
+def rotation_orbits(pairs, s: int, t: int, q: int):
     """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
 
-    sets[i] is the log set of items[i]; sorted items give orbits led by their
-    least member.  Returns (u, members) per orbit: its items in walk order,
-    and u, read off the length theta(s,q)/theta(u,q) with u | gcd(t, s).
-    The orbits with d | u are those of the GF(q^d)-closed subspaces, the
-    Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's
-    correspondence), so for every d | gcd(t, s), d = 1 first, they must
-    number predicted_orbit_count(s/d, t/d, q^d), and those with u = d
+    pairs yields (log set, item) per subspace, and walk_orbits walks them
+    under rotate.  Returns (index, orbits): walk_orbits' index, and per
+    orbit (u, size, first item), u read off the size theta(s,q)/theta(u,q)
+    with u | gcd(t, s).  The orbits with d | u are those of the GF(q^d)-closed
+    subspaces, the Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the
+    paper's correspondence), so for every d | gcd(t, s), d = 1 first, they
+    must number predicted_orbit_count(s/d, t/d, q^d), and those with u = d
     predicted_free_orbit_count(s/d, t/d, q^d).  Raises VerificationError.
     """
     theta = combinat.theta(s, q)
     degrees = combinat.divisors(gcd(t, s))
     degree_of = {combinat.theta(d, q): d for d in degrees}
-    item_of = dict(zip(sets, items))
+    # rotate is looked up per call, so a patched singer.rotate walks here too
+    index, firsts = walk_orbits(pairs, partial(rotate, theta=theta))
     orbits = []
-    for walk in orbit_partition(sets, lambda bits: rotate(bits, theta)):
-        u = degree_of.get(combinat.exact_div(theta, len(walk)))
+    for item, size in firsts:
+        u = degree_of.get(combinat.exact_div(theta, size))
         if u is None:
             raise VerificationError("orbit size fits no divisor of gcd(t, s)",
-                                    {"case": (s, t, q), "size": len(walk)})
-        orbits.append((u, tuple(item_of[bits] for bits in walk)))
+                                    {"case": (s, t, q), "size": size})
+        orbits.append((u, size, item))
     for d in degrees:
         case = [s // d, t // d, q**d]
-        observed = [sum(1 for u, _ in orbits if u % d == 0),
-                    sum(1 for u, _ in orbits if u == d)]
+        observed = [sum(1 for u, _, _ in orbits if u % d == 0),
+                    sum(1 for u, _, _ in orbits if u == d)]
         predicted = [predicted_orbit_count(*case), predicted_free_orbit_count(*case)]
         if observed != predicted:
             raise VerificationError("orbit count differs from the closed form",
                                     {"case": case, "observed": observed,
                                      "predicted": predicted})
-    return orbits
+    return index, orbits
 
 
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
-    Each subspace is walked as its log_set by rotation_orbits, so no matrix
-    acts during the census.  Verifies, per subspace: theta(t,q) points; per
-    orbit: rotation_orbits' stabilizer parameter u; and globally: the orbits
-    partition the subspaces and, for every subfield degree d | gcd(t, s),
-    both closed-form counts.
+    The bases stream from pspace.subspace_bases in sorted order and their
+    log sets from span_log_sets, one chunk per first row, so no chunk
+    splits a shared prefix of rows.  rotation_orbits walks the log sets, so
+    no matrix acts during the census.  A log set that no earlier orbit
+    holds starts a walk, and its basis, the least of the orbit since the
+    stream is sorted, is the orbit's representative.  The census keeps the
+    representatives and one index from log set to orbit number, and no
+    other subspace.  In this order it verifies: theta(t,q) points per
+    subspace; each walk's return to its start; that the orbits partition
+    the subspaces; rotation_orbits' stabilizer parameter u per orbit; and
+    both closed-form counts for every subfield degree d | gcd(t, s).
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -296,13 +328,21 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     theta(t,q)/theta(u,q).
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
-    fam = pspace.enumerate_subspaces(s, t, q, cap=limit)
+    bases = pspace.subspace_bases(s, t, q, cap=limit)
     S = SingerGroup(s, q)
-    sets = _census_log_sets(S, t, (X.basis for X in fam))
-    orbits = sorted(rotation_orbits(fam, sets, s, t, q),
-                    key=lambda orbit: (orbit[0], orbit[1][0].basis))
-    return OrbitCensus(s, t, q, tuple(OrbitRecord(mem[0], len(mem), u) for u, mem in orbits),
-                       tuple(mem for _, mem in orbits))
+
+    chunks = (list(chunk) for _, chunk in itertools.groupby(bases, key=itemgetter(0)))
+    pairs = itertools.chain.from_iterable(zip(_census_log_sets(S, t, chunk), chunk)
+                                          for chunk in chunks)
+    index, orbits = rotation_orbits(pairs, s, t, q)
+    # the size is a function of u, so this sorts by (u, representative)
+    order = sorted(range(len(orbits)), key=orbits.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    for bits, i in index.items():
+        index[bits] = rank[i]
+    records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)
+                    for u, size, basis in map(orbits.__getitem__, order))
+    return OrbitCensus(S, t, records, index)
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

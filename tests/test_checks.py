@@ -213,16 +213,16 @@ gf.FieldTower.subfield_generator = lambda self, n: self.mu if n == 2 else real(s
 
 
 def test_correspondence_walk_order_check_survives_optimize():
-    # every orbit of the census handed over with its members backwards, its
-    # representative still first: one class per orbit, sizes and u unchanged,
-    # and only the walk-to-walk identity sees that the class steps by mu
-    # where its orbit steps by mu^-1
+    # once the classes and the census are built, the orbits are walked
+    # backwards, each from the start it is given: one class per orbit, sizes
+    # and u unchanged, and only the walk-to-walk identity sees that the class
+    # steps by mu where its orbit steps by mu^-1
     code = PREAMBLE + """
 real = singer.orbit_census
 def census(*args, **kwargs):
     c = real(*args, **kwargs)
-    return singer.OrbitCensus(c.s, c.t, c.q, c.orbits, tuple(
-        mem[:1] + mem[:0:-1] for mem in map(c.orbit_members, range(len(c)))))
+    singer.rotate = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
+    return c
 singer.orbit_census = census
 """ + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
     got = optimized_details(code)

@@ -12,6 +12,7 @@ import pytest
 
 from galela import (
     CapExceeded,
+    VerificationError,
     enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
@@ -30,7 +31,35 @@ from galela.pspace import (
     contains,
     field_for,
     normalize_point,
+    subspace_bases,
 )
+from galela import combinat
+from galela.combinat import factorize
+
+
+def pattern_bases(s, t, q):
+    """Every RREF basis, pivot pattern by pivot pattern.
+
+    The pivots of a t-subspace are an ascending t-set of columns, and its
+    basis is free exactly right of each pivot, outside the other pivots.
+    """
+    for pivots in itertools.combinations(range(s), t):
+        choices = []
+        for pc in pivots:
+            free = [j for j in range(pc + 1, s) if j not in pivots]
+            rows = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                row = [0] * s
+                row[pc] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                rows.append(tuple(row))
+            choices.append(rows)
+        yield from itertools.product(*choices)
+
+
+def prime_powers(limit):
+    return [q for q in range(2, limit + 1) if len(factorize(q)) == 1]
 
 
 def oracle_subspaces(s, t, q):
@@ -153,6 +182,36 @@ class TestEnumeration:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             enumerate_subspaces(6, 3, 2, cap=100)
+
+    @pytest.mark.parametrize("q", prime_powers(256))
+    def test_stream_is_the_sorted_pattern_enumeration(self, q):
+        # every (s, t, q) with q^s <= 256
+        s = 1
+        while q**s <= 256:
+            for t in range(1, s + 1):
+                stream = list(subspace_bases(s, t, q))
+                assert stream == sorted(pattern_bases(s, t, q))
+                assert stream == [X.basis for X in enumerate_subspaces(s, t, q)]
+            s += 1
+
+    @pytest.mark.parametrize("args,error", [((6, 3, 2, 100), CapExceeded),
+                                            ((4, 0, 2), ValueError),
+                                            ((4, 5, 2), ValueError),
+                                            ((3, 1, 6), ValueError)])
+    def test_stream_raises_before_its_first_basis(self, args, error):
+        with pytest.raises(error):
+            subspace_bases(*args)
+
+    def test_stream_checks_its_count_at_the_end(self, monkeypatch):
+        # one subspace too many predicted: all 35 lines of PG(3,2) stream out
+        # before the check fails
+        lines = [X.basis for X in enumerate_subspaces(4, 2, 2)]
+        monkeypatch.setattr(combinat, "gaussian_binomial", lambda s, t, q: 36)
+        stream = subspace_bases(4, 2, 2)
+        assert list(itertools.islice(stream, 35)) == lines
+        with pytest.raises(VerificationError) as exc:
+            next(stream)
+        assert exc.value.details == {"case": (4, 2, 2), "subspaces": 35}
 
     def test_cap_env_variable(self):
         old = os.environ.get(SUBSPACE_CAP_ENV)

@@ -5,6 +5,7 @@ that acts on explicit point sets instead of canonical bases, and the
 observed orbit counts are compared with the closed-form predictions.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -29,7 +30,7 @@ from galela import (
 from galela.combinat import divisors
 from galela.gf import make_field
 from galela.linalg import matvec
-from galela.pspace import normalize_point
+from galela.pspace import Subspace, normalize_point
 from galela.selftest import CENSUS_CASES
 from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets
 
@@ -243,6 +244,25 @@ class TestCensus:
             assert rec.representative in members
             for X in members:
                 assert census.orbit_index(X) == i
+
+    # in (4,2,5) the spread orbit's representative is not the greatest, so
+    # the census order (u, representative) differs from the order of the walks
+    @pytest.mark.parametrize("s,t,q", CENSUS_CASES + ((4, 2, 5),))
+    def test_representatives_lead_their_matrix_walks(self, s, t, q):
+        census = orbit_census(s, t, q)
+        for i, rec in enumerate(census.orbits):
+            members = census.orbit_members(i)
+            assert members[0] == rec.representative
+            assert rec.representative.basis == min(X.basis for X in members)
+            assert [census.orbit_index(X) for X in members] == [i] * rec.size
+
+    def test_census_keeps_only_its_representatives(self):
+        gc.collect()
+        before = sum(isinstance(obj, Subspace) for obj in gc.get_objects())
+        census = orbit_census(6, 3, 2)
+        gc.collect()
+        after = sum(isinstance(obj, Subspace) for obj in gc.get_objects())
+        assert after - before <= len(census)
 
     def test_census_keeps_no_subspace_points(self):
         orbit_census(4, 2, 2)
