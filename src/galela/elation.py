@@ -23,11 +23,10 @@ through the same routine, so every log set comes from a field's own tables
 by one expansion rule.
 
 The RREF definition of the action, scalar_multiple, is kept on one side of
-every check.  equivalence_classes requires once per class that mu times the
+the walk.  equivalence_classes requires once per class that mu times the
 representative is the walk's next member, which ties the rotation's
-direction and the tables to the action; verify_correspondence re-walks
-every class it maps, member by member, with scalar_multiple; and the unit
-tests compare the classes with orbit_partition under scalar_multiple.
+direction and the tables to the action, and the unit tests compare the
+classes with orbit_partition under scalar_multiple.
 
 The subfield structure of a subgroup (the largest GF(p^n) it is a vector
 space over) is scalar-invariant and refines the classification; GF(p^n)* is
@@ -38,15 +37,15 @@ class carries the witness scalar of every member, and conjugator builds the
 diagonal conjugator from it.  The correspondence checker maps each class
 through coords() onto a subspace of PG(h/n - 1, p^n), where the rank of the
 image alone tells whether H is a GF(p^n)-space.  Both sides walk by
-multiplication by mu, so it checks one identity per class, the class walk
-mapped step by step onto its orbit's walk in the census's log-set
-coordinates, which carries the single orbit and the equal stabilizers, and
-then that the classes hit every orbit once.
+multiplication by mu, so it checks the links between the walks once per
+call, coords taking mu to the Singer generator on a basis and the
+generator acting as rotate on every point, and per class only which orbit
+the representative's image lies in and that the class's stabilizer is that
+orbit's; the classes must then hit every orbit once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -512,64 +511,62 @@ def count_classes(p: int, h: int, m: int, n: int, minimal: bool = False) -> int:
 def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     """Check that classes of GF(p^n)-closed subgroups biject with Singer orbits.
 
-    Each class, walked in log coordinates, is walked again member by member
-    with scalar_multiple, so that for n = 1, where the census is a rotation
-    of the same sets, one side of the comparison stays on RREF.  Both the
-    class walk and the census walk are multiplication by mu of GF(p^h), and
-    subspace_of_center is GF(p^n)-linear, so one identity is checked per
-    class, in the census's log-set coordinates: the representative's image
-    lies in the orbit that orbit_index names, and the log set of member k's
-    image is that of the representative's image rotated k times, for every
-    k up to the orbit's length.  That puts the class in a single orbit of
-    (m/n)-subspaces of PG(h/n - 1, p^n), and the equal lengths
-    theta(h,p)/theta(minimal_n,p) and theta(h/n,p^n)/theta(u,p^n) make the
-    class's stabilizer GF(p^minimal_n)* the orbit's, minimal_n == n u; for
-    u = 1 that sends the classes of minimal dimension exactly onto the free
-    orbits.  The classes must hit every orbit once, and their counts must
-    equal count_classes' closed forms.  Raises VerificationError with a
-    counterexample if any part fails; returns a summary dict when
-    everything holds.
+    Member k of a class is mu^k times the representative (equivalence_classes)
+    and the census walks by rotate, so two links, each checked once, carry
+    every class onto an orbit.  coords(., n) takes multiplication by mu to
+    the Singer generator C of PG(h/n - 1, p^n), checked on the h GF(p)-basis
+    elements since both sides are GF(p)-linear, so subspace_of_center(mu H)
+    is C subspace_of_center(H); and C acts on each of the theta(h/n, p^n)
+    points, hence on every log set, as rotate.  Per class, the
+    representative's image names its orbit, and the class's
+    theta(h,p)/theta(minimal_n,p) members fill the orbit's
+    theta(h/n,p^n)/theta(u,p^n) exactly when minimal_n == n u, with u from
+    the census's walk and minimal_n from RREF contains; for u = 1 that sends
+    the classes of minimal dimension onto the free orbits.  The classes
+    must hit every orbit once, and their counts must equal count_classes'
+    closed forms.  Raises VerificationError with a counterexample if any
+    part fails; returns a summary dict when everything holds.
     """
     if n < 1 or gcd(m, h) % n != 0:
         raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
     classes = [c for c in equivalence_classes(p, h, m, cap=cap) if c.profile.minimal_n % n == 0]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
-    S = census.singer
-    step = functools.partial(singer.rotate, theta=S.projective_order)
-
-    mu = make_field(p, h).mu
+    S, tower, params = census.singer, make_field(p, h), [p, h, m, n]
+    # p**i encodes the element with coefficient vector e_i: a GF(p)-basis
+    for x in (p**i for i in range(h)):
+        image = tower.coords(tower.mul(tower.mu, x), n)
+        moved = linalg.matvec(S.generator, tower.coords(x, n), S.field)
+        if image != moved:
+            raise VerificationError("coords does not take mu to the Singer generator",
+                                    {"params": params, "x": x, "coords_of_mu_x": image,
+                                     "generator_times_coords": moved})
+    # compared with rotate itself, not with log v + 1, so a wrong rotation fails here
+    theta = S.projective_order
+    for v, k in S.log.items():
+        w = pspace.normalize_point(linalg.matvec(S.generator, v, S.field), S.q)
+        if singer.rotate(1 << k % theta, theta) != 1 << S.log[w] % theta:
+            raise VerificationError("rotate differs from the Singer generator on a point",
+                                    {"params": params, "point": v, "log": k % theta,
+                                     "image": w, "image_log": S.log[w] % theta})
     hit = []
     for c in classes:
-        where = {"params": [p, h, m, n],
-                 "class_representative": [list(r) for r in c.representative.rows]}
-        image = c.representative
-        for k, member in enumerate(c.members[1:] + c.members[:1], start=1):
-            image = scalar_multiple(image, mu)
-            if image.rows != member.rows:
-                raise VerificationError(
-                    "class walk differs from scalar multiplication",
-                    {**where, "step": k, "walked": [list(r) for r in member.rows],
-                     "scalar_multiple": [list(r) for r in image.rows]})
-        start = subspace_of_center(c.representative, n)
-        hit.append(census.orbit_index(start))
-        walk = [singer.log_set(S, start)] + [singer.log_set(S, subspace_of_center(H, n))
-                                             for H in c.members[1:]]
-        orbit = singer._walk_orbit(walk[0], step)
-        for k, (x, y) in enumerate(itertools.zip_longest(walk, orbit)):
-            if x != y:
-                raise VerificationError(
-                    "class walk differs from its orbit's walk",
-                    {**where, "step": k, "class_walk": x and hex(x), "orbit_walk": y and hex(y)})
+        i = census.orbit_index(subspace_of_center(c.representative, n))
+        u, rows = census.orbits[i].u, c.representative.rows
+        if u * n != c.profile.minimal_n:
+            raise VerificationError("class stabilizer differs from its orbit's",
+                                    {"params": params, "representative": [list(r) for r in rows],
+                                     "orbit": i, "u": u, "minimal_n": c.profile.minimal_n})
+        hit.append(i)
     if sorted(hit) != list(range(len(census.orbits))):
         raise VerificationError("classes do not hit every orbit once",
-                                {"params": [p, h, m, n], "orbit_indices": hit,
+                                {"params": params, "orbit_indices": hit,
                                  "orbits": len(census.orbits)})
 
     minimal_classes = sum(1 for c in classes if c.profile.minimal_n == n)
     predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
     if [len(classes), minimal_classes] != predicted:
         raise VerificationError("class counts differ from the closed forms",
-                                {"params": [p, h, m, n],
+                                {"params": params,
                                  "observed": [len(classes), minimal_classes],
                                  "predicted": predicted})
     return {

@@ -213,10 +213,9 @@ gf.FieldTower.subfield_generator = lambda self, n: self.mu if n == 2 else real(s
 
 
 def test_correspondence_walk_order_check_survives_optimize():
-    # once the classes and the census are built, the orbits are walked
-    # backwards, each from the start it is given: one class per orbit, sizes
-    # and u unchanged, and only the walk-to-walk identity sees that the class
-    # steps by mu where its orbit steps by mu^-1
+    # once the classes and the census are built, rotate turns backwards: one
+    # class per orbit, sizes and u unchanged, and only the link from the
+    # generator to rotate sees that the census steps by mu^-1 where C steps by mu
     code = PREAMBLE + """
 real = singer.orbit_census
 def census(*args, **kwargs):
@@ -226,8 +225,41 @@ def census(*args, **kwargs):
 singer.orbit_census = census
 """ + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
     got = optimized_details(code)
-    assert got[:2] == [1, "class walk differs from its orbit's walk"]
-    assert got[2]["step"] == 1
+    assert got[:2] == [1, "rotate differs from the Singer generator on a point"]
+    assert (got[2]["image_log"] - got[2]["log"]) % 15 == 1
+
+
+def test_correspondence_coords_check_survives_optimize():
+    # coords with its first two coordinates swapped is still injective, and
+    # the whole field, one class and one orbit, maps onto the whole space
+    # whatever the coordinates; only the link to the generator sees it
+    code = PREAMBLE + """
+real = gf.FieldTower.coords
+def coords(self, a, n):
+    c = real(self, a, n)
+    return (c[1], c[0]) + c[2:]
+gf.FieldTower.coords = coords
+""" + DETAILS.format(call="elation.verify_correspondence(2, 4, 4, 1)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "coords does not take mu to the Singer generator"]
+    assert got[2]["coords_of_mu_x"] != got[2]["generator_times_coords"]
+
+
+def test_correspondence_stabilizer_check_survives_optimize():
+    # every orbit reads u = 1: the GF(4)-class of order-4 subgroups of GF(16)
+    # still lands on its orbit of lines, whose u is 2
+    code = PREAMBLE + """
+import dataclasses
+real = singer.orbit_census
+def census(*args, **kwargs):
+    c = real(*args, **kwargs)
+    c.orbits = tuple(dataclasses.replace(rec, u=1) for rec in c.orbits)
+    return c
+singer.orbit_census = census
+""" + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "class stabilizer differs from its orbit's"]
+    assert got[2]["u"] == 1 and got[2]["minimal_n"] == 2
 
 
 def test_correspondence_orbit_hit_check_survives_optimize():
@@ -276,18 +308,6 @@ def test_class_walk_direction_check_survives_optimize():
 singer.rotate = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
 """ + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
     assert optimized_message(code) == "1 mu times the representative is not the walk's next member"
-
-
-def test_correspondence_rewalk_check_survives_optimize():
-    # classes handed over with their members backwards still land one class
-    # per orbit; only the re-walk through scalar_multiple sees the order
-    code = PREAMBLE + """
-real = elation.equivalence_classes
-elation.equivalence_classes = lambda p, h, m, cap=None: [
-    elation.EquivalenceClass(c.representative, c.members[:1] + c.members[:0:-1],
-                             c.witness_scalars, c.profile) for c in real(p, h, m, cap)]
-""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
-    assert optimized_message(code) == "1 class walk differs from scalar multiplication"
 
 
 def test_lemma1_partition_check_survives_optimize():

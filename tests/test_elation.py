@@ -7,6 +7,7 @@ collineation action.
 """
 
 import itertools
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -35,7 +36,7 @@ from galela import (
     subspace_points,
     verify_correspondence,
 )
-from galela import elation, linalg, selftest
+from galela import elation, linalg, selftest, singer
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point
@@ -669,12 +670,39 @@ class TestCorrespondence:
         assert report["predicted_classes"] == 3
         assert report["predicted_minimal"] == 2
 
-    # every n | gcd(m, h) on GF(2^6) and GF(3^4): n = h puts the census on
-    # PG(0, q), and GF(3^4) has odd p with n > 1
+    # the whole p^h <= 256 box, every n | gcd(m, h), at most 10^4 subgroups:
+    # n = h puts the census on PG(0, q), and odd p comes with n > 1
     @pytest.mark.parametrize("p,h,m,n", [
-        (p, h, m, n) for p, h in [(2, 6), (3, 4)] for m in range(1, h + 1)
+        (p, h, m, n) for p in (2, 3, 5, 7, 11, 13) for h in range(1, 9) if p**h <= 256
+        for m in range(1, h + 1) if gaussian_binomial(h, m, p) <= 10**4
         for n in range(1, h + 1) if gcd(m, h) % n == 0])
     def test_every_subfield_degree(self, p, h, m, n):
         report = verify_correspondence(p, h, m, n)
         assert report["classes"] == report["orbits"] == report["predicted_classes"]
         assert report["minimal_classes"] == report["free_orbits"] == report["predicted_minimal"]
+
+    def test_checks_once_per_class(self, monkeypatch):
+        # once the classes exist, each costs one subspace_of_center and one
+        # census log set, read through orbit_index, and no RREF action
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        real_classes = elation.equivalence_classes
+
+        def classes(*args, **kwargs):
+            out = real_classes(*args, **kwargs)
+            for module, name in [(elation, "subspace_of_center"), (singer, "log_set"),
+                                 (elation, "scalar_multiple")]:
+                counted(module, name)
+            return out
+        monkeypatch.setattr(elation, "equivalence_classes", classes)
+        report = verify_correspondence(2, 6, 3, 1)
+        assert report["classes"] == 23
+        assert calls == {"subspace_of_center": 23, "log_set": 23}
