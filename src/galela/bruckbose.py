@@ -11,13 +11,15 @@ is cut out by all coordinates outside the last block.
 
 The checks verify one identity, once per image: the star image of an orbit
 x^E (of a line) is the affine part of span(base, W), base one image point
-and W the center section of E inside z* (the line's spread element).  base
-lies off A* (X00 = 0) and W inside it, so the span meets A* and z* in W.
-The elation with parameter lam acts as the translation adding coords(lam)
-to the last block, which fixes A* pointwise by construction and agrees
-with star_point by the additivity of coords.  A sample checks each orbit
-it meets once, however many of its points it holds.  Every check raises
-VerificationError with a counterexample.
+and W the center section of E inside z* (the line's spread element).  W
+lies in A* (X00 = 0), so those affine points are the coset base + W, and
+the check compares the image set with it; only a failing check spans.
+The span meets A* and z* in W.  The elation with parameter lam acts as
+the translation adding coords(lam) to the last block, which fixes A*
+pointwise by construction and agrees with star_point by the additivity of
+coords.  A sample checks each orbit it meets once, however many of its
+points it holds.  Every check raises VerificationError with a
+counterexample.
 """
 
 from __future__ import annotations
@@ -137,6 +139,16 @@ def _shifted(x, lam, tower):
     return x[:-1] + (tower.add(x[-1], lam),)
 
 
+def _vectors(W: pspace.Subspace) -> tuple:
+    """All q^W.t vectors of W, the zero vector included."""
+    field = pspace.field_for(W.q)
+    out = [(0,) * W.s]
+    for row in W.basis:
+        multiples = [tuple(field.mul(c, v) for v in row) for c in field.elements()]
+        out = [tuple(map(field.add, u, w)) for w in multiples for u in out]
+    return tuple(out)
+
+
 def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
     """Star image of the orbit of an affine point x under the group of E.
 
@@ -146,25 +158,30 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
     VerificationError is raised otherwise.
     """
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    return _orbit_closure(x, E, E.elements(), section, frame)
+    _orbit_closure(tuple(x), E, E.elements(), _vectors(section), frame)
+    return pspace.span([star_point(x, frame), *section.basis], frame.q)
 
 
-def _check_affine_image(images, base, W, frame, error, kinds) -> pspace.Subspace:
+def _check_affine_image(images, base, vectors, frame, error, kinds):
     """Raise unless images are exactly the affine points of span(base, W).
 
-    W lies in A*, so span(base, W) has q^W.t affine points; the images,
-    affine points of their own span, are all of them exactly when the spans
-    are equal and there are q^W.t images.  A different span is kinds[0],
-    with closure and expected, missing points kinds[1]; error(kind, **fields)
-    builds the VerificationError.  Returns span(base, W).
+    vectors are all q^W.t vectors of W.  base is affine and W lies in A*,
+    so the affine points of span(base, W), normalized, are the coset
+    base + W, and the images pass exactly when they are that set.  A match
+    also shows W inside A*: base + w is not a normalized affine point when
+    w[0] != 0.  Only a failing check spans, to tell the kinds apart: images
+    whose span differs from span(base, W) are kinds[0], with closure and
+    expected; any other mismatch is kinds[1].  error(kind, **fields) builds
+    the VerificationError.
     """
-    expected = pspace.span([base, *W.basis], frame.q)
+    add = pspace.field_for(frame.q).add
+    if images == {tuple(map(add, base, w)) for w in vectors}:
+        return
+    expected = pspace.span([base, *vectors], frame.q)
     closure = pspace.span(images, frame.q)
     if closure != expected:
         raise error(kinds[0], closure=closure.basis, expected=expected.basis)
-    if len(images) != frame.q ** W.t:
-        raise error(kinds[1])
-    return expected
+    raise error(kinds[1])
 
 
 def _orbit_error(kind, E, frame, **fields) -> VerificationError:
@@ -173,13 +190,13 @@ def _orbit_error(kind, E, frame, **fields) -> VerificationError:
         "m": E.m, "subgroup": [list(row) for row in E.rows]})
 
 
-def _orbit_closure(x, E, elements, section, frame):
-    # orbit_image's closure on a subgroup's precomputed elements and center
-    # section; star_point rejects an x that is not affine and normalized
-    x = tuple(x)
+def _orbit_closure(x, E, elements, vectors, frame):
+    # orbit_image's check on a subgroup's precomputed elements and the
+    # vectors of its center section; star_point rejects an x that is not
+    # affine and normalized
     images = {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements}
-    return _check_affine_image(
-        images, star_point(x, frame), section, frame,
+    _check_affine_image(
+        images, star_point(x, frame), vectors, frame,
         lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
         ("orbit closure differs from the span of x* and the center section",
          "orbit image is not an affine subspace"))
@@ -190,24 +207,28 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
 
     For each orbit x^E the sample meets, checks once that its image is the
     affine part of span(x*, section), which implies the claim: x* lies off
-    A* and the section inside z*, so the span meets z* in the section.  A
-    further sample point of a checked orbit would repeat the check on the
-    same image set and span, so it is skipped; an orbit is keyed by its
-    least member.  Returns True, or raises VerificationError with the
-    counterexample, the frame's params, m and the subgroup's rows.
+    A* and the section inside z*, so the span meets z* in the section.  The
+    section and its vectors are built once per call, so a passing call does
+    no per-orbit linear algebra.  A further sample point of a checked orbit
+    would repeat the check on the same image set, so it is skipped; an
+    orbit is keyed by its least member.  Returns True, or raises
+    VerificationError with the counterexample, the frame's params, m and
+    the subgroup's rows.
     """
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
+    vectors = _vectors(section)
     elements = E.elements()
+    add = frame.tower.add
     checked = set()
     for x in sample:
         x = tuple(x)
-        key = min(_shifted(x, lam, frame.tower) for lam in elements)
+        key = x[:-1] + (min(add(x[-1], lam) for lam in elements),)
         if key not in checked:
             checked.add(key)
-            _orbit_closure(x, E, elements, section, frame)
+            _orbit_closure(x, E, elements, vectors, frame)
     return True
 
 
@@ -237,7 +258,7 @@ def incidence_check(frame: StarFrame, sample) -> bool:
                     "kind": "line off the hyperplane has several infinite points", **where})
             _check_affine_image(
                 {star_point(P, frame) for P in affine}, star_point(affine[0], frame),
-                star_infinite(infinite[0], frame), frame,
+                _vectors(star_infinite(infinite[0], frame)), frame,
                 lambda kind, **_: VerificationError("incidence check failed",
                                                     {"kind": kind, **where}),
                 ("affine line image does not cut a spread element",
@@ -262,6 +283,8 @@ def sample_affine_points(frame: StarFrame, size: int = SAMPLE_SIZE, seed: int = 
     tower = frame.tower
     if force or frame.affine_count <= EXHAUSTIVE_LIMIT:
         return [(1,) + rest for rest in itertools.product(range(tower.order), repeat=frame.r - 1)]
+    if size > frame.affine_count:
+        raise ValueError(f"cannot sample {size} distinct points from {frame.affine_count}")
     rng = random.Random(seed)
     seen: dict[tuple, None] = {}
     while len(seen) < size:

@@ -13,6 +13,7 @@ import pytest
 
 from galela import (
     StarFrame,
+    VerificationError,
     common_intersection_check,
     enumerate_points,
     group_from_elements,
@@ -26,7 +27,7 @@ from galela import (
     theta,
     verify_star_model,
 )
-from galela import bruckbose
+from galela import bruckbose, elation, linalg, pspace
 from galela.bruckbose import (
     EXHAUSTIVE_LIMIT,
     admissible_orders,
@@ -35,7 +36,7 @@ from galela.bruckbose import (
     sample_line_specs,
 )
 from galela.elation import dimension_profile, enumerate_subgroups, subspace_of_center
-from galela.pspace import field_for, subspace_points
+from galela.pspace import field_for, span, subspace_points
 
 
 def small_frame():
@@ -260,12 +261,150 @@ def count_closures(monkeypatch):
     calls = []
     real = bruckbose._orbit_closure
 
-    def counted(x, E, elements, section, frame):
+    def counted(x, E, elements, vectors, frame):
         calls.append(x)
-        return real(x, E, elements, section, frame)
+        return real(x, E, elements, vectors, frame)
 
     monkeypatch.setattr(bruckbose, "_orbit_closure", counted)
     return calls
+
+
+def span_and_count(images, base, W, q):
+    """The check as a span comparison and a count: None when it passes,
+    else the index of the failure kind, 0 for a different span and 1 for
+    too few images."""
+    if span(images, q) != span([base, *W.basis], q):
+        return 0
+    return None if len(images) == q ** W.t else 1
+
+
+def coset_verdict(images, base, W, frame):
+    """bruckbose._check_affine_image's verdict in span_and_count's terms."""
+    def error(kind, **fields):
+        return VerificationError(kind, fields)
+    try:
+        bruckbose._check_affine_image(images, base, bruckbose._vectors(W), frame, error,
+                                      ("different span", "too few"))
+    except VerificationError as exc:
+        return ["different span", "too few"].index(str(exc))
+    return None
+
+
+class TestCosetCheck:
+    @pytest.mark.parametrize("params", [(2, 2, 4, 1), (3, 2, 2, 1), (2, 3, 2, 1)],
+                             ids=lambda params: "-".join(map(str, params)))
+    def test_agrees_with_span_and_count(self, params):
+        # every subgroup and affine point, as checked and with one image
+        # dropped, one foreign affine point added, or one image swapped for
+        # a point off the coset
+        f = StarFrame(*params)
+        t = f.tower
+        points = sample_affine_points(f)
+        stars = [star_point(x, f) for x in points]
+        passed = 0
+        perturbed = []
+        for m in admissible_orders(f.h, f.n):
+            for H in enumerate_subgroups(f.p, f.h, m):
+                W = embed_center_section(subspace_of_center(H, f.n), f)
+                for x in points:
+                    base = star_point(x, f)
+                    images = {star_point((*x[:-1], t.add(x[-1], lam)), f)
+                              for lam in H.elements()}
+                    assert coset_verdict(images, base, W, f) is None
+                    assert span_and_count(images, base, W, f.q) is None
+                    passed += 1
+                    cases = [images - {max(images)}]
+                    foreign = next((y for y in stars if y not in images), None)
+                    if foreign is not None:
+                        cases += [images | {foreign}, images - {max(images)} | {foreign}]
+                    for bad in cases:
+                        verdict = span_and_count(bad, base, W, f.q)
+                        assert verdict is not None
+                        assert coset_verdict(bad, base, W, f) == verdict
+                        perturbed.append(verdict)
+        assert (passed, len(perturbed)) == {(2, 2, 4, 1): (1056, 3136), (3, 2, 2, 1): (64, 192),
+                                            (2, 3, 2, 1): (45, 117)}[params]
+        assert set(perturbed) == {0, 1}
+
+    def test_section_off_the_hyperplane_fails(self):
+        # a section with a nonzero leading coordinate: x* + W has no
+        # normalized affine point but x* itself, though the span and count
+        # agree with the images of the true section
+        f = StarFrame(2, 2, 2, 1)
+        t = f.tower
+        H = group_from_elements(t, (0, 1))
+        W = embed_center_section(subspace_of_center(H, f.n), f)
+        tilted = span([tuple(a ^ b for a, b in zip(W.basis[0], (1, 0, 0)))], f.q)
+        images = {star_point((1, lam), f) for lam in H.elements()}
+        base = star_point((1, 0), f)
+        assert span_and_count(images, base, tilted, f.q) is None
+        assert coset_verdict(images, base, tilted, f) == 1
+
+    def test_vectors_of_a_section(self):
+        f = plane_frame()
+        W = embed_center_section(subspace_of_center(
+            group_from_elements(f.tower, f.tower.subfield_elements(2)), f.n), f)
+        vectors = bruckbose._vectors(W)
+        assert len(vectors) == len(set(vectors)) == f.q ** W.t
+        nonzero = {pspace.normalize_point(v, f.q) for v in vectors if any(v)}
+        assert nonzero == set(subspace_points(W))
+
+
+class TestFailureKinds:
+    def test_too_few_orbit_images_are_not_an_affine_subspace(self, monkeypatch):
+        # the largest element left out of every orbit: the other three still
+        # span x* and the section
+        f = StarFrame(2, 2, 4, 1)
+        t = f.tower
+        H = group_from_elements(t, (0, 1, t.mu, t.add(1, t.mu)))
+        real = elation.ElationGroup.elements
+        monkeypatch.setattr(elation.ElationGroup, "elements", lambda self: real(self)[:-1])
+        with pytest.raises(VerificationError) as exc:
+            common_intersection_check(H, f, [(1, 0)])
+        assert exc.value.details["kind"] == "orbit image is not an affine subspace"
+        assert exc.value.details["point"] == [1, 0]
+
+    def test_too_few_line_images_are_missing_affine_points(self, monkeypatch):
+        # PG(1,4) over GF(2): the line's last affine point left out, the
+        # other three still span P* and the spread element
+        f = StarFrame(2, 2, 2, 1)
+        real = pspace.subspace_points
+        monkeypatch.setattr(pspace, "subspace_points", lambda X: real(X)[:-1])
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, [((1, 0), (1, 1))])
+        assert exc.value.details["kind"] == "line image is missing affine points"
+
+
+def count_rref(monkeypatch):
+    calls = [0]
+    real = linalg.rref
+
+    def counted(rows, field):
+        calls[0] += 1
+        return real(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+class TestWork:
+    def test_rref_calls_do_not_grow_with_orbits(self, monkeypatch):
+        # one orbit or all 8 of a subgroup of order 2 in GF(16): the same
+        # linear algebra, all of it for the center section
+        f = StarFrame(2, 2, 4, 1)
+        H = group_from_elements(f.tower, (0, 1))
+        sample = sample_affine_points(f)
+        closures = count_closures(monkeypatch)
+        rref = count_rref(monkeypatch)
+        counts = []
+        for points in (sample[:1], sample):
+            rref[0] = 0
+            closures.clear()
+            assert common_intersection_check(H, f, points) is True
+            counts.append((len(closures), rref[0]))
+        (one, one_rref), (eight, eight_rref) = counts
+        assert (one, eight) == (1, 8)
+        assert one_rref == eight_rref
 
 
 class TestOrbitsCheckedOnce:
@@ -322,6 +461,15 @@ class TestSampling:
         assert a == b
         assert a != c
         assert len(a) == 256
+
+    def test_oversized_sample_rejected(self):
+        # GF(2^13) has 8192 affine points of PG(1, 2^13), fewer than asked
+        f = StarFrame(2, 2, 13, 1)
+        assert EXHAUSTIVE_LIMIT < f.affine_count == 8192
+        with pytest.raises(ValueError):
+            sample_affine_points(f, size=f.affine_count + 1)
+        assert sorted(sample_affine_points(f, size=f.affine_count)) == \
+            [(1, x) for x in range(f.affine_count)]
 
     def test_small_frame_pairs_exhaustive(self):
         f = small_frame()

@@ -353,6 +353,25 @@ H = elation.group_from_elements(frame.tower, (0, 1))
     assert run_optimized(code) == ["1", "raised"]
 
 
+def test_orbit_image_count_check_survives_optimize():
+    # the largest element left out of every orbit: the other three images
+    # still span x* and the section, but are one short of its affine part
+    code = PREAMBLE + """
+frame = bruckbose.StarFrame(2, 2, 4, 1)
+t = frame.tower
+H = elation.group_from_elements(t, (0, 1, t.mu, t.add(1, t.mu)))
+real = elation.ElationGroup.elements
+elation.ElationGroup.elements = lambda self: real(self)[:-1]
+try:
+    bruckbose.common_intersection_check(H, frame, [(1, 0)])
+except VerificationError as exc:
+    print(sys.flags.optimize, exc.details["kind"])
+else:
+    print(sys.flags.optimize, "passed")
+"""
+    assert optimized_message(code) == "1 orbit image is not an affine subspace"
+
+
 # GF(8) has two classes of primitive elements, so in GF(64) a wrong root of
 # the minimal polynomial either generates GF(8) (the map stays multiplicative
 # but is not additive) or is 1 (the map is not a bijection)

@@ -21,6 +21,14 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 SELFTEST_SHA256 = "057ea3b0742add06be83912c2d83226bb1ad584fe45c82ca7ee3882818a9cd88"
 
+# verify bruckbose --json stdout by frame r-p-h-n
+BRUCKBOSE_SHA256 = {
+    "3-3-2-1": "bea68691ff322dc58ecf893a609ab840f8978652f16c11a66744053296c48182",
+    "2-3-4-2": "a3b589dcd11678b769c0c7dad5776254db8a23261eed013ce62feb655bbce9b6",
+    "2-2-6-3": "9b9532630d7ce96f738652d8fd93c5eca161593389bb8d3ff7600bce1ace54e1",
+    "4-2-2-1": "8575466967518c9c9a002ef4060d67fb9b5bb36afe3ed204862c5606b2e98511",
+}
+
 
 def run_cli(*args, env_extra=None, timeout=120):
     env = dict(os.environ)
@@ -214,6 +222,15 @@ class TestVerify:
         out = capsys.readouterr().out
         reference = json.loads(REFERENCE.read_text())["star"]
         assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256_by_seed"]["0"]
+
+    @pytest.mark.parametrize("frame", sorted(BRUCKBOSE_SHA256))
+    def test_bruckbose_matches_pinned_digest(self, frame, capsys):
+        # odd characteristic, n > 1 and r = 4 frames, each swept exhaustively
+        r, p, h, n = frame.split("-")
+        assert cli.main(["verify", "bruckbose", "--r", r, "--p", p, "--h", h, "--n", n,
+                         "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == BRUCKBOSE_SHA256[frame]
 
     @pytest.mark.parametrize("r", ["1", "0"])
     def test_lemma1_small_r_exit_code(self, r):
