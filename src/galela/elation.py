@@ -16,7 +16,7 @@ Singer census does: each subgroup is carried as log_set, the exponents of
 its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
 and mu acts on it as a rotation by one bit under the census's kernel,
 singer.rotation_orbits.  singer.span_log_sets builds the log sets of all
-subgroups of one order in one pass over their sorted bases, from the
+subgroups of one order in one pass over pspace.subspace_groups, from the
 field's own log and Zech tables, with the log of a row read through
 from_coeffs; the census reads its log sets from the tables of GF(q^s)
 through the same routine, so every log set comes from a field's own tables
@@ -131,13 +131,18 @@ def group_from_elements(tower: FieldTower, elems) -> ElationGroup:
     return _group_from_rows(tower, rows)
 
 
-def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
-    """All additive subgroups of GF(p^h) of order p^m, sorted canonically."""
+def _subgroup_groups(p: int, h: int, m: int, cap):
+    """pspace.subspace_groups of the order-p^m subgroups' coefficient bases."""
     if not 1 <= m <= h:
         raise ValueError(f"bad subgroup rank {m} for GF({p}^{h})")
-    bases = pspace.subspace_bases(h, m, p, cap=cap)
+    return pspace.subspace_groups(h, m, p, cap=cap)
+
+
+def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
+    """All additive subgroups of GF(p^h) of order p^m, sorted canonically."""
+    groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
-    return [ElationGroup(tower, rows) for rows in bases]
+    return [ElationGroup(tower, prefix + (row,)) for prefix, rows in groups for row in rows]
 
 
 def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
@@ -194,13 +199,13 @@ def log_set(H: ElationGroup) -> int:
     field's own log and Zech tables by singer.span_log_sets, which checks
     that H has theta(m,p) points.
     """
-    return _class_log_sets(H.tower, H.m, [H.rows])[0]
+    return next(_class_log_sets(H.tower, H.m, [(H.rows[:-1], H.rows[-1:])]))[2][0]
 
 
-def _class_log_sets(tower: FieldTower, m: int, bases) -> list:
-    """singer.span_log_sets of m-row coefficient bases, from the tower's tables."""
+def _class_log_sets(tower: FieldTower, m: int, groups):
+    """singer.span_log_sets of groups of m-row coefficient bases, from the tower's tables."""
     log, encode = tower.log, tower.from_coeffs
-    return singer.span_log_sets(bases, lambda row: log[encode(row)],
+    return singer.span_log_sets(groups, lambda row: log[encode(row)],
                                 tower.zech if m > 1 else (), combinat.theta(tower.h, tower.p),
                                 lambda rows: {"field": (tower.p, tower.h), "rows": rows})
 
@@ -223,10 +228,12 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     for the representative alone, since H and alpha*H are spaces over the
     same subfields.
     """
-    subs = enumerate_subgroups(p, h, m, cap=cap)
+    groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
-    classes = []
-    sets = _class_log_sets(tower, m, (H.rows for H in subs))
+    classes, sets, subs = [], [], []
+    for prefix, rows, group_sets in _class_log_sets(tower, m, groups):
+        sets += group_sets
+        subs += [ElationGroup(tower, prefix + (row,)) for row in rows]
     index, orbits = singer.rotation_orbits(zip(sets, subs), h, m, p)
     # the index's keys run through the walks, one class after another, and
     # every log set is a key, so its values become the subgroups in walk order

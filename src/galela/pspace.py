@@ -5,9 +5,10 @@ coordinate is 1.  A t-dimensional subspace (vector dimension t, projective
 dimension t-1) is carried by the unique reduced-row-echelon basis of its row
 space, pivots ascending, stored as a tuple of row tuples; equal subspaces
 therefore compare equal as values, and span is the one way from generating
-rows to that form.  Enumeration (subspace_bases) streams the RREF bases row
-by row in sorted order, holding only the rows of the current prefix, and
-checks at the end that it emitted the Gaussian binomial's count.
+rows to that form.  Enumeration (subspace_groups) streams the RREF bases row
+by row in sorted order as groups, the first t-1 rows and one shared list of
+last rows, so no basis is built unless asked for (subspace_bases), and
+checks at the end that it held the Gaussian binomial's count.
 """
 
 from __future__ import annotations
@@ -91,21 +92,22 @@ def span(rows, q: int) -> Subspace:
     return Subspace(q, red)
 
 
-def subspace_bases(s: int, t: int, q: int, cap=None):
-    """The RREF bases of all t-dimensional subspaces of GF(q)^s, streamed in sorted order.
+def subspace_groups(s: int, t: int, q: int, cap=None):
+    """The t-dimensional subspaces of GF(q)^s as (prefix, rows) groups, streamed in sorted order.
 
-    Raises ValueError or CapExceeded here, before the first basis is asked
-    for, if t is out of range, the Gaussian binomial exceeds the cap or q
-    is not a prime power.  The stream raises VerificationError at its end
-    unless it yielded exactly the Gaussian binomial's count.  A basis is a
-    tuple of row tuples, and bases with the same leading rows share them.
+    A group stands for the RREF bases prefix + (row,), row in rows: prefix
+    holds t - 1 rows, and rows is the one list of rows with pivot p.  Raises
+    ValueError or CapExceeded here, before the first group is asked for, if
+    t is out of range, the Gaussian binomial exceeds the cap or q is not a
+    prime power.  The stream raises VerificationError at its end unless its
+    groups held exactly the Gaussian binomial's count.
 
     The bases are walked row by row.  A row has its pivot, a 1, in a column
     where the earlier rows are 0, and anything right of it; the later pivots
     must fall where this row is 0 too, so a row is kept only if enough such
     columns remain.  Rows are tried with their pivot right to left and then
     in tuple order, which is sorted order, so the bases come out sorted and
-    the bases sharing a prefix of rows are consecutive.
+    the bases sharing a prefix of rows are consecutive and share its tuples.
     """
     if not 1 <= t <= s:
         raise ValueError(f"bad subspace dimension {t} in ambient {s}")
@@ -117,7 +119,6 @@ def subspace_bases(s: int, t: int, q: int, cap=None):
     # rows[p]: every row with its pivot in column p, sorted
     rows = [[(0,) * p + (1,) + tail for tail in itertools.product(range(q), repeat=s - p - 1)]
             for p in range(s)]
-    last = [[(row,) for row in group] for group in rows]
 
     def extend(prefix, zero):
         """Groups of the bases that begin with prefix; zero lists the columns
@@ -125,7 +126,7 @@ def subspace_bases(s: int, t: int, q: int, cap=None):
         need = t - len(prefix)
         if need == 1:
             for p in reversed(zero):
-                yield last[p], prefix.__add__
+                yield prefix, rows[p]
             return
         for k in range(len(zero) - need, -1, -1):
             later = zero[k + 1:]
@@ -136,14 +137,19 @@ def subspace_bases(s: int, t: int, q: int, cap=None):
 
     def groups():
         count = 0
-        for group, join in extend((), list(range(s))):
-            count += len(group)
-            yield map(join, group)
+        for group in extend((), list(range(s))):
+            count += len(group[1])
+            yield group
         if count != total:
             raise VerificationError("subspace count is not the Gaussian binomial",
                                     {"case": (s, t, q), "subspaces": count})
 
-    return itertools.chain.from_iterable(groups())
+    return groups()
+
+
+def subspace_bases(s: int, t: int, q: int, cap=None):
+    """The RREF bases (tuples of row tuples) of subspace_groups, flattened, with its checks."""
+    return (prefix + (row,) for prefix, rows in subspace_groups(s, t, q, cap) for row in rows)
 
 
 def enumerate_subspaces(s: int, t: int, q: int, cap=None) -> tuple:

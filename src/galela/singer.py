@@ -16,20 +16,21 @@ tests compare with.
 
 span_log_sets builds the log sets of the census and of the scalar classes
 of the elation module from a field's own log and Zech tables, a whole
-sorted family in one pass: neighbours share their leading rows, so each
-shared prefix of rows is expanded once and only the last row is expanded
-per subspace, and every subspace's point count is still checked.  One
+sorted family in one pass over pspace.subspace_groups: neighbours share
+their leading rows, so each shared prefix of rows is expanded once, the
+logs of the last rows come from one table per call, and per subspace only
+the last row's Zech reads and the point-count check remain.  One
 kernel, rotation_orbits, walks these log sets under walk_orbits, whose one
 dict from log set to orbit number both tells a new orbit's first member
 and checks that the orbits partition the items.  It reads each orbit's
 stabilizer parameter u off the walked length theta(s,q)/theta(u,q) and
 checks both closed-form counts for every subfield degree d | gcd(t, s).
 
-The census streams: the bases come from pspace.subspace_bases in sorted
+The census streams: the groups come from pspace.subspace_groups in sorted
 order, so the first basis of each orbit is its least, the representative,
-and the census keeps only the representatives, the orbit records and that
-dict; orbit_members rebuilds an orbit on demand by walking its
-representative with act.  The walk carries the other orbit facts, so none
+and the census builds and keeps only the representatives, the orbit
+records and that dict; orbit_members rebuilds an orbit on demand by
+walking its representative with act.  The walk carries the other orbit facts, so none
 is checked again: its return to its start shows that the
 theta(s,q)/theta(u,q)-th power of the generator fixes every member, and
 with each member's point count that makes the orbit cover every point
@@ -42,7 +43,6 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
-from operator import itemgetter
 
 from . import combinat, linalg, pspace
 from .errors import VerificationError
@@ -96,53 +96,54 @@ def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
 def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
     """The points of X as a theta(s,q)-bit integer: bit k for the point mu^k.
 
-    span_log_sets expands the logs of X's basis rows with the Zech table of
+    span_log_sets expands X's basis, a group of one, with the Zech table of
     GF(q^s).  Raises VerificationError unless X has theta(t,q) points.
     """
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
-    return _census_log_sets(S, X.t, [X.basis])[0]
+    return next(_census_log_sets(S, X.t, [(X.basis[:-1], X.basis[-1:])]))[2][0]
 
 
-def _census_log_sets(S: SingerGroup, t: int, bases) -> list:
-    """span_log_sets of t-row bases of PG(s-1,q), from the tables of GF(q^s)."""
-    return span_log_sets(bases, S.log.__getitem__, S.big.zech if t > 1 else (),
+def _census_log_sets(S: SingerGroup, t: int, groups):
+    """span_log_sets of groups of t-row bases of PG(s-1,q), from the tables of GF(q^s)."""
+    return span_log_sets(groups, S.log.__getitem__, S.big.zech if t > 1 else (),
                          S.projective_order, lambda basis: {"case": (S.s, S.q), "basis": basis})
 
 
-def span_log_sets(bases, rowlog, zech, theta: int, where) -> list:
-    """The points spanned by each basis, as theta-bit integers, in the order of bases.
+def span_log_sets(groups, rowlog, zech, theta: int, where):
+    """Yield (prefix, rows, sets) per group: sets[i] is the points of prefix + (rows[i],).
 
-    A basis is a tuple of independent rows, and rowlog(row) is the row's log
-    in [0, n), n = q^s - 1 = theta (q - 1); zech[k] is log(1 + mu^k), n
-    entries, so that log(v + mu^k v) = log v + zech[k], and may be empty
-    when every basis has one row.  Row by row: the points of span(Y, b), b
-    outside Y, are those of Y, b, and y + b for every nonzero y of Y, with
-    log(y + b) = log b + zech(log y - log b).  The nonzero vectors of Y are
-    the GF(q)*-multiples of its points, and GF(q)* is the exponents
-    j*theta, so a point's log mod theta stands for all of them.  Row i adds
-    1 + (q-1) theta(i-1,q) points, theta(t,q) in all, so the point count
-    holds exactly when they are distinct; otherwise VerificationError, with
-    where(basis) among its details.
+    The bases prefix + (row,), row in rows, are tuples of independent rows,
+    the groups come in any order, and the points are theta-bit integers.
+    rowlog(row) is the row's log in [0, n), n = q^s - 1 = theta (q - 1);
+    zech[k] is log(1 + mu^k), n entries, so that log(v + mu^k v) = log v +
+    zech[k], and may be empty when every basis has one row.  Row by row: the
+    points of span(Y, b), b outside Y, are those of Y, b, and y + b for
+    every nonzero y of Y, with log(y + b) = log b + zech(log y - log b).
+    The nonzero vectors of Y are the GF(q)*-multiples of its points, and
+    GF(q)* is the exponents j*theta, so a point's log mod theta stands for
+    all of them.  Row i adds 1 + (q-1) theta(i-1,q) points, theta(t,q) in
+    all, so the point count holds exactly when they are distinct; otherwise
+    VerificationError, with where(basis) among its details.
 
     A stack keeps one entry per expanded prefix of rows: the row, the logs
     of every nonzero vector of the prefix's span, its points as bits and
-    their count.  Each basis pops only the rows in which it differs from
-    the previous basis, so a sorted family, whose neighbours share their
-    leading rows, expands each shared prefix once; the order of bases
-    changes only how much is shared.  The last row ORs its points into the
-    prefix's bits.
+    their count.  Each group pops only the rows in which its prefix differs
+    from the previous group's, so a sorted stream, whose neighbours share
+    their leading rows, expands each shared prefix once.  The last rows'
+    logs are read once per call for each rows object (subspace_groups shares
+    s), so per basis only its last row's Zech reads and the count remain.
     """
     scalars = range(0, len(zech), theta)
     stack = [((), [], 0, 0)]  # the zero space
-    sets = []
-    for basis in bases:
+    table = {}  # id(rows) -> (rows, their logs), rows kept so that its id stays unique
+    for prefix, rows in groups:
         depth = 1
-        while depth < len(stack) and depth < len(basis) and stack[depth][0] == basis[depth - 1]:
+        while depth < len(stack) and depth <= len(prefix) and stack[depth][0] == prefix[depth - 1]:
             depth += 1
         del stack[depth:]
         _, logs, bits, points = stack[-1]
-        for row in basis[depth - 1:-1]:
+        for row in prefix[depth - 1:]:
             b = rowlog(row)
             # y - b lies in (-n, n), where Python's indexing wraps mod n
             new = [b % theta] + [(b + zech[y - b]) % theta for y in logs]
@@ -151,15 +152,18 @@ def span_log_sets(bases, rowlog, zech, theta: int, where) -> list:
                 bits |= 1 << k
             points += len(new)
             stack.append((row, logs, bits, points))
-        b = rowlog(basis[-1])
-        bits |= 1 << b % theta
-        for y in logs:
-            bits |= 1 << (b + zech[y - b]) % theta
-        if bits.bit_count() != points + 1 + len(logs):
-            raise VerificationError("subspace has the wrong number of points",
-                                    {**where(basis), "points": bits.bit_count()})
-        sets.append(bits)
-    return sets
+        _, lasts = table.get(id(rows)) or table.setdefault(id(rows), (rows, [*map(rowlog, rows)]))
+        points += 1 + len(logs)
+        sets = []
+        for b in lasts:
+            last = bits | 1 << b % theta
+            for y in logs:
+                last |= 1 << (b + zech[y - b]) % theta
+            if last.bit_count() != points:
+                raise VerificationError("subspace has the wrong number of points", {
+                    **where(prefix + (rows[len(sets)],)), "points": last.bit_count()})
+            sets.append(last)
+        yield prefix, rows, sets
 
 
 def rotate(bits: int, theta: int) -> int:
@@ -182,22 +186,23 @@ class OrbitRecord:
 class OrbitCensus:
     """All Singer orbits on t-dimensional subspaces, sorted by (u, representative).
 
-    Holds the orbit records, the Singer group and one index from the log
-    set of every subspace to its orbit's number; no subspace but the
-    representatives is kept.
+    Holds the orbit records, the Singer group, one index from the log set
+    of every subspace to its orbit's walk number, and each walk's rank in
+    the records; no subspace but the representatives is kept.
     """
 
-    def __init__(self, S: SingerGroup, t: int, orbits, index: dict):
+    def __init__(self, S: SingerGroup, t: int, orbits, index: dict, rank: tuple):
         self.s = S.s
         self.t = t
         self.q = S.q
         self.singer = S
         self.orbits = orbits
         self._index = index
+        self._rank = rank
 
     def orbit_index(self, X: pspace.Subspace) -> int:
         try:
-            return self._index[log_set(self.singer, X)]
+            return self._rank[self._index[log_set(self.singer, X)]]
         except KeyError:
             raise ValueError("subspace not covered by this census") from None
 
@@ -284,7 +289,7 @@ def rotation_orbits(pairs, s: int, t: int, q: int):
     index, firsts = walk_orbits(pairs, partial(rotate, theta=theta))
     orbits = []
     for item, size in firsts:
-        u = degree_of.get(combinat.exact_div(theta, size))
+        u = None if theta % size else degree_of.get(theta // size)
         if u is None:
             raise VerificationError("orbit size fits no divisor of gcd(t, s)",
                                     {"case": (s, t, q), "size": size})
@@ -304,17 +309,17 @@ def rotation_orbits(pairs, s: int, t: int, q: int):
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
-    The bases stream from pspace.subspace_bases in sorted order and their
-    log sets from span_log_sets, one chunk per first row, so no chunk
-    splits a shared prefix of rows.  rotation_orbits walks the log sets, so
-    no matrix acts during the census.  A log set that no earlier orbit
-    holds starts a walk, and its basis, the least of the orbit since the
-    stream is sorted, is the orbit's representative.  The census keeps the
-    representatives and one index from log set to orbit number, and no
-    other subspace.  In this order it verifies: theta(t,q) points per
-    subspace; each walk's return to its start; that the orbits partition
-    the subspaces; rotation_orbits' stabilizer parameter u per orbit; and
-    both closed-form counts for every subfield degree d | gcd(t, s).
+    The groups of pspace.subspace_groups stream in sorted order through
+    span_log_sets, and rotation_orbits walks their log sets, so no matrix
+    acts and no basis is built during the census.  A log set that no
+    earlier orbit holds starts a walk, and its basis, the least of the
+    orbit since the stream is sorted, is the orbit's representative.  The
+    census keeps the representatives, one index from log set to walk number
+    and each walk's rank in the sorted records, and no other subspace.  In
+    this order it verifies: theta(t,q) points per subspace; each walk's
+    return to its start; that the orbits partition the subspaces;
+    rotation_orbits' stabilizer parameter u per orbit; and both closed-form
+    counts for every subfield degree d | gcd(t, s).
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -328,21 +333,21 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     theta(t,q)/theta(u,q).
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
-    bases = pspace.subspace_bases(s, t, q, cap=limit)
+    groups = pspace.subspace_groups(s, t, q, cap=limit)
     S = SingerGroup(s, q)
 
-    chunks = (list(chunk) for _, chunk in itertools.groupby(bases, key=itemgetter(0)))
-    pairs = itertools.chain.from_iterable(zip(_census_log_sets(S, t, chunk), chunk)
-                                          for chunk in chunks)
+    # each subspace's item is its group (prefix, rows, sets), and orbit i's
+    # representative the first subspace of its first group that it holds
+    pairs = itertools.chain.from_iterable(zip(group[2], itertools.repeat(group))
+                                          for group in _census_log_sets(S, t, groups))
     index, orbits = rotation_orbits(pairs, s, t, q)
-    # the size is a function of u, so this sorts by (u, representative)
+    orbits = [(u, prefix + (rows[[index[bits] for bits in sets].index(i)],), size)
+              for i, (u, size, (prefix, rows, sets)) in enumerate(orbits)]
     order = sorted(range(len(orbits)), key=orbits.__getitem__)
-    rank = {i: r for r, i in enumerate(order)}
-    for bits, i in index.items():
-        index[bits] = rank[i]
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)
-                    for u, size, basis in map(orbits.__getitem__, order))
-    return OrbitCensus(S, t, records, index)
+                    for u, basis, size in map(orbits.__getitem__, order))
+    return OrbitCensus(S, t, records, index, tuple(rank))
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

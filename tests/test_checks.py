@@ -90,6 +90,22 @@ singer.rotate = lambda bits, theta: real(real(real(bits, theta), theta), theta)
     assert optimized_message(code) == "1 orbit size fits no divisor of gcd(t, s)"
 
 
+def test_census_walk_length_check_survives_optimize():
+    # a 14-cycle on the low bits that fixes bit 14: the points of PG(3,2)
+    # walk in orbits of 14 and 1, and 14 does not divide theta(4,2) = 15
+    code = PREAMBLE + """
+import json
+real = singer.rotate
+singer.rotate = lambda bits, theta: bits if bits >> 14 else real(bits, 14)
+try:
+    singer.orbit_census(4, 1, 2)
+except VerificationError as exc:
+    print(json.dumps([sys.flags.optimize, str(exc), exc.details]))
+"""
+    assert json.loads(optimized_message(code)) == [
+        1, "orbit size fits no divisor of gcd(t, s)", {"case": [4, 1, 2], "size": 14}]
+
+
 def test_census_point_count_check_survives_optimize():
     # a GF(16) Zech table of zeros makes log(y + b) = log b: a line of
     # PG(3,2) gets 2 points

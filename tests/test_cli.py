@@ -275,6 +275,20 @@ class TestVerify:
         assert payload["message"] == "forced failure"
         assert payload["details"] == {"witness": [1, 2, 3]}
 
+    def test_census_walk_of_the_wrong_length_exit_code(self, monkeypatch, capsys):
+        # a 14-cycle on the low bits that fixes bit 14 walks the points of
+        # PG(3,2) in orbits of 14 and 1, and 14 does not divide theta(4,2) = 15:
+        # a failed check (exit 1), not invalid parameters (exit 2)
+        real = cli.singer.rotate
+        monkeypatch.setattr(cli.singer, "rotate",
+                            lambda bits, theta: bits if bits >> 14 else real(bits, 14))
+        code = cli.main(["census", "--s", "4", "--t", "1", "--q", "2", "--json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "verification failure",
+            "message": "orbit size fits no divisor of gcd(t, s)",
+            "details": {"case": [4, 1, 2], "size": 14}}
+
 
 class TestParser:
     def test_missing_subcommand(self):

@@ -39,7 +39,7 @@ from galela import (
 from galela import elation, linalg, selftest, singer
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
-from galela.pspace import contains, enumerate_points, normalize_point
+from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
 from galela.singer import orbit_partition, span_log_sets
 
 
@@ -298,11 +298,13 @@ class TestLogWalk:
         one_by_one = [elation.log_set(H) for H in subs]
 
         def batch(groups):
-            return span_log_sets([H.rows for H in groups],
-                                 lambda row: tower.log[tower.from_coeffs(row)], tower.zech,
-                                 gaussian_binomial(h, 1, p), lambda rows: {"rows": rows})
-        assert batch(subs) == one_by_one
-        assert batch(subs[::-1]) == one_by_one[::-1]
+            return [bits for _, _, sets in span_log_sets(
+                        groups, lambda row: tower.log[tower.from_coeffs(row)], tower.zech,
+                        gaussian_binomial(h, 1, p), lambda rows: {"rows": rows})
+                    for bits in sets]
+        assert batch(subspace_groups(h, m, p)) == one_by_one
+        assert batch([(H.rows[:-1], H.rows[-1:]) for H in subs]) == one_by_one
+        assert batch([(H.rows[:-1], H.rows[-1:]) for H in subs[::-1]]) == one_by_one[::-1]
 
     def test_dependent_rows_fail_the_point_count(self):
         # 2 = -1 in GF(3): both rows name one point, and 1 + 2 = 0 takes

@@ -32,6 +32,7 @@ from galela.pspace import (
     field_for,
     normalize_point,
     subspace_bases,
+    subspace_groups,
 )
 from galela import combinat
 from galela.combinat import factorize
@@ -193,6 +194,31 @@ class TestEnumeration:
                 assert stream == sorted(pattern_bases(s, t, q))
                 assert stream == [X.basis for X in enumerate_subspaces(s, t, q)]
             s += 1
+
+    @pytest.mark.parametrize("q", prime_powers(256))
+    def test_group_stream_flattens_to_the_bases(self, q):
+        # every (s, t, q) with q^s <= 256
+        s = 1
+        while q**s <= 256:
+            for t in range(1, s + 1):
+                groups = list(subspace_groups(s, t, q))
+                flat = [prefix + (row,) for prefix, rows in groups for row in rows]
+                assert flat == list(subspace_bases(s, t, q)) == sorted(pattern_bases(s, t, q))
+                assert all(len(prefix) == t - 1 for prefix, _ in groups)
+                # the candidate last rows are s lists that the groups share
+                assert len({id(rows) for _, rows in groups}) <= s
+            s += 1
+
+    def test_group_stream_checks_its_count_after_the_last_group(self, monkeypatch):
+        # one subspace too many predicted: every group of the 35 lines of
+        # PG(3,2) streams out before the check fails
+        groups = list(subspace_groups(4, 2, 2))
+        monkeypatch.setattr(combinat, "gaussian_binomial", lambda s, t, q: 36)
+        stream = subspace_groups(4, 2, 2)
+        assert list(itertools.islice(stream, len(groups))) == groups
+        with pytest.raises(VerificationError) as exc:
+            next(stream)
+        assert exc.value.details == {"case": (4, 2, 2), "subspaces": 35}
 
     @pytest.mark.parametrize("args,error", [((6, 3, 2, 100), CapExceeded),
                                             ((4, 0, 2), ValueError),

@@ -27,10 +27,11 @@ from galela import (
     subspace_points,
     theta,
 )
+from galela import singer
 from galela.combinat import divisors
 from galela.gf import make_field
 from galela.linalg import matvec
-from galela.pspace import Subspace, normalize_point
+from galela.pspace import Subspace, normalize_point, subspace_groups
 from galela.selftest import CENSUS_CASES
 from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets
 
@@ -339,9 +340,15 @@ class TestLogCoordinates:
         assert got == expected
 
 
-def census_log_sets(S, bases):
-    return span_log_sets(bases, S.log.__getitem__, S.big.zech, S.projective_order,
-                         lambda basis: {"basis": basis})
+def census_log_sets(S, groups):
+    """span_log_sets of (prefix, rows) groups, flattened to one log set per basis."""
+    return [bits for _, _, sets in span_log_sets(groups, S.log.__getitem__, S.big.zech,
+                                                 S.projective_order, lambda basis: {"basis": basis})
+            for bits in sets]
+
+
+def groups_of_one(bases):
+    return [(basis[:-1], basis[-1:]) for basis in bases]
 
 
 class CountingList(list):
@@ -360,15 +367,18 @@ class TestBatchLogSets:
         S = SingerGroup(s, q)
         fam = enumerate_subspaces(s, t, q)
         one_by_one = [log_set(S, X) for X in fam]
-        assert census_log_sets(S, [X.basis for X in fam]) == one_by_one
-        assert census_log_sets(S, [X.basis for X in reversed(fam)]) == one_by_one[::-1]
+        assert census_log_sets(S, subspace_groups(s, t, q)) == one_by_one
+        assert census_log_sets(S, groups_of_one([X.basis for X in fam])) == one_by_one
+        assert census_log_sets(S, groups_of_one([X.basis for X in reversed(fam)])) == \
+            one_by_one[::-1]
 
     def test_shuffled_family_gives_the_same_sets(self):
         S = SingerGroup(6, 2)
         fam = enumerate_subspaces(6, 3, 2)
         order = sorted(range(len(fam)), key=lambda i: (i * 7919) % len(fam))
-        sets = census_log_sets(S, [X.basis for X in fam])
-        assert census_log_sets(S, [fam[i].basis for i in order]) == [sets[i] for i in order]
+        sets = census_log_sets(S, groups_of_one([X.basis for X in fam]))
+        assert census_log_sets(S, groups_of_one([fam[i].basis for i in order])) == \
+            [sets[i] for i in order]
 
     @pytest.mark.parametrize("call", [lambda: orbit_census(6, 3, 2),
                                       lambda: equivalence_classes(2, 6, 3)],
@@ -386,6 +396,33 @@ class TestBatchLogSets:
                        for d in range(t - 1)) + len(fam) * (q - 1) * theta(t - 1, q)
         call()
         assert counting.reads == expected
+
+
+    @pytest.mark.parametrize("call", [lambda: orbit_census(6, 3, 2),
+                                      lambda: equivalence_classes(2, 6, 3)],
+                             ids=["census", "classes"])
+    def test_last_rows_are_logged_once_per_pivot_list(self, call, monkeypatch):
+        # rowlog (S.log in the census, the tower's log of from_coeffs in the
+        # classes) runs once per pushed prefix row, counted as in the test
+        # above, and once per row of each pivot list a last row can come
+        # from, pivots t-1 ... s-1: theta(s-t+1, q) rows, not one per subspace
+        s, t, q = 6, 3, 2
+        calls = 0
+        real = singer.span_log_sets
+
+        def counting(groups, rowlog, *rest):
+            def counted(row):
+                nonlocal calls
+                calls += 1
+                return rowlog(row)
+            return real(groups, counted, *rest)
+
+        monkeypatch.setattr(singer, "span_log_sets", counting)
+        fam = enumerate_subspaces(s, t, q)
+        pushed = sum(len({X.basis[:d + 1] for X in fam}) for d in range(t - 1))
+        call()
+        assert calls == pushed + theta(s - t + 1, q)
+        assert calls <= pushed + theta(s, q) < pushed + len(fam)
 
 
 class TestSpreadOrbit:
