@@ -17,8 +17,18 @@ the check compares the image set with it; only a failing check spans.
 The span meets A* and z* in W.  The elation with parameter lam acts as
 the translation adding coords(lam) to the last block, which fixes A*
 pointwise by construction and agrees with star_point by the additivity of
-coords.  A sample checks each orbit it meets once, however many of its
-points it holds.  Every check raises VerificationError with a
+coords.
+
+A sample checks each E-coset of last coordinates it meets once.
+star_point maps one block at a time and W is zero outside the last block,
+so the check of x compares {coords(c + lam)} with coords(c) + W in the
+last block, c = x[-1], the other blocks being x*'s on both sides: moving
+x by (0, v, 0) moves both sets by (0, coords(v), 0), a translation of the
+big space fixing A* pointwise.  If c passes, so does every c' in c + E:
+the image sets agree, and coords(c') is one of c's images, so coords(c') +
+W = coords(c) + W.  The first sample point of each coset is therefore the
+first to fail, if any does.  A line's spread element is listed once per
+point at infinity.  Every check raises VerificationError with a
 counterexample.
 """
 
@@ -80,13 +90,18 @@ class StarFrame:
         return f"StarFrame(r={self.r}, p={self.p}, h={self.h}, n={self.n})"
 
 
-def star_point(x, frame: StarFrame) -> tuple:
-    """Image of an affine point (leading coordinate 1) in the big space."""
+def _affine(x, frame: StarFrame) -> tuple:
     x = tuple(x)
     if len(x) != frame.r:
         raise ValueError(f"point has {len(x)} coordinates, ambient needs {frame.r}")
     if x[0] != 1:
         raise ValueError("affine points carry a leading 1; use star_infinite at infinity")
+    return x
+
+
+def star_point(x, frame: StarFrame) -> tuple:
+    """Image of an affine point (leading coordinate 1) in the big space."""
+    x = _affine(x, frame)
     out = [1]
     for xi in x[1:]:
         out.extend(frame.tower.coords(xi, frame.n))
@@ -205,15 +220,19 @@ def _orbit_closure(x, E, elements, vectors, frame):
 def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample) -> bool:
     """Every sampled orbit closure meets z* in the center section of E.
 
-    For each orbit x^E the sample meets, checks once that its image is the
-    affine part of span(x*, section), which implies the claim: x* lies off
-    A* and the section inside z*, so the span meets z* in the section.  The
-    section and its vectors are built once per call, so a passing call does
-    no per-orbit linear algebra.  A further sample point of a checked orbit
-    would repeat the check on the same image set, so it is skipped; an
-    orbit is keyed by its least member.  Returns True, or raises
-    VerificationError with the counterexample, the frame's params, m and
-    the subgroup's rows.
+    For each E-coset of last coordinates the sample meets, checks once, on
+    its first sample point x, that the image of x^E is the affine part of
+    span(x*, section), which implies the claim: x* lies off A* and the
+    section inside z*, so the span meets z* in the section.  A later point
+    x' with x'[-1] in x[-1] + E passes whenever x does, whatever its head:
+    the shift (0, v, 0) giving x' the head of x moves x'^E's image and x'* +
+    section alike by a translation fixing A*, and takes x' into x^E, whose
+    check covers every base in its orbit (module docstring).  Every sample
+    point is still checked to be affine, so a non-affine point raises
+    ValueError even in a checked coset.  The section and its vectors are
+    built once per call, so a passing call does no per-orbit linear
+    algebra.  Returns True, or raises VerificationError with the
+    counterexample, the frame's params, m and the subgroup's rows.
     """
     sample = list(sample)
     if not sample:
@@ -222,12 +241,11 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
     vectors = _vectors(section)
     elements = E.elements()
     add = frame.tower.add
-    checked = set()
+    covered = set()  # last coordinates of the cosets checked so far
     for x in sample:
-        x = tuple(x)
-        key = x[:-1] + (min(add(x[-1], lam) for lam in elements),)
-        if key not in checked:
-            checked.add(key)
+        x = _affine(x, frame)
+        if x[-1] not in covered:
+            covered.update(add(x[-1], lam) for lam in elements)
             _orbit_closure(x, E, elements, vectors, frame)
     return True
 
@@ -238,10 +256,19 @@ def incidence_check(frame: StarFrame, sample) -> bool:
     A line with affine points maps onto the affine part of span(P*, S), P
     any of its affine points and S the spread element of its point at
     infinity, so its closure meets A* in S; a line inside the hyperplane at
-    infinity maps into the span of two spread elements.  Returns True, or
-    raises VerificationError with the failing line and the frame's params.
+    infinity maps into the span of two spread elements.  Each spread
+    element, and for a line with affine points its vectors, is built once
+    per point at infinity of the sample.  Returns True, or raises
+    VerificationError with the failing line and the frame's params.
     """
     bigq = frame.tower.order
+    members, cosets = {}, {}  # normalized point at infinity -> its element, its vectors
+
+    def member(P):
+        if P not in members:
+            members[P] = star_infinite(P, frame)
+        return members[P]
+
     for x, y in sample:
         x = pspace.normalize_point(x, bigq)
         y = pspace.normalize_point(y, bigq)
@@ -256,21 +283,23 @@ def incidence_check(frame: StarFrame, sample) -> bool:
             if len(infinite) != 1:
                 raise VerificationError("incidence check failed", {
                     "kind": "line off the hyperplane has several infinite points", **where})
+            point = infinite[0]
+            if point not in cosets:
+                cosets[point] = _vectors(member(point))
             _check_affine_image(
                 {star_point(P, frame) for P in affine}, star_point(affine[0], frame),
-                _vectors(star_infinite(infinite[0], frame)), frame,
+                cosets[point], frame,
                 lambda kind, **_: VerificationError("incidence check failed",
                                                     {"kind": kind, **where}),
                 ("affine line image does not cut a spread element",
                  "line image is missing affine points"))
         else:
-            closure = pspace.subspace_sum(star_infinite(x, frame), star_infinite(y, frame))
+            closure = pspace.subspace_sum(member(x), member(y))
             if closure.t != 2 * frame.dprime:
                 raise VerificationError("incidence check failed", {
                     "kind": "infinite line span has wrong rank", **where, "rank": closure.t})
             for P in pts:
-                SP = star_infinite(P, frame)
-                if not all(pspace.contains(closure, row) for row in SP.basis):
+                if not all(pspace.contains(closure, row) for row in member(P).basis):
                     raise VerificationError("incidence check failed", {
                         "kind": "spread element escapes the infinite line span", **where,
                         "point": list(P)})
@@ -328,7 +357,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     cap bounds each subgroup enumeration.  Each order's orbits_checked is
     the number of (subgroup, sample point) pairs, len(groups) *
     len(sample), not of distinct orbits: common_intersection_check checks
-    an orbit that holds several sample points only once.
+    once per E-coset of the sample's last coordinates.
     """
     frame = StarFrame(r, p, h, n)
     sample = sample_affine_points(frame, seed=seed, force=exhaustive)

@@ -121,23 +121,29 @@ def subspace_groups(s: int, t: int, q: int, cap=None):
             for p in range(s)]
 
     def extend(prefix, zero):
-        """Groups of the bases that begin with prefix; zero lists the columns
-        right of its last pivot where all its rows are 0."""
+        """Groups of the bases that begin with prefix, t - 2 rows or fewer;
+        zero lists the columns right of its last pivot where all its rows
+        are 0.  A prefix one row short of t - 1 yields its groups here, one
+        per pivot of the last row, rather than from one more level."""
         need = t - len(prefix)
-        if need == 1:
-            for p in reversed(zero):
-                yield prefix, rows[p]
-            return
         for k in range(len(zero) - need, -1, -1):
             later = zero[k + 1:]
             for row in rows[zero[k]]:
                 free = [j for j in later if not row[j]]
-                if len(free) >= need - 1:
+                if len(free) < need - 1:
+                    continue
+                if need == 2:
+                    head = prefix + (row,)
+                    for p in reversed(free):
+                        yield head, rows[p]
+                else:
                     yield from extend(prefix + (row,), free)
 
     def groups():
         count = 0
-        for group in extend((), list(range(s))):
+        top = (((), rows[p]) for p in reversed(range(s))) if t == 1 else \
+            extend((), list(range(s)))
+        for group in top:
             count += len(group[1])
             yield group
         if count != total:

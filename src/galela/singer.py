@@ -138,8 +138,8 @@ def span_log_sets(groups, rowlog, zech, theta: int, where):
     stack = [((), [], 0, 0)]  # the zero space
     table = {}  # id(rows) -> (rows, their logs), rows kept so that its id stays unique
     for prefix, rows in groups:
-        depth = 1
-        while depth < len(stack) and depth <= len(prefix) and stack[depth][0] == prefix[depth - 1]:
+        depth, top = 1, min(len(stack), len(prefix) + 1)
+        while depth < top and stack[depth][0] == prefix[depth - 1]:
             depth += 1
         del stack[depth:]
         _, logs, bits, points = stack[-1]

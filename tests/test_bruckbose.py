@@ -247,6 +247,41 @@ class TestGeometricChecks:
         sample = sample_line_specs(f, size=40, seed=3)
         assert incidence_check(f, sample) is True
 
+    @pytest.mark.parametrize("frame, specs", [
+        ((3, 2, 2, 1), lambda f: sample_line_specs(f)),
+        ((3, 2, 4, 2), lambda f: sample_line_specs(f, size=40, seed=3)),
+        ((4, 2, 2, 1), lambda f: sample_line_specs(f, size=60, seed=1))],
+        ids=["3-2-2-1-exhaustive", "3-2-4-2", "4-2-2-1"])
+    def test_spread_element_built_once_per_point_at_infinity(self, frame, specs, monkeypatch):
+        f = StarFrame(*frame)
+        sample = specs(f)
+        # every point at infinity of a sampled line, and those of the lines
+        # with affine points, whose elements' vectors the coset check lists
+        at_infinity, of_affine_lines = set(), set()
+        for x, y in sample:
+            pts = subspace_points(span([x, y], f.tower.order))
+            infinite = {P for P in pts if P[0] == 0}
+            at_infinity |= infinite
+            if len(infinite) < len(pts):
+                of_affine_lines |= infinite
+        calls, listed = [], []
+        real, real_vectors = bruckbose.star_infinite, bruckbose._vectors
+
+        def counted(P, frame):
+            calls.append(P)
+            return real(P, frame)
+
+        def counted_vectors(W):
+            listed.append(W)
+            return real_vectors(W)
+
+        monkeypatch.setattr(bruckbose, "star_infinite", counted)
+        monkeypatch.setattr(bruckbose, "_vectors", counted_vectors)
+        assert incidence_check(f, sample) is True
+        assert len(calls) == len(set(calls)) == len(at_infinity)
+        assert set(calls) == at_infinity
+        assert len(listed) == len(of_affine_lines)
+
     def test_degenerate_pair_rejected(self):
         f = small_frame()
         t = f.tower
@@ -435,14 +470,53 @@ class TestOrbitsCheckedOnce:
         assert common_intersection_check(H, f, [x, y]) is True
         assert calls == [x]
 
-    def test_same_last_coordinate_other_orbit_gives_two_checks(self, monkeypatch):
+    def test_same_coset_other_heads_give_one_check(self, monkeypatch):
+        # (1, mu, 5) and (1, 0, 5) lie in different orbits, but their last
+        # coordinates share an E-coset, so the first check covers both; a
+        # last coordinate off that coset is checked again
         f = plane_frame()
         t = f.tower
         H = group_from_elements(t, t.subfield_elements(2))
         calls = count_closures(monkeypatch)
-        x, y = (1, t.mu, 5), (1, 0, 5)
-        assert common_intersection_check(H, f, [x, y]) is True
-        assert calls == [x, y]
+        coset = {t.add(5, lam) for lam in H.elements()}
+        other = min(set(t.elements()) - coset)
+        x, y, z, w = (1, t.mu, 5), (1, 0, 5), (1, 0, t.add(5, max(H.elements()))), (1, t.mu, other)
+        assert common_intersection_check(H, f, [x, y, z, w]) is True
+        assert calls == [x, w]
+
+    def test_non_affine_point_in_a_checked_coset_rejected(self, monkeypatch):
+        # (0, 1) and (1, 0, 1) have last coordinate 1, in the coset {0, 1}
+        # that (1, 0) has already checked; both are still rejected
+        f = StarFrame(2, 2, 2, 1)
+        H = group_from_elements(f.tower, (0, 1))
+        calls = count_closures(monkeypatch)
+        for bad in [(0, 1), (1, 0, 1)]:
+            with pytest.raises(ValueError):
+                common_intersection_check(H, f, [(1, 0), bad])
+        assert calls == [(1, 0), (1, 0)]
+
+    @pytest.mark.parametrize("wrong", range(4))
+    def test_one_wrong_coords_value_is_caught(self, wrong, monkeypatch):
+        # coords(wrong) replaced by the coords of another nonzero element of
+        # GF(4): an exhaustive sample still meets it in a failing coset check
+        f = StarFrame(3, 2, 2, 1)
+        t = f.tower
+        sample = sample_affine_points(f)
+        assert len(sample) == 16
+        subgroups = [H for m in admissible_orders(f.h, f.n) for H in enumerate_subgroups(f.p, f.h, m)]
+        for H in subgroups:
+            assert common_intersection_check(H, f, sample) is True
+        real = type(t).coords
+        bad = real(t, 1 if wrong != 1 else 2, 1)
+
+        def coords(self, a, n):
+            return bad if self is t and a == wrong else real(self, a, n)
+
+        monkeypatch.setattr(type(t), "coords", coords)
+        with pytest.raises(VerificationError) as exc:
+            for H in subgroups:
+                common_intersection_check(H, f, sample)
+        assert str(exc.value) == "orbit geometry check failed"
 
 
 class TestSampling:
