@@ -9,39 +9,33 @@ field, carried here by the RREF basis of its coefficient vectors.
 
 Two subgroups give PGL-conjugate elation groups exactly when one is a
 GF(p^h)-scalar multiple of the other, so classification means partitioning
-subgroups into orbits under multiplication by the designated generator mu.
-Multiplication by mu is a Singer cycle on the points of GF(p^h) seen as
-PG(h-1, p), so the partition runs in discrete-log coordinates, as the
-Singer census does: each subgroup is carried as log_set, the exponents of
-its nonzero elements taken mod theta(h,p), one theta(h,p)-bit integer,
-and mu acts on it as a rotation by one bit under the census's kernel,
-singer.rotation_orbits.  singer.span_log_sets builds the log sets of all
-subgroups of one order in one pass over pspace.subspace_groups, from the
-field's own log and Zech tables, with the log of a row read through
-from_coeffs; the census reads its log sets from the tables of GF(q^s)
-through the same routine, so every log set comes from a field's own tables
-by one expansion rule.
+subgroups into orbits under multiplication by the designated generator mu,
+a Singer cycle on the points of GF(p^h) seen as PG(h-1, p).  The partition
+runs as the Singer census does: singer.span_log_sets reads each subgroup's
+log_set (the exponents of its nonzero elements mod theta(h,p), one
+theta(h,p)-bit integer) from the field's own log and Zech tables in one
+sorted pass over pspace.subspace_groups, and singer.rotation_orbits walks
+them with mu acting as a one-bit rotation.  Each walk starts at its class's
+least basis, and only that representative and its mu-image are built:
+member k is mu^k times the representative, its witness scalar, derived on
+demand by scalar_multiple, and conjugator builds the diagonal conjugator
+from it.
 
-The RREF definition of the action, scalar_multiple, is kept on one side of
-the walk.  equivalence_classes requires once per class that mu times the
-representative is the walk's next member, which ties the rotation's
-direction and the tables to the action, and the unit tests compare the
-classes with orbit_partition under scalar_multiple.
-
-The subfield structure of a subgroup (the largest GF(p^n) it is a vector
-space over) is scalar-invariant and refines the classification; GF(p^n)* is
-the subgroup's stabilizer under scalars, which equivalence_classes checks
-once per class as u == n, u read off the class size by the kernel, which
-also checks the closed-form class counts for every n | gcd(m, h).  Each
-class carries the witness scalar of every member, and conjugator builds the
-diagonal conjugator from it.  The correspondence checker maps each class
-through coords() onto a subspace of PG(h/n - 1, p^n), where the rank of the
-image alone tells whether H is a GF(p^n)-space.  Both sides walk by
-multiplication by mu, so it checks the links between the walks once per
-call, coords taking mu to the Singer generator on a basis and the
-generator acting as rotate on every point, and per class only which orbit
-the representative's image lies in and that the class's stabilizer is that
-orbit's; the classes must then hit every orbit once.
+The RREF action, scalar_multiple, stays on one side of the walk: per
+class, mu times the representative must have as its points, read from its
+elements through the log table and OR-ed into bits (for p > 2 several
+elements share a point), the rotation of the representative's log set,
+which ties the rotation's direction and the tables to the action.  The
+largest GF(p^n) a subgroup is a space over is scalar-invariant and refines
+the classification; GF(p^n)* is the stabilizer under scalars, checked per
+class as u == n, u read off the class size by the kernel.  The
+correspondence checker maps each class through coords() onto a subspace of
+PG(h/n - 1, p^n), where the rank of the image alone tells whether H is a
+GF(p^n)-space.  Both sides walk by mu, so it checks the links between the
+walks once per call, coords taking mu to the Singer generator on a basis
+and the generator acting as rotate on every point, and per class only
+which orbit the representative's image lies in and that the class's
+stabilizer is that orbit's; the classes must then hit every orbit once.
 """
 
 from __future__ import annotations
@@ -77,8 +71,9 @@ class ElationGroup:
         tower = self.tower
         out = [0]
         for b in self.basis_elements:
-            shifts = [tower.mul(c, b) for c in range(tower.p)]
-            out = [tower.add(x, s) for s in shifts for x in out]
+            # each nonzero multiple of b shifts the span so far: p^m - 1 additions in all
+            shifts = [tower.mul(c, b) for c in range(1, tower.p)]
+            out += [tower.add(x, s) for s in shifts for x in out]
         if len(set(out)) != tower.p ** self.m:
             raise VerificationError(
                 "subgroup basis does not span p^m distinct elements",
@@ -99,14 +94,22 @@ class DimensionProfile:
 
 @dataclass(frozen=True)
 class EquivalenceClass:
+    """A scalar class: member k < size is mu^k times the representative, derived on read."""
+
     representative: ElationGroup
-    members: tuple
-    witness_scalars: tuple  # alpha with alpha * representative == member, aligned
+    size: int
     profile: DimensionProfile
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def witness_scalars(self) -> tuple:
+        """mu^k for k < size: alpha with alpha * representative == member, aligned."""
+        return tuple(self.representative.tower.exp[:self.size])
+
+    @property
+    def members(self) -> tuple:
+        """Each witness scalar times the representative, one scalar_multiple each."""
+        return tuple(scalar_multiple(self.representative, alpha)
+                     for alpha in self.witness_scalars)
 
 
 def elation_matrix(tower: FieldTower, lam: int, r: int):
@@ -213,46 +216,39 @@ def _class_log_sets(tower: FieldTower, m: int, groups):
 def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceClass]:
     """Partition all order-p^m subgroups into scalar-multiplication classes.
 
-    singer.rotation_orbits walks the subgroups, m-subspaces of PG(h-1, p),
-    as log_sets, so no matrix is reduced in the walk, reads each class's
-    stabilizer parameter u off its length and checks the closed-form class
-    counts for every n | gcd(m, h).  Classes come back sorted by
-    representative (the lexicographically least RREF basis in the class).
-    Member k is the k-th step of the walk, read off the kernel's index, so
-    mu^k times the representative: mu^k is its witness scalar.  Two
-    identities are checked per class.  scalar_multiple(representative, mu),
-    one RREF, must be the walk's next member, which ties the rotation's
-    direction and the field tables to the definition of the action.  And
-    the stabilizer under scalars is GF(p^n)*, n the representative's
-    minimal_n, as contains() reads it, so u == n.  The profile is computed
-    for the representative alone, since H and alpha*H are spaces over the
-    same subfields.
+    singer.rotation_orbits walks the subgroups' log_sets, sorted, so each
+    class starts at its least RREF basis, the representative, and the
+    classes come back sorted by it; the kernel reads u off each class's
+    length and checks the closed-form class counts for every n | gcd(m, h).
+    Only the representative and its mu-image are built per class.  Two
+    identities are checked per class: scalar_multiple(representative, mu),
+    one RREF, has the rotated log set of the representative as its points,
+    the walk's next member; and the stabilizer under scalars is GF(p^n)*, n
+    the representative's minimal_n as contains() reads it, so u == n.  The
+    profile holds for every member, as alpha*H is a space over H's subfields.
     """
     groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
-    classes, sets, subs = [], [], []
-    for prefix, rows, group_sets in _class_log_sets(tower, m, groups):
-        sets += group_sets
-        subs += [ElationGroup(tower, prefix + (row,)) for row in rows]
-    index, orbits = singer.rotation_orbits(zip(sets, subs), h, m, p)
-    # the index's keys run through the walks, one class after another, and
-    # every log set is a key, so its values become the subgroups in walk order
-    index.update(zip(sets, subs))
-    in_walk_order = iter(index.values())
-    for u, size, rep in orbits:
-        members = tuple(itertools.islice(in_walk_order, size))
-        image, walked = scalar_multiple(rep, tower.mu), members[1 % len(members)]
-        if image.rows != walked.rows:
+    theta = combinat.theta(h, p)
+    _, orbits = singer.rotation_orbits(_class_log_sets(tower, m, groups), h, m, p)
+    classes = []
+    for u, size, rows, bits in orbits:
+        rep = ElationGroup(tower, rows)
+        image, walked = scalar_multiple(rep, tower.mu), singer.rotate(bits, theta)
+        points = 0
+        for x in image.elements()[1:]:  # sorted, so all but 0
+            points |= 1 << tower.log[x] % theta
+        if points != walked:
             raise VerificationError("mu times the representative is not the walk's next member",
-                                    {"field": (p, h), "representative": rep.rows,
-                                     "image": image.rows, "walked": walked.rows})
+                                    {"field": (p, h), "representative": rows,
+                                     "image": image.rows, "image_points": points,
+                                     "walked_points": walked})
         profile = dimension_profile(rep)
         if u != profile.minimal_n:
             raise VerificationError("class size is not theta(h, p)/theta(minimal_n, p)",
-                                    {"field": (p, h), "representative": rep.rows,
-                                     "size": len(members), "u": u,
-                                     "minimal_n": profile.minimal_n})
-        classes.append(EquivalenceClass(rep, members, tuple(tower.exp[:len(members)]), profile))
+                                    {"field": (p, h), "representative": rows,
+                                     "size": size, "u": u, "minimal_n": profile.minimal_n})
+        classes.append(EquivalenceClass(rep, size, profile))
     return classes
 
 

@@ -96,8 +96,9 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
 
     One exhaustive pass over PGL(r, q) per case partitions every subgroup by
     conjugacy (elation.conjugacy_partition), and the scalar classes come
-    from elation.equivalence_classes.  Every class member must admit the
-    diagonal conjugator by its witness scalar (checked by the explicit
+    from elation.equivalence_classes.  Every class member, derived as
+    scalar_multiple(representative, mu^k), must admit the diagonal
+    conjugator by its witness scalar mu^k (checked by the explicit
     projective identity inside conjugator) and carry the representative's
     label in the pass; every class of the pass must lie inside one scalar
     class.  Together these make the two partitions equal, so each pair is

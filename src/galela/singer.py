@@ -270,34 +270,41 @@ def orbit_partition(items, step) -> list:
     return [list(itertools.islice(walked, size)) for _, size in firsts]
 
 
-def rotation_orbits(pairs, s: int, t: int, q: int):
+def rotation_orbits(groups, s: int, t: int, q: int):
     """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
 
-    pairs yields (log set, item) per subspace, and walk_orbits walks them
-    under rotate.  Returns (index, orbits): walk_orbits' index, and per
-    orbit (u, size, first item), u read off the size theta(s,q)/theta(u,q)
-    with u | gcd(t, s).  The orbits with d | u are those of the GF(q^d)-closed
-    subspaces, the Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the
-    paper's correspondence), so for every d | gcd(t, s), d = 1 first, they
-    must number predicted_orbit_count(s/d, t/d, q^d), and those with u = d
+    groups yields span_log_sets' (prefix, rows, sets), and walk_orbits walks
+    every log set under rotate, each with its group as item.  A log set that
+    no earlier orbit holds starts a walk, and its basis leads the orbit: in
+    a sorted stream the least of the orbit.  Returns (index, orbits):
+    walk_orbits' index, and per orbit (u, size, basis, log set of basis), u
+    read off the size theta(s,q)/theta(u,q) with u | gcd(t, s).  The orbits
+    with d | u are those of the GF(q^d)-closed subspaces, the Singer orbits
+    of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's correspondence), so
+    for every d | gcd(t, s), d = 1 first, they must number
+    predicted_orbit_count(s/d, t/d, q^d), and those with u = d
     predicted_free_orbit_count(s/d, t/d, q^d).  Raises VerificationError.
     """
     theta = combinat.theta(s, q)
     degrees = combinat.divisors(gcd(t, s))
     degree_of = {combinat.theta(d, q): d for d in degrees}
+    pairs = itertools.chain.from_iterable(zip(group[2], itertools.repeat(group))
+                                          for group in groups)
     # rotate is looked up per call, so a patched singer.rotate walks here too
     index, firsts = walk_orbits(pairs, partial(rotate, theta=theta))
     orbits = []
-    for item, size in firsts:
+    for i, ((prefix, rows, sets), size) in enumerate(firsts):
         u = None if theta % size else degree_of.get(theta // size)
         if u is None:
             raise VerificationError("orbit size fits no divisor of gcd(t, s)",
                                     {"case": (s, t, q), "size": size})
-        orbits.append((u, size, item))
+        # orbit i starts at the first subspace of its first group that it holds
+        j = [index[bits] for bits in sets].index(i)
+        orbits.append((u, size, prefix + (rows[j],), sets[j]))
     for d in degrees:
         case = [s // d, t // d, q**d]
-        observed = [sum(1 for u, _, _ in orbits if u % d == 0),
-                    sum(1 for u, _, _ in orbits if u == d)]
+        observed = [sum(1 for u, *_ in orbits if u % d == 0),
+                    sum(1 for u, *_ in orbits if u == d)]
         predicted = [predicted_orbit_count(*case), predicted_free_orbit_count(*case)]
         if observed != predicted:
             raise VerificationError("orbit count differs from the closed form",
@@ -336,17 +343,11 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     groups = pspace.subspace_groups(s, t, q, cap=limit)
     S = SingerGroup(s, q)
 
-    # each subspace's item is its group (prefix, rows, sets), and orbit i's
-    # representative the first subspace of its first group that it holds
-    pairs = itertools.chain.from_iterable(zip(group[2], itertools.repeat(group))
-                                          for group in _census_log_sets(S, t, groups))
-    index, orbits = rotation_orbits(pairs, s, t, q)
-    orbits = [(u, prefix + (rows[[index[bits] for bits in sets].index(i)],), size)
-              for i, (u, size, (prefix, rows, sets)) in enumerate(orbits)]
-    order = sorted(range(len(orbits)), key=orbits.__getitem__)
+    index, orbits = rotation_orbits(_census_log_sets(S, t, groups), s, t, q)
+    order = sorted(range(len(orbits)), key=lambda i: (orbits[i][0], orbits[i][2]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)
-                    for u, basis, size in map(orbits.__getitem__, order))
+                    for u, size, basis, _ in map(orbits.__getitem__, order))
     return OrbitCensus(S, t, records, index, tuple(rank))
 
 

@@ -326,6 +326,14 @@ singer.rotate = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
     assert optimized_message(code) == "1 mu times the representative is not the walk's next member"
 
 
+def test_class_walk_direction_check_survives_optimize_without_the_census():
+    # the same reversed rotation, met by equivalence_classes called alone
+    code = PREAMBLE + """
+singer.rotate = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
+""" + MESSAGE.format(call="elation.equivalence_classes(2, 4, 2)")
+    assert optimized_message(code) == "1 mu times the representative is not the walk's next member"
+
+
 def test_lemma1_partition_check_survives_optimize():
     # a sweep that conjugates nothing: the order-2 subgroups of GF(4) form
     # one scalar class, which now spans three classes of the sweep

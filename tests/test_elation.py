@@ -264,11 +264,30 @@ class TestEquivalenceClasses:
         assert len(descending) == 1
         assert descending[0].size == 5
 
+    @pytest.mark.parametrize("p,h,m", [(2, 8, 4), (3, 6, 3)])
+    def test_two_groups_built_per_class(self, p, h, m, monkeypatch):
+        # the representative and its mu-image; the members are derived on
+        # demand, so none of the 200,787 or 33,880 subgroups is built
+        built = 0
+        real = elation.ElationGroup
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return real(*args)
+
+        monkeypatch.setattr(elation, "ElationGroup", counting)
+        classes = equivalence_classes(p, h, m)
+        assert built <= 2 * len(classes)
+        assert sum(c.size for c in classes) == gaussian_binomial(h, m, p)
+
 
 class TestLogWalk:
     """The classes are walked on log sets; scalar_multiple is the oracle."""
 
-    @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 6, 3), (3, 4, 2), (3, 3, 1), (5, 2, 1)])
+    # on GF(2^8) x is not primitive, so mu is not the element x
+    @pytest.mark.parametrize("p,h,m", [(2, 4, 2), (2, 6, 3), (3, 4, 2), (3, 3, 1), (5, 2, 1),
+                                       (2, 8, 2)])
     def test_classes_equal_the_rref_walk(self, p, h, m):
         subs = enumerate_subgroups(p, h, m)
         tower = subs[0].tower
