@@ -237,13 +237,18 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
+    return _check_cosets(E, frame, (_affine(x, frame) for x in sample))
+
+
+def _check_cosets(E, frame, points) -> bool:
+    """common_intersection_check's coset checks on affine points, iterated once in order;
+    verify_star_model checks its sample affine once and hands it to every subgroup."""
     section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
     vectors = _vectors(section)
     elements = E.elements()
     add = frame.tower.add
     covered = set()  # last coordinates of the cosets checked so far
-    for x in sample:
-        x = _affine(x, frame)
+    for x in points:
         if x[-1] not in covered:
             covered.update(add(x[-1], lam) for lam in elements)
             _orbit_closure(x, E, elements, vectors, frame)
@@ -360,7 +365,8 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     once per E-coset of the sample's last coordinates.
     """
     frame = StarFrame(r, p, h, n)
-    sample = sample_affine_points(frame, seed=seed, force=exhaustive)
+    # checked affine once here, not once per subgroup
+    sample = [_affine(x, frame) for x in sample_affine_points(frame, seed=seed, force=exhaustive)]
     orders = [m] if m is not None else admissible_orders(h, n)
     per_order = []
     for mm in orders:
@@ -369,7 +375,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
         groups = [H for H in elation.enumerate_subgroups(p, h, mm, cap=cap)
                   if elation.dimension_profile(H).minimal_n % n == 0]
         for H in groups:
-            common_intersection_check(H, frame, sample)
+            _check_cosets(H, frame, sample)
         per_order.append({
             "m": mm,
             "d": mm // n,

@@ -165,11 +165,15 @@ def dimension_profile(H: ElationGroup) -> DimensionProfile:
     gcd(m, h).  A space over GF(p^a) and GF(p^b) is one over GF(p^lcm(a,b))
     and over their subfields, so the admissible degrees must be exactly the
     divisors of the largest, minimal_n, over which H has minimal dimension;
-    VerificationError otherwise.
+    VerificationError otherwise.  Membership is reduction against H's RREF
+    rows, whose pivots are found once per call.
     """
     tower = H.tower
+    field, rows = pspace.field_for(tower.p), H.rows
+    pivots = tuple(next(j for j, c in enumerate(row) if c) for row in rows)
     degrees = [n for n in combinat.divisors(gcd(H.m, tower.h))
-               if all(H.contains(tower.mul(tower.subfield_generator(n), b))
+               if all(linalg.in_rowspace(tower.coeffs(tower.mul(tower.subfield_generator(n), b)),
+                                         rows, pivots, field)
                       for b in H.basis_elements)]
     minimal_n = max(degrees, default=1)
     if degrees != combinat.divisors(minimal_n):
@@ -224,7 +228,7 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     identities are checked per class: scalar_multiple(representative, mu),
     one RREF, has the rotated log set of the representative as its points,
     the walk's next member; and the stabilizer under scalars is GF(p^n)*, n
-    the representative's minimal_n as contains() reads it, so u == n.  The
+    the representative's minimal_n as RREF membership reads it, so u == n.  The
     profile holds for every member, as alpha*H is a space over H's subfields.
     """
     groups = _subgroup_groups(p, h, m, cap)

@@ -8,7 +8,9 @@ therefore compare equal as values, and span is the one way from generating
 rows to that form.  Enumeration (subspace_groups) streams the RREF bases row
 by row in sorted order as groups, the first t-1 rows and one shared list of
 last rows, so no basis is built unless asked for (subspace_bases), and
-checks at the end that it held the Gaussian binomial's count.
+checks at the end that it held the Gaussian binomial's count.  It can
+stream only the subspaces inside the hyperplane x_0 = 0, the first ones
+of the sorted order.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def span(rows, q: int) -> Subspace:
     return Subspace(q, red)
 
 
-def subspace_groups(s: int, t: int, q: int, cap=None):
+def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     """The t-dimensional subspaces of GF(q)^s as (prefix, rows) groups, streamed in sorted order.
 
     A group stands for the RREF bases prefix + (row,), row in rows: prefix
@@ -101,6 +103,11 @@ def subspace_groups(s: int, t: int, q: int, cap=None):
     t is out of range, the Gaussian binomial exceeds the cap or q is not a
     prime power.  The stream raises VerificationError at its end unless its
     groups held exactly the Gaussian binomial's count.
+
+    With hyperplane and t < s, only the subspaces inside the hyperplane
+    x_0 = 0 are streamed: the bases whose first pivot is 1 or more, which
+    are the first [s-1 choose t]_q of the sorted order, and that is the
+    count checked.  The cap still bounds [s choose t]_q.
 
     The bases are walked row by row.  A row has its pivot, a 1, in a column
     where the earlier rows are 0, and anything right of it; the later pivots
@@ -116,9 +123,11 @@ def subspace_groups(s: int, t: int, q: int, cap=None):
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
     combinat.prime_power(q)  # ValueError unless q is the order of a field
+    first = 1 if hyperplane and t < s else 0  # the least pivot a row may have
+    expected = combinat.gaussian_binomial(s - first, t, q)
     # rows[p]: every row with its pivot in column p, sorted
     rows = [[(0,) * p + (1,) + tail for tail in itertools.product(range(q), repeat=s - p - 1)]
-            for p in range(s)]
+            if p >= first else [] for p in range(s)]
 
     def extend(prefix, zero):
         """Groups of the bases that begin with prefix, t - 2 rows or fewer;
@@ -141,12 +150,12 @@ def subspace_groups(s: int, t: int, q: int, cap=None):
 
     def groups():
         count = 0
-        top = (((), rows[p]) for p in reversed(range(s))) if t == 1 else \
-            extend((), list(range(s)))
+        top = (((), rows[p]) for p in reversed(range(first, s))) if t == 1 else \
+            extend((), list(range(first, s)))
         for group in top:
             count += len(group[1])
             yield group
-        if count != total:
+        if count != expected:
             raise VerificationError("subspace count is not the Gaussian binomial",
                                     {"case": (s, t, q), "subspaces": count})
 
@@ -169,6 +178,12 @@ def contains(X: Subspace, point) -> bool:
     return linalg.in_rowspace(point, X.basis, pivots, field)
 
 
+@functools.cache
+def _point_coefficients(t: int, q: int) -> tuple:
+    """enumerate_points(t, q), built once per (t, q): subspace_points' combinations."""
+    return tuple(enumerate_points(t, q))
+
+
 # maxsize=0 stores nothing and only counts calls: the census and the star
 # checks ask for each subspace's points about once.  The decorator stays only
 # because perfbench/trace_layers.py reads cache_info().
@@ -181,7 +196,7 @@ def subspace_points(X: Subspace) -> tuple:
     """
     field = field_for(X.q)
     pts = []
-    for coeff in enumerate_points(X.t, X.q):
+    for coeff in _point_coefficients(X.t, X.q):
         acc = [0] * X.s
         for c, row in zip(coeff, X.basis):
             if c:

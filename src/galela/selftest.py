@@ -44,9 +44,10 @@ STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, 
 def census_report() -> list:
     """Orbit censuses, summarized.
 
-    orbit_census checks every subspace's points, each orbit's stabilizer
-    and both closed-form counts for every subfield degree, which with the
-    walk imply each orbit's cover, so this only reports them.
+    orbit_census checks the points of every subspace inside one
+    hyperplane, each orbit's stabilizer and members in the hyperplane, and
+    both closed-form counts for every subfield degree, which with the walk
+    imply each orbit's cover, so this only reports them.
     """
     out = []
     for s, t, q in CENSUS_CASES:

@@ -22,19 +22,25 @@ logs of the last rows come from one table per call, and per subspace only
 the last row's Zech reads and the point-count check remain.  One
 kernel, rotation_orbits, walks these log sets under walk_orbits, whose one
 dict from log set to orbit number both tells a new orbit's first member
-and checks that the orbits partition the items.  It reads each orbit's
-stabilizer parameter u off the walked length theta(s,q)/theta(u,q) and
-checks both closed-form counts for every subfield degree d | gcd(t, s).
+and checks that the walks meet the streamed sets exactly.  It reads each
+orbit's stabilizer parameter u off the walked length theta(s,q)/theta(u,q)
+and checks both closed-form counts for every subfield degree d | gcd(t, s).
 
-The census streams: the groups come from pspace.subspace_groups in sorted
-order, so the first basis of each orbit is its least, the representative,
-and the census builds and keeps only the representatives, the orbit
-records and that dict; orbit_members rebuilds an orbit on demand by
-walking its representative with act.  The walk carries the other orbit facts, so none
-is checked again: its return to its start shows that the
-theta(s,q)/theta(u,q)-th power of the generator fixes every member, and
-with each member's point count that makes the orbit cover every point
-theta(t,q)/theta(u,q) times (orbit_census gives the argument).
+The census streams only the subspaces inside the hyperplane
+H0 = {x_0 = 0}, whose bases sort first: every orbit has
+theta(s-t,q)/theta(u,q) members there (rotation_orbits gives the
+argument), so each orbit's least basis, its representative, is streamed.
+The census builds and keeps only the representatives, the orbit records
+and the dict, which holds the members inside H0 only, [s-1 choose t]_q
+keys.  Each new orbit is still walked in full by rotate; orbit_index
+rotates a log set into H0 before the lookup, and orbit_members rebuilds
+an orbit on demand by walking its representative with act.  The walk
+carries the other orbit facts, so none is checked again: its return to
+its start shows that the theta(s,q)/theta(u,q)-th power of the generator
+fixes every member, and with each member's point count that makes the
+orbit cover every point theta(t,q)/theta(u,q) times (orbit_census gives
+the argument).  check_zech compares the Zech table, of which the stream
+may read only part, with the field's addition once per call.
 """
 
 from __future__ import annotations
@@ -186,23 +192,37 @@ class OrbitRecord:
 class OrbitCensus:
     """All Singer orbits on t-dimensional subspaces, sorted by (u, representative).
 
-    Holds the orbit records, the Singer group, one index from the log set
-    of every subspace to its orbit's walk number, and each walk's rank in
-    the records; no subspace but the representatives is kept.
+    Holds the orbit records, the Singer group, the points of the hyperplane
+    H0 = {x_0 = 0} as a theta(s,q)-bit integer (every point when t = s), one
+    index from the log set of every subspace inside H0 to its orbit's walk
+    number, and each walk's rank in the records; no subspace but the
+    representatives is kept.
     """
 
-    def __init__(self, S: SingerGroup, t: int, orbits, index: dict, rank: tuple):
+    def __init__(self, S: SingerGroup, t: int, orbits, hyperplane: int, index: dict, rank: tuple):
         self.s = S.s
         self.t = t
         self.q = S.q
         self.singer = S
         self.orbits = orbits
+        self._hyperplane = hyperplane
         self._index = index
         self._rank = rank
 
     def orbit_index(self, X: pspace.Subspace) -> int:
+        """The orbit of X: its log set rotated into H0, at most theta(s,q) steps, looked up.
+
+        Every orbit meets H0 (orbit_census), so some rotation of a covered
+        subspace's log set lies inside it, and the index holds every such set.
+        """
+        bits, theta = log_set(self.singer, X), self.singer.projective_order
+        outside = ~self._hyperplane
+        for _ in range(theta):
+            if not bits & outside:
+                break
+            bits = rotate(bits, theta)
         try:
-            return self._rank[self._index[log_set(self.singer, X)]]
+            return self._rank[self._index[bits]]
         except KeyError:
             raise ValueError("subspace not covered by this census") from None
 
@@ -223,29 +243,33 @@ def _walk_orbit(start, step):
     """
     members = [start]
     mark = start
+    walked = 1
     cur = step(start)
     while cur != start:
         if cur == mark:
             raise VerificationError("orbit walk does not return to its start",
-                                    {"walked": len(members)})
+                                    {"walked": walked})
         members.append(cur)
-        if len(members) & (len(members) - 1) == 0:
+        walked += 1
+        if walked & (walked - 1) == 0:
             mark = cur
         cur = step(cur)
     return members
 
 
-def walk_orbits(pairs, step):
+def walk_orbits(pairs, step, keep=None):
     """Orbits of step on the keys of (key, item) pairs, one walk per orbit.
 
     A key that no earlier orbit holds starts the walk of a new orbit, which
     records the key's item as its first.  Returns (index, firsts): index
-    maps every walked key to its orbit's number, and its keys run through
-    the walks one after another, each in walk order; firsts[i] is orbit i's
-    (first item, size).  Sorted pairs give orbits led by their least item,
-    in order of that item.  Raises VerificationError unless the orbits
-    partition the keys exactly: none leaves them or meets another, and
-    together they cover them.
+    maps every walked key that keep accepts (every walked key when keep is
+    None) to its orbit's number, and its keys run through the walks one
+    after another, each in walk order; firsts[i] is orbit i's (first item,
+    size, number of keys kept).  Sorted pairs give orbits led by their least
+    item, in order of that item.  Raises VerificationError unless the kept
+    keys are exactly the keys of the pairs: none is missed, repeated or
+    extra.  With keep None, the orbits then partition the keys: none leaves
+    them or meets another, and together they cover them.
     """
     index = {}
     firsts = []
@@ -254,12 +278,13 @@ def walk_orbits(pairs, step):
         count += 1
         if key not in index:
             walk = _walk_orbit(key, step)
-            index.update(dict.fromkeys(walk, len(firsts)))
-            firsts.append((item, len(walk)))
+            kept = walk if keep is None else [x for x in walk if keep(x)]
+            index.update(dict.fromkeys(kept, len(firsts)))
+            firsts.append((item, len(walk), len(kept)))
     # walks return only around cycles of step, so the orbits are disjoint
     if len(index) != count:
         raise VerificationError("orbits do not partition the items", {
-            "items": count, "covered": len(index), "walked": sum(n for _, n in firsts)})
+            "items": count, "covered": len(index), "walked": sum(n for _, n, _ in firsts)})
     return index, firsts
 
 
@@ -267,37 +292,72 @@ def orbit_partition(items, step) -> list:
     """The orbits of step on items, each a list in walk order from its first item (walk_orbits)."""
     index, firsts = walk_orbits(((x, x) for x in items), step)
     walked = iter(index)
-    return [list(itertools.islice(walked, size)) for _, size in firsts]
+    return [list(itertools.islice(walked, size)) for _, size, _ in firsts]
 
 
-def rotation_orbits(groups, s: int, t: int, q: int):
+def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
     """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
 
-    groups yields span_log_sets' (prefix, rows, sets), and walk_orbits walks
-    every log set under rotate, each with its group as item.  A log set that
-    no earlier orbit holds starts a walk, and its basis leads the orbit: in
-    a sorted stream the least of the orbit.  Returns (index, orbits):
-    walk_orbits' index, and per orbit (u, size, basis, log set of basis), u
-    read off the size theta(s,q)/theta(u,q) with u | gcd(t, s).  The orbits
-    with d | u are those of the GF(q^d)-closed subspaces, the Singer orbits
-    of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's correspondence), so
-    for every d | gcd(t, s), d = 1 first, they must number
-    predicted_orbit_count(s/d, t/d, q^d), and those with u = d
-    predicted_free_orbit_count(s/d, t/d, q^d).  Raises VerificationError.
+    groups yields span_log_sets' (prefix, rows, sets) for every t-subspace,
+    or, given hyperplane, for those inside a hyperplane H0 whose points are
+    the bits of hyperplane (for t = s, the whole space and every bit).
+    walk_orbits walks every log set under rotate, each with its group as
+    item, and indexes the members that lie in H0 (all of them without
+    hyperplane).  A log set that no earlier orbit holds starts a walk, and
+    its basis leads the orbit: in a sorted stream the least of the orbit.
+    Returns (index, orbits): walk_orbits' index, and per orbit (u, size,
+    basis, log set of basis), u read off the size theta(s,q)/theta(u,q)
+    with u | gcd(t, s).
+
+    Every orbit meets H0, and is counted exactly.  A t-subspace, t < s, lies
+    in theta(s-t,q) hyperplanes, and the Singer group is regular on the
+    theta(s,q) hyperplanes as it is on the points (a collineation group has
+    as many orbits on hyperplanes as on points, and this one has order
+    theta(s,q)).  So the theta(s,q)/theta(u,q) members of an
+    orbit lie in theta(s,q)/theta(u,q) * theta(s-t,q) (member, hyperplane)
+    pairs, spread evenly over the hyperplanes: H0 holds
+    theta(s-t,q)/theta(u,q) of them, at least one since u | s - t.  The
+    checks, each a VerificationError: the walked members indexed are the
+    streamed log sets (walk_orbits); the walks hold no more sets than the
+    [s choose t]_q subspaces; u per orbit; given hyperplane, each orbit's
+    number of members in H0; and the closed forms.  With the stream's own
+    count of [s-1 choose t]_q, the per-orbit counts make the sizes sum to
+    exactly [s choose t]_q.
+
+    The orbits with d | u are those of the GF(q^d)-closed subspaces, the
+    Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's
+    correspondence), so for every d | gcd(t, s), d = 1 first, they must
+    number predicted_orbit_count(s/d, t/d, q^d), and those with u = d
+    predicted_free_orbit_count(s/d, t/d, q^d).
     """
     theta = combinat.theta(s, q)
     degrees = combinat.divisors(gcd(t, s))
     degree_of = {combinat.theta(d, q): d for d in degrees}
     pairs = itertools.chain.from_iterable(zip(group[2], itertools.repeat(group))
                                           for group in groups)
-    # rotate is looked up per call, so a patched singer.rotate walks here too
-    index, firsts = walk_orbits(pairs, partial(rotate, theta=theta))
+    sliced = hyperplane is not None and t < s
+    outside = ~hyperplane if sliced else 0
+
+    def step(bits):
+        # rotate is looked up per call, so a patched singer.rotate walks here too
+        return rotate(bits, theta)
+
+    index, firsts = walk_orbits(pairs, step, (lambda bits: not bits & outside) if sliced else None)
+    total = combinat.gaussian_binomial(s, t, q)
+    walked = sum(size for _, size, _ in firsts)
+    if walked > total:
+        raise VerificationError("orbits do not partition the items",
+                                {"case": (s, t, q), "subspaces": total, "walked": walked})
     orbits = []
-    for i, ((prefix, rows, sets), size) in enumerate(firsts):
+    for i, ((prefix, rows, sets), size, inside) in enumerate(firsts):
         u = None if theta % size else degree_of.get(theta // size)
         if u is None:
             raise VerificationError("orbit size fits no divisor of gcd(t, s)",
                                     {"case": (s, t, q), "size": size})
+        if sliced and inside * combinat.theta(u, q) != combinat.theta(s - t, q):
+            raise VerificationError("orbit meets the hyperplane in the wrong number of members",
+                                    {"case": (s, t, q), "size": size, "u": u,
+                                     "in_hyperplane": inside})
         # orbit i starts at the first subspace of its first group that it holds
         j = [index[bits] for bits in sets].index(i)
         orbits.append((u, size, prefix + (rows[j],), sets[j]))
@@ -313,20 +373,42 @@ def rotation_orbits(groups, s: int, t: int, q: int):
     return index, orbits
 
 
+def check_zech(field):
+    """VerificationError unless the field's Zech table agrees with its own add.
+
+    exp[zech[k]] must be 1 + mu^k, and zech[k] must be 0 where that sum is
+    0: O(p^h) additions.  The census runs it once per call after its
+    stream, since a stream of the subspaces inside one hyperplane need not
+    read every entry.
+    """
+    exp, add = field.exp, field.add
+    for k, (x, z) in enumerate(zip(exp, field.zech)):
+        total = add(1, x)
+        if (exp[z] != total) if total else z:
+            raise VerificationError("Zech table differs from the field's addition",
+                                    {"field": (field.p, field.h), "k": k, "zech": z,
+                                     "one_plus_mu_k": total})
+
+
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
-    The groups of pspace.subspace_groups stream in sorted order through
+    Only the [s-1 choose t]_q subspaces inside the hyperplane H0 = {x_0 = 0}
+    (the whole space when t = s) stream from pspace.subspace_groups through
     span_log_sets, and rotation_orbits walks their log sets, so no matrix
-    acts and no basis is built during the census.  A log set that no
-    earlier orbit holds starts a walk, and its basis, the least of the
-    orbit since the stream is sorted, is the orbit's representative.  The
-    census keeps the representatives, one index from log set to walk number
-    and each walk's rank in the sorted records, and no other subspace.  In
-    this order it verifies: theta(t,q) points per subspace; each walk's
-    return to its start; that the orbits partition the subspaces;
-    rotation_orbits' stabilizer parameter u per orbit; and both closed-form
-    counts for every subfield degree d | gcd(t, s).
+    acts and no basis is built during the census.  Every orbit meets H0
+    (rotation_orbits gives the count), and every basis inside H0 sorts
+    before every basis outside it, so the first basis of each new orbit is
+    its least, the representative, as in a stream of every subspace.  The
+    census keeps the representatives, one index from the log sets inside
+    H0 to walk numbers and each walk's rank in the sorted records, and no
+    other subspace.  In this order it verifies: the slice's count and
+    theta(t,q) points per streamed subspace; each walk's return to its
+    start; that the walked members inside H0 are the streamed subspaces;
+    that the walks hold no more than [s choose t]_q sets; rotation_orbits'
+    stabilizer parameter u and number of members inside H0 per orbit; both
+    closed-form counts for every subfield degree d | gcd(t, s); and, when a
+    basis has two rows or more, the Zech table the stream read (check_zech).
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -336,19 +418,23 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     some R, with |R| = L |X| / theta(s,q).  A position k lies in the j-th
     member exactly when (k - j) mod L is in R, and as j runs over the L
     members, (k - j) mod L runs over every residue once: k lies in |R|
-    members.  With |X| = theta(t,q), checked for every subspace, that is
-    theta(t,q)/theta(u,q).
+    members.  With |X| = theta(t,q), checked for every streamed subspace
+    and kept by rotation, that is theta(t,q)/theta(u,q).
     """
     limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
-    groups = pspace.subspace_groups(s, t, q, cap=limit)
+    groups = pspace.subspace_groups(s, t, q, cap=limit, hyperplane=True)
     S = SingerGroup(s, q)
-
-    index, orbits = rotation_orbits(_census_log_sets(S, t, groups), s, t, q)
+    # H0's points as bits, each position once (a sum, unlike an or, would carry)
+    hyperplane = sum(1 << k for k in {k % S.projective_order for v, k in S.log.items()
+                                      if t == s or not v[0]})
+    index, orbits = rotation_orbits(_census_log_sets(S, t, groups), s, t, q, hyperplane)
+    if t > 1:
+        check_zech(S.big)
     order = sorted(range(len(orbits)), key=lambda i: (orbits[i][0], orbits[i][2]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)
                     for u, size, basis, _ in map(orbits.__getitem__, order))
-    return OrbitCensus(S, t, records, index, tuple(rank))
+    return OrbitCensus(S, t, records, hyperplane, index, tuple(rank))
 
 
 def predicted_orbit_count(s: int, d: int, q: int) -> int:

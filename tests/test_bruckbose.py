@@ -442,6 +442,34 @@ class TestWork:
         assert one_rref == eight_rref
 
 
+    def test_star_model_checks_each_sample_point_affine_once(self, monkeypatch):
+        # star_point checks its own argument; apart from that, each sample
+        # point is checked once, not once per subgroup
+        calls = {"_affine": 0, "star_point": 0}
+        for name in calls:
+            real = getattr(bruckbose, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(bruckbose, name, counted)
+        report = verify_star_model(2, 2, 4, 1)
+        assert report["orders"][0]["subgroups"] > 1
+        assert calls["_affine"] == report["sample"]["affine_points"] + calls["star_point"]
+
+    def test_line_points_reuse_one_coefficient_list(self, monkeypatch):
+        # every line of PG(2,4) lists its points from the same 5 combinations
+        f = StarFrame(3, 2, 2, 1)
+        specs = sample_line_specs(f, force=True)
+        calls = []
+        real = pspace.enumerate_points
+        monkeypatch.setattr(pspace, "enumerate_points",
+                            lambda s, q: calls.append((s, q)) or real(s, q))
+        pspace._point_coefficients.cache_clear()
+        assert incidence_check(f, specs) is True
+        assert calls == [(2, 4)]
+
+
 class TestOrbitsCheckedOnce:
     def test_one_check_per_orbit_of_exhaustive_sample(self, monkeypatch):
         # PG(1,16) over GF(2): the 16 affine points fall into 16/|E| orbits

@@ -198,6 +198,19 @@ singer.predicted_orbit_count = lambda s, d, q: real(s, d, q) + (q > 2)
         {"case": [2, 1, 4], "observed": [1, 1], "predicted": [2, 1]}]
 
 
+def test_census_hyperplane_count_check_survives_optimize():
+    # rotation by three splits the lines of PG(3,2) into seven orbits of 5,
+    # a size that fits u = 2, but one of them holds two of the seven lines
+    # inside x_0 = 0, where a Singer orbit with u = 2 holds one
+    code = PREAMBLE + """
+real = singer.rotate
+singer.rotate = lambda bits, theta: real(real(real(bits, theta), theta), theta)
+""" + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_details(code) == [
+        1, "orbit meets the hyperplane in the wrong number of members",
+        {"case": [4, 2, 2], "size": 5, "u": 2, "in_hyperplane": 2}]
+
+
 def test_classify_closed_form_check_survives_optimize():
     # the classes of order-4 subgroups of GF(16) are the line orbits of PG(3,2)
     code = PREAMBLE + """
@@ -316,6 +329,17 @@ def test_field_zech_check_survives_optimize():
 gf.make_field(2, 4).zech[1] = 1
 """ + MESSAGE.format(call="elation.equivalence_classes(2, 4, 2)")
     assert optimized_message(code) == "1 subspace has the wrong number of points"
+
+
+def test_census_zech_check_survives_optimize():
+    # the same fault met by the census: the lines inside x_0 = 0 never read
+    # that entry, so the table check after the stream is what sees it
+    code = PREAMBLE + """
+gf.make_field(2, 4).zech[1] = 1
+""" + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_details(code) == [
+        1, "Zech table differs from the field's addition",
+        {"field": [2, 4], "k": 1, "zech": 1, "one_plus_mu_k": 3}]
 
 
 def test_class_walk_direction_check_survives_optimize():

@@ -180,6 +180,21 @@ class TestDimensionProfile:
         assert (4, 1) in prof.admissible
         assert prof.minimal_n == 4
 
+    def test_reads_membership_off_the_rows_without_a_subspace(self, monkeypatch):
+        # the pivots are found once per profile: no Subspace is built per
+        # membership test, and the RREF reduction still decides it
+        t = make_field(2, 8)
+        H = group_from_elements(t, [t.pow(t.subfield_generator(4), k) for k in range(4)])
+        monkeypatch.setattr(elation.pspace, "Subspace", None)
+        monkeypatch.setattr(elation.pspace, "contains", None)
+        reduced = []
+        real = linalg.reduce_vector
+        monkeypatch.setattr(linalg, "reduce_vector",
+                            lambda *args: reduced.append(1) or real(*args))
+        prof = dimension_profile(H)
+        assert prof.admissible == ((1, 4), (2, 2), (4, 1))
+        assert len(reduced) == 3 * H.m
+
 
 class TestScalarEquivalence:
     def test_self_equivalence_scalar_one(self):

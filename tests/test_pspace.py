@@ -209,6 +209,35 @@ class TestEnumeration:
                 assert len({id(rows) for _, rows in groups}) <= s
             s += 1
 
+    @pytest.mark.parametrize("q", prime_powers(256))
+    def test_hyperplane_stream_is_the_sorted_prefix_inside_x0(self, q):
+        # every (s, t, q) with q^s <= 256; with t = s the whole space
+        s = 1
+        while q**s <= 256:
+            for t in range(1, s + 1):
+                groups = subspace_groups(s, t, q, hyperplane=True)
+                flat = [prefix + (row,) for prefix, rows in groups for row in rows]
+                full = list(subspace_bases(s, t, q))
+                inside = [basis for basis in full if basis[0][0] == 0] if t < s else full
+                assert flat == inside == full[:len(inside)]
+                assert len(flat) == (gaussian_binomial(s - 1, t, q) if t < s else 1)
+            s += 1
+
+    def test_hyperplane_stream_caps_the_whole_family(self):
+        # 7 of the 35 lines of PG(3,2) lie in x_0 = 0, but the cap bounds all 35
+        with pytest.raises(CapExceeded):
+            subspace_groups(4, 2, 2, cap=34, hyperplane=True)
+        assert sum(len(rows) for _, rows in subspace_groups(4, 2, 2, cap=35, hyperplane=True)) == 7
+
+    def test_hyperplane_stream_checks_the_slice_count(self, monkeypatch):
+        # one line too many predicted inside x_0 = 0, a PG(2,2) with 7 lines
+        real = combinat.gaussian_binomial
+        monkeypatch.setattr(combinat, "gaussian_binomial",
+                            lambda s, t, q: real(s, t, q) + (s == 3))
+        with pytest.raises(VerificationError) as exc:
+            list(subspace_groups(4, 2, 2, hyperplane=True))
+        assert exc.value.details == {"case": (4, 2, 2), "subspaces": 7}
+
     def test_group_stream_checks_its_count_after_the_last_group(self, monkeypatch):
         # one subspace too many predicted: every group of the 35 lines of
         # PG(3,2) streams out before the check fails

@@ -27,13 +27,13 @@ from galela import (
     subspace_points,
     theta,
 )
-from galela import singer
-from galela.combinat import divisors
+from galela import elation, singer
+from galela.combinat import divisors, prime_power
 from galela.gf import make_field
 from galela.linalg import matvec
 from galela.pspace import Subspace, normalize_point, subspace_groups
 from galela.selftest import CENSUS_CASES
-from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets
+from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets, walk_orbits
 
 
 def spread_members(census):
@@ -380,32 +380,35 @@ class TestBatchLogSets:
         assert census_log_sets(S, groups_of_one([fam[i].basis for i in order])) == \
             [sets[i] for i in order]
 
-    @pytest.mark.parametrize("call", [lambda: orbit_census(6, 3, 2),
-                                      lambda: equivalence_classes(2, 6, 3)],
+    @pytest.mark.parametrize("call,first", [(lambda: orbit_census(6, 3, 2), 1),
+                                            (lambda: equivalence_classes(2, 6, 3), 0)],
                              ids=["census", "classes"])
-    def test_each_shared_prefix_is_expanded_once(self, call, monkeypatch):
+    def test_each_shared_prefix_is_expanded_once(self, call, first, monkeypatch):
         # pushing a row onto a d-row prefix reads zech once per nonzero
         # vector of the prefix, (q-1) theta(d,q) times; the last row is
-        # pushed for every basis, the others once per distinct prefix
+        # pushed for every basis, the others once per distinct prefix, over
+        # the bases streamed: those whose first pivot is at least first,
+        # inside the hyperplane x_0 = 0 for the census, all for the classes
         s, t, q = 6, 3, 2
         big = make_field(2, 6)
         counting = CountingList(big.zech)
         monkeypatch.setattr(big, "_zech", counting)
-        fam = enumerate_subspaces(s, t, q)
+        fam = [X for X in enumerate_subspaces(s, t, q) if not any(X.basis[0][:first])]
+        assert len(fam) == gaussian_binomial(s - first, t, q)
         expected = sum(len({X.basis[:d + 1] for X in fam}) * (q - 1) * theta(d, q)
                        for d in range(t - 1)) + len(fam) * (q - 1) * theta(t - 1, q)
         call()
         assert counting.reads == expected
 
-
-    @pytest.mark.parametrize("call", [lambda: orbit_census(6, 3, 2),
-                                      lambda: equivalence_classes(2, 6, 3)],
+    @pytest.mark.parametrize("call,first", [(lambda: orbit_census(6, 3, 2), 1),
+                                            (lambda: equivalence_classes(2, 6, 3), 0)],
                              ids=["census", "classes"])
-    def test_last_rows_are_logged_once_per_pivot_list(self, call, monkeypatch):
+    def test_last_rows_are_logged_once_per_pivot_list(self, call, first, monkeypatch):
         # rowlog (S.log in the census, the tower's log of from_coeffs in the
         # classes) runs once per pushed prefix row, counted as in the test
         # above, and once per row of each pivot list a last row can come
-        # from, pivots t-1 ... s-1: theta(s-t+1, q) rows, not one per subspace
+        # from, pivots t-1+first ... s-1: theta(s-t+1-first, q) rows, not one
+        # per subspace
         s, t, q = 6, 3, 2
         calls = 0
         real = singer.span_log_sets
@@ -418,11 +421,102 @@ class TestBatchLogSets:
             return real(groups, counted, *rest)
 
         monkeypatch.setattr(singer, "span_log_sets", counting)
-        fam = enumerate_subspaces(s, t, q)
+        fam = [X for X in enumerate_subspaces(s, t, q) if not any(X.basis[0][:first])]
         pushed = sum(len({X.basis[:d + 1] for X in fam}) for d in range(t - 1))
         call()
-        assert calls == pushed + theta(s - t + 1, q)
+        assert calls == pushed + theta(s - t + 1 - first, q)
         assert calls <= pushed + theta(s, q) < pushed + len(fam)
+
+
+def full_stream_walk(groups, s, t, q):
+    """The orbit walk over every subspace's log set, the stream before the hyperplane slice.
+
+    groups are span_log_sets' groups of the whole sorted family; every
+    walked log set is indexed.  Returns (u, size, first basis) per orbit, in
+    order of the first basis.
+    """
+    width = theta(s, q)
+    pairs = ((bits, prefix + (row,)) for prefix, rows, sets in groups
+             for row, bits in zip(rows, sets))
+    index, firsts = walk_orbits(pairs, lambda bits: rotate(bits, width))
+    assert len(index) == gaussian_binomial(s, t, q)
+    out = []
+    for basis, size, _ in firsts:
+        (u,) = [u for u in divisors(s) if t % u == 0 and size * theta(u, q) == width]
+        out.append((u, size, basis))
+    return out
+
+
+def prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+CENSUS_BOX = [(s, t, q) for q in prime_powers(256) for s in range(1, 9) if q**s <= 256
+              for t in range(1, s + 1)]
+CLASS_BOX = [(p, h, m) for p in prime_powers(256) if prime_power(p)[1] == 1
+             for h in range(1, 9) if p**h <= 256 for m in range(1, h + 1)]
+
+
+class TestHyperplaneSlice:
+    """The census streams only the subspaces inside one hyperplane; the classes
+    stream every subgroup, and their walk is compared with the same oracle."""
+
+    @pytest.mark.parametrize("s,t,q", CENSUS_BOX)
+    def test_census_equals_the_full_stream_walk(self, s, t, q):
+        S = SingerGroup(s, q)
+        groups = singer._census_log_sets(S, t, subspace_groups(s, t, q))
+        expected = sorted(full_stream_walk(groups, s, t, q))
+        got = [(r.u, r.size, r.representative.basis) for r in orbit_census(s, t, q).orbits]
+        assert got == expected
+
+    @pytest.mark.parametrize("p,h,m", CLASS_BOX)
+    def test_classes_equal_the_full_stream_walk(self, p, h, m):
+        groups = elation._class_log_sets(make_field(p, h), m, subspace_groups(h, m, p))
+        expected = full_stream_walk(groups, h, m, p)
+        got = [(c.profile.minimal_n, c.size, c.representative.rows)
+               for c in equivalence_classes(p, h, m)]
+        assert got == expected
+
+    @pytest.mark.parametrize("s,t,q", [(4, 2, 2), (6, 3, 2), (4, 2, 3)])
+    def test_orbit_index_agrees_with_the_matrix_walk(self, s, t, q):
+        census = orbit_census(s, t, q)
+        fam = enumerate_subspaces(s, t, q)
+        assert any(X.basis[0][0] for X in fam)  # some lie outside x_0 = 0
+        walks = orbit_partition(fam, lambda X: act(census.singer, X))
+        hit = []
+        for walk in walks:
+            (i,) = {census.orbit_index(X) for X in walk}
+            assert census.orbits[i].representative in walk
+            hit.append(i)
+        assert sorted(hit) == list(range(len(census)))
+
+    def test_orbit_index_rejects_a_subspace_of_another_dimension(self):
+        census = orbit_census(4, 2, 2)
+        with pytest.raises(ValueError):
+            census.orbit_index(span(((1, 0, 0, 0),), 2))
+
+    @pytest.mark.parametrize("s,t,q", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (4, 2, 3), (3, 3, 2)])
+    def test_census_expands_the_hyperplane_only(self, s, t, q, monkeypatch):
+        # the log sets span_log_sets yields, one count per call
+        real = singer.span_log_sets
+        expanded = []
+
+        def counting(*args):
+            expanded.append(0)
+            for prefix, rows, sets in real(*args):
+                expanded[-1] += len(sets)
+                yield prefix, rows, sets
+
+        monkeypatch.setattr(singer, "span_log_sets", counting)
+        orbit_census(s, t, q)
+        assert expanded == [gaussian_binomial(s - 1, t, q) if t < s else 1]
 
 
 class TestSpreadOrbit:
