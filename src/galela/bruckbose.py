@@ -39,7 +39,7 @@ import itertools
 import random
 
 from . import combinat, elation, linalg, pspace
-from .errors import VerificationError
+from .errors import CapExceeded, VerificationError
 from .gf import make_field
 
 EXHAUSTIVE_LIMIT = 4096
@@ -359,11 +359,17 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
     identity, then checks line incidences.
-    cap bounds each subgroup enumeration.  Each order's orbits_checked is
-    the number of (subgroup, sample point) pairs, len(groups) *
-    len(sample), not of distinct orbits: common_intersection_check checks
-    once per E-coset of the sample's last coordinates.
+    cap, pspace.subspace_cap's default if None, bounds each subgroup
+    enumeration and, first, the longest list: the theta(r, p^h) points of
+    the line sample, or their pairs if exhaustive.  Each order's
+    orbits_checked is the number of (subgroup, sample point) pairs, not of
+    distinct orbits: common_intersection_check checks once per E-coset of
+    the sample's last coordinates.
     """
+    points, limit = combinat.theta(r, p**h), pspace.subspace_cap(cap)
+    listed, what = (points * (points - 1) // 2, "point pairs") if exhaustive else (points, "points")
+    if listed > limit:
+        raise CapExceeded(f"{listed} {what} exceed cap {limit}")
     frame = StarFrame(r, p, h, n)
     # checked affine once here, not once per subgroup
     sample = [_affine(x, frame) for x in sample_affine_points(frame, seed=seed, force=exhaustive)]

@@ -29,13 +29,8 @@ which ties the rotation's direction and the tables to the action.  The
 largest GF(p^n) a subgroup is a space over is scalar-invariant and refines
 the classification; GF(p^n)* is the stabilizer under scalars, checked per
 class as u == n, u read off the class size by the kernel.  The
-correspondence checker maps each class through coords() onto a subspace of
-PG(h/n - 1, p^n), where the rank of the image alone tells whether H is a
-GF(p^n)-space.  Both sides walk by mu, so it checks the links between the
-walks once per call, coords taking mu to the Singer generator on a basis
-and the generator acting as rotate on every point, and per class only
-which orbit the representative's image lies in and that the class's
-stabilizer is that orbit's; the classes must then hit every orbit once.
+correspondence checker enumerates only the Singer census of PG(h/n - 1,
+p^n) and pulls each orbit back through from_coords to its class.
 """
 
 from __future__ import annotations
@@ -484,14 +479,9 @@ def group_from_subspace(X: pspace.Subspace, h: int) -> ElationGroup:
     p, n = combinat.prime_power(X.q)
     tower = make_field(p, h)
     gamma = tower.subfield_generator(n)
-    raw = []
-    for row in X.basis:
-        e = tower.from_coords(row, n)
-        g = 1
-        for _ in range(n):
-            raw.append(tower.coeffs(tower.mul(g, e)))
-            g = tower.mul(g, gamma)
-    H = _group_from_rows(tower, raw)
+    # each row's element times gamma^j, j < n: a GF(p)-basis of its GF(p^n)-multiples
+    H = group_from_elements(tower, [tower.mul(tower.pow(gamma, j), tower.from_coords(row, n))
+                                    for row in X.basis for j in range(n)])
     if H.m != n * X.t:
         raise VerificationError("subgroup of a subspace has the wrong rank",
                                 {"field": (p, h), "subspace": X.basis, "rank": H.m})
@@ -518,29 +508,27 @@ def count_classes(p: int, h: int, m: int, n: int, minimal: bool = False) -> int:
 def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     """Check that classes of GF(p^n)-closed subgroups biject with Singer orbits.
 
-    Member k of a class is mu^k times the representative (equivalence_classes)
-    and the census walks by rotate, so two links, each checked once, carry
-    every class onto an orbit.  coords(., n) takes multiplication by mu to
-    the Singer generator C of PG(h/n - 1, p^n), checked on the h GF(p)-basis
-    elements since both sides are GF(p)-linear, so subspace_of_center(mu H)
-    is C subspace_of_center(H); and C acts on each of the theta(h/n, p^n)
-    points, hence on every log set, as rotate.  Per class, the
-    representative's image names its orbit, and the class's
-    theta(h,p)/theta(minimal_n,p) members fill the orbit's
-    theta(h/n,p^n)/theta(u,p^n) exactly when minimal_n == n u, with u from
-    the census's walk and minimal_n from RREF contains; for u = 1 that sends
-    the classes of minimal dimension onto the free orbits.  The classes
-    must hit every orbit once, and their counts must equal count_classes'
-    closed forms.  Raises VerificationError with a counterexample if any
-    part fails; returns a summary dict when everything holds.
+    One enumeration, bounded by cap: orbit_census(h/n, m/n, p^n).  Checked
+    once per call on the h GF(p)-basis elements x, so on every element as
+    coords(., n) is GF(p)-linear: coords(mu x) == C coords(x), C the Singer
+    generator; from_coords(coords(x)) == x; coords(gamma x) == rho coords(x),
+    gamma the GF(p^n) generator, rho its canonical encoding.  C must act as
+    rotate on each point, hence on every log set.  coords is then a
+    GF(p^n)-linear bijection taking mu H to C coords(H), so the scalar
+    classes of GF(p^n)-closed order-p^m subgroups go one to one onto the
+    orbits; group_from_subspace pulls each representative back to an H of
+    its class.  H's minimal_n, from RREF contains, must be n u, u from the
+    census walk: the class's stabilizer is the orbit's, and for u = 1 the
+    minimal classes are the free orbits.  The counts must equal
+    count_classes' closed forms.  Each check raises VerificationError.
     """
-    if n < 1 or gcd(m, h) % n != 0:
-        raise ValueError(f"n = {n} does not divide gcd({m}, {h})")
-    classes = [c for c in equivalence_classes(p, h, m, cap=cap) if c.profile.minimal_n % n == 0]
+    # count_classes rejects bad parameters before the census is built
+    predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
     S, tower, params = census.singer, make_field(p, h), [p, h, m, n]
     # p**i encodes the element with coefficient vector e_i: a GF(p)-basis
-    for x in (p**i for i in range(h)):
+    basis = [p**i for i in range(h)]
+    for x in basis:
         image = tower.coords(tower.mul(tower.mu, x), n)
         moved = linalg.matvec(S.generator, tower.coords(x, n), S.field)
         if image != moved:
@@ -555,30 +543,36 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
             raise VerificationError("rotate differs from the Singer generator on a point",
                                     {"params": params, "point": v, "log": k % theta,
                                      "image": w, "image_log": S.log[w] % theta})
-    hit = []
-    for c in classes:
-        i = census.orbit_index(subspace_of_center(c.representative, n))
-        u, rows = census.orbits[i].u, c.representative.rows
-        if u * n != c.profile.minimal_n:
+    gamma = tower.subfield_generator(n)
+    rho = tower.to_subfield(gamma, n)
+    for x in basis:
+        cs = tower.coords(x, n)
+        back = tower.from_coords(cs, n)
+        if back != x:
+            raise VerificationError("from_coords does not invert coords",
+                                    {"params": params, "x": x, "coords": cs, "from_coords": back})
+        image = tower.coords(tower.mul(gamma, x), n)
+        scaled = tuple(S.field.mul(rho, c) for c in cs)
+        if image != scaled:
+            raise VerificationError("coords does not take the subfield generator to its scalar",
+                                    {"params": params, "x": x, "coords_of_gamma_x": image,
+                                     "rho_times_coords": scaled})
+    minimal_classes = 0
+    for i, rec in enumerate(census.orbits):
+        H = group_from_subspace(rec.representative, h)
+        minimal_n = dimension_profile(H).minimal_n
+        if minimal_n != n * rec.u:
             raise VerificationError("class stabilizer differs from its orbit's",
-                                    {"params": params, "representative": [list(r) for r in rows],
-                                     "orbit": i, "u": u, "minimal_n": c.profile.minimal_n})
-        hit.append(i)
-    if sorted(hit) != list(range(len(census.orbits))):
-        raise VerificationError("classes do not hit every orbit once",
-                                {"params": params, "orbit_indices": hit,
-                                 "orbits": len(census.orbits)})
-
-    minimal_classes = sum(1 for c in classes if c.profile.minimal_n == n)
-    predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
-    if [len(classes), minimal_classes] != predicted:
-        raise VerificationError("class counts differ from the closed forms",
-                                {"params": params,
-                                 "observed": [len(classes), minimal_classes],
-                                 "predicted": predicted})
+                                    {"params": params, "representative": [list(r) for r in H.rows],
+                                     "orbit": i, "u": rec.u, "minimal_n": minimal_n})
+        minimal_classes += minimal_n == n
+    classes = len(census.orbits)
+    if [classes, minimal_classes] != predicted:
+        raise VerificationError("class counts differ from the closed forms", {
+            "params": params, "observed": [classes, minimal_classes], "predicted": predicted})
     return {
         "params": {"p": p, "h": h, "m": m, "n": n},
-        "classes": len(classes),
+        "classes": classes,
         "orbits": len(census.orbits),
         "bijection": True,
         "minimal_classes": minimal_classes,

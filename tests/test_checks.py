@@ -291,16 +291,37 @@ singer.orbit_census = census
     assert got[2]["u"] == 1 and got[2]["minimal_n"] == 2
 
 
-def test_correspondence_orbit_hit_check_survives_optimize():
-    # the last class of order-4 subgroups of GF(16) dropped: its orbit of
-    # lines of PG(3,2) is hit by no class
+def test_correspondence_inverse_check_survives_optimize():
+    # from_coords turned into mu times itself once the census is built: each
+    # orbit pulls back to mu times its subgroup, in the same class with the
+    # same minimal_n, and only the inverse check sees it
     code = PREAMBLE + """
-real = elation.equivalence_classes
-elation.equivalence_classes = lambda p, h, m, cap=None: real(p, h, m, cap)[:-1]
+real, real_from = singer.orbit_census, gf.FieldTower.from_coords
+def census(*args, **kwargs):
+    c = real(*args, **kwargs)
+    gf.FieldTower.from_coords = lambda self, cs, n: self.mul(self.mu, real_from(self, cs, n))
+    return c
+singer.orbit_census = census
 """ + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
     got = optimized_details(code)
-    assert got[:2] == [1, "classes do not hit every orbit once"]
-    assert sorted(got[2]["orbit_indices"]) == [0, 1] and got[2]["orbits"] == 3
+    assert got[:2] == [1, "from_coords does not invert coords"]
+    assert got[2]["x"] == 1 and got[2]["from_coords"] == 2
+
+
+def test_correspondence_subfield_check_survives_optimize():
+    # coords and from_coords both twisted by the Frobenius of GF(4): the
+    # Singer generator and the census follow the twist, so every other check
+    # passes, but coords is only semilinear and takes gamma to rho^2
+    code = PREAMBLE + """
+small = gf.make_field(2, 2)
+frob = lambda cs: tuple(small.mul(c, c) for c in cs)
+real_coords, real_from = gf.FieldTower.coords, gf.FieldTower.from_coords
+gf.FieldTower.coords = lambda self, a, n: frob(real_coords(self, a, n))
+gf.FieldTower.from_coords = lambda self, cs, n: real_from(self, frob(cs), n)
+""" + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 2)")
+    got = optimized_details(code)
+    assert got[:2] == [1, "coords does not take the subfield generator to its scalar"]
+    assert got[2]["x"] == 1 and got[2]["coords_of_gamma_x"] != got[2]["rho_times_coords"]
 
 
 def test_act_dimension_check_survives_optimize():
@@ -343,11 +364,12 @@ gf.make_field(2, 4).zech[1] = 1
 
 
 def test_class_walk_direction_check_survives_optimize():
-    # rotating down by one bit walks each class of GF(16) against mu
+    # rotating down by one bit from the start: the census walks against the
+    # Singer generator, which only the link from the generator to rotate sees
     code = PREAMBLE + """
 singer.rotate = lambda bits, theta: (bits >> 1) | ((bits & 1) << (theta - 1))
 """ + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
-    assert optimized_message(code) == "1 mu times the representative is not the walk's next member"
+    assert optimized_message(code) == "1 rotate differs from the Singer generator on a point"
 
 
 def test_class_walk_direction_check_survives_optimize_without_the_census():

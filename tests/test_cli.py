@@ -187,6 +187,19 @@ class TestVerify:
         assert [payload["classes"], payload["orbits"], payload["bijection"]] == [1, 1, True]
         assert [payload["minimal_classes"], payload["free_orbits"]] == [1, 1]
 
+    @pytest.mark.parametrize("p,h,m,n,expected", [
+        # [6 choose 4]_4 = 93,093 and [4 choose 2]_8 = 4,745 subspaces, where
+        # streaming every GF(2)-subgroup would mean 1.4e10 and 2.3e11 of them
+        ("2", "12", "8", "2", [69, 68]),
+        ("2", "12", "6", "3", [9, 8]),
+    ])
+    def test_correspondence_past_the_subgroup_count(self, capsys, p, h, m, n, expected):
+        assert cli.main(["verify", "correspondence", "--p", p, "--h", h, "--m", m, "--n", n,
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload["classes"], payload["minimal_classes"]] == expected
+        assert payload["orbits"] == expected[0] and payload["free_orbits"] == expected[1]
+
     def test_lemma1_small(self):
         r = run_cli("verify", "lemma1", "--r", "2", "--p", "2", "--h", "2", "--json")
         assert r.returncode == 0
@@ -258,6 +271,19 @@ class TestVerify:
         assert r.returncode == 3
         assert not r.stdout
         assert "cap" in r.stderr.lower()
+
+    @pytest.mark.parametrize("args,listed", [
+        # theta(12, 4) = 5,592,405 points, whose list is never built
+        (["--r", "12", "--p", "2", "--h", "2", "--cap", "1000"], "5592405 points"),
+        # 21 points of PG(2,4) pass, but an exhaustive run lists their 210 pairs
+        (["--r", "3", "--p", "2", "--h", "2", "--cap", "200", "--exhaustive"],
+         "210 point pairs"),
+    ], ids=["points", "exhaustive-pairs"])
+    def test_bruckbose_point_list_cap_exit_code(self, args, listed):
+        r = run_cli("verify", "bruckbose", "--n", "1", *args, timeout=30)
+        assert r.returncode == 3
+        assert not r.stdout
+        assert f"{listed} exceed cap" in r.stderr
 
     def test_failed_verification_exit_code(self, monkeypatch, capsys):
         # force a counterexample to pin the exit code and output channel

@@ -36,7 +36,7 @@ from galela import (
     subspace_points,
     verify_correspondence,
 )
-from galela import elation, linalg, selftest, singer
+from galela import elation, linalg, pspace, selftest, singer
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
@@ -691,6 +691,38 @@ class TestCounting:
             count_classes(2, 4, 5, 1)
 
 
+def reference_correspondence(p, h, m, n):
+    """The correspondence from two enumerations, the oracle of verify_correspondence.
+
+    Every scalar class of order-p^m subgroups comes from equivalence_classes,
+    which streams every subgroup; the GF(p^n)-closed ones are kept and each
+    representative is mapped by subspace_of_center into the census of
+    PG(h/n - 1, p^n), built on its own.  Each class must land on an orbit
+    whose u times n is its minimal_n, and the classes must hit every orbit
+    once.  Returns the summary dict of verify_correspondence.
+    """
+    classes = [c for c in equivalence_classes(p, h, m) if c.profile.minimal_n % n == 0]
+    census = singer.orbit_census(h // n, m // n, p**n)
+    hit = []
+    for c in classes:
+        i = census.orbit_index(subspace_of_center(c.representative, n))
+        assert census.orbits[i].u * n == c.profile.minimal_n
+        hit.append(i)
+    assert sorted(hit) == list(range(len(census.orbits)))
+    minimal_classes = sum(1 for c in classes if c.profile.minimal_n == n)
+    return {
+        "params": {"p": p, "h": h, "m": m, "n": n},
+        "classes": len(classes),
+        "orbits": len(census.orbits),
+        "bijection": True,
+        "minimal_classes": minimal_classes,
+        "free_orbits": sum(1 for rec in census.orbits if rec.u == 1),
+        "minimal_match": True,
+        "predicted_classes": count_classes(p, h, m, n),
+        "predicted_minimal": count_classes(p, h, m, n, minimal=True),
+    }
+
+
 class TestCorrespondence:
     def test_small_cases(self):
         for p, h, m, n in [(2, 4, 2, 2), (3, 2, 1, 1), (2, 4, 1, 1)]:
@@ -716,10 +748,11 @@ class TestCorrespondence:
         report = verify_correspondence(p, h, m, n)
         assert report["classes"] == report["orbits"] == report["predicted_classes"]
         assert report["minimal_classes"] == report["free_orbits"] == report["predicted_minimal"]
+        assert report == reference_correspondence(p, h, m, n)
 
-    def test_checks_once_per_class(self, monkeypatch):
-        # once the classes exist, each costs one subspace_of_center and one
-        # census log set, read through orbit_index, and no RREF action
+    def test_one_enumeration(self, monkeypatch):
+        # the census slice is the only stream: one group_from_subspace and one
+        # dimension_profile per orbit, and no subgroup is enumerated
         calls = Counter()
 
         def counted(module, name):
@@ -730,15 +763,10 @@ class TestCorrespondence:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        real_classes = elation.equivalence_classes
-
-        def classes(*args, **kwargs):
-            out = real_classes(*args, **kwargs)
-            for module, name in [(elation, "subspace_of_center"), (singer, "log_set"),
-                                 (elation, "scalar_multiple")]:
-                counted(module, name)
-            return out
-        monkeypatch.setattr(elation, "equivalence_classes", classes)
+        for module, name in [(elation, "equivalence_classes"), (pspace, "subspace_groups"),
+                             (elation, "group_from_subspace"), (elation, "dimension_profile")]:
+            counted(module, name)
         report = verify_correspondence(2, 6, 3, 1)
         assert report["classes"] == 23
-        assert calls == {"subspace_of_center": 23, "log_set": 23}
+        assert calls == {"subspace_groups": 1, "group_from_subspace": 23,
+                         "dimension_profile": 23}
