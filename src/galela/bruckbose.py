@@ -237,14 +237,14 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
     sample = list(sample)
     if not sample:
         raise ValueError("empty sample")
-    return _check_cosets(E, frame, (_affine(x, frame) for x in sample))
+    return _check_cosets(E, elation.subspace_of_center(E, frame.n), frame,
+                         (_affine(x, frame) for x in sample))
 
 
-def _check_cosets(E, frame, points) -> bool:
-    """common_intersection_check's coset checks on affine points, iterated once in order;
-    verify_star_model checks its sample affine once and hands it to every subgroup."""
-    section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    vectors = _vectors(section)
+def _check_cosets(E, section, frame, points) -> bool:
+    """common_intersection_check's coset checks on affine points, iterated once in order, section
+    being E's center section; verify_star_model passes its sample, checked affine once."""
+    vectors = _vectors(embed_center_section(section, frame))
     elements = E.elements()
     add = frame.tower.add
     covered = set()  # last coordinates of the cosets checked so far
@@ -358,14 +358,17 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
 
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
-    identity, then checks line incidences.
-    cap, pspace.subspace_cap's default if None, bounds each subgroup
-    enumeration and, first, the longest list: the theta(r, p^h) points of
-    the line sample, or their pairs if exhaustive.  Each order's
-    orbits_checked is the number of (subgroup, sample point) pairs, not of
-    distinct orbits: common_intersection_check checks once per E-coset of
-    the sample's last coordinates.
+    identity, then checks line incidences.  The subgroups are the pull-backs
+    (elation.group_from_subspace) of the streamed (m/n)-subspaces X of
+    PG(h/n - 1, p^n); each one's center section must be X again, so with the
+    stream's count check each of the [h/n choose m/n]_{p^n} is checked once.
+    cap, pspace.subspace_cap's default if None, bounds each order's stream
+    and, first, the longest list: the theta(r, p^h) points of the line
+    sample, or their pairs if exhaustive.  orbits_checked counts (subgroup,
+    sample point) pairs, not distinct orbits.
     """
+    if m is not None and not (n >= 1 and m % n == 0 and 1 <= m <= h):
+        raise ValueError(f"order exponent {m} is not admissible for n = {n}")
     points, limit = combinat.theta(r, p**h), pspace.subspace_cap(cap)
     listed, what = (points * (points - 1) // 2, "point pairs") if exhaustive else (points, "points")
     if listed > limit:
@@ -376,17 +379,19 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     orders = [m] if m is not None else admissible_orders(h, n)
     per_order = []
     for mm in orders:
-        if mm % n != 0 or not 1 <= mm <= h:
-            raise ValueError(f"order exponent {mm} is not admissible for n = {n}")
-        groups = [H for H in elation.enumerate_subgroups(p, h, mm, cap=cap)
-                  if elation.dimension_profile(H).minimal_n % n == 0]
-        for H in groups:
-            _check_cosets(H, frame, sample)
+        for basis in pspace.subspace_bases(frame.dprime, mm // n, frame.q, cap):
+            X = pspace.Subspace(frame.q, basis)
+            H = elation.group_from_subspace(X, h)
+            if elation.subspace_of_center(H, n) != X:
+                raise VerificationError("pulled-back subgroup's center section is not its subspace",
+                                        {"params": [r, p, h, n], "subspace": basis, "rows": H.rows})
+            _check_cosets(H, X, frame, sample)
+        groups = combinat.gaussian_binomial(frame.dprime, mm // n, frame.q)  # as the stream checked
         per_order.append({
             "m": mm,
             "d": mm // n,
-            "subgroups": len(groups),
-            "orbits_checked": len(groups) * len(sample),
+            "subgroups": groups,
+            "orbits_checked": groups * len(sample),
         })
     specs = sample_line_specs(frame, seed=seed, force=exhaustive)
     incidence_check(frame, specs)

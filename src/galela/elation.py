@@ -259,6 +259,8 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
     g M_lam g^-1 == M_(alpha lam) is checked for every lam in H.
     """
     tower = H.tower
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
     if not 0 < alpha < tower.order:
         raise ValueError(f"{alpha} is not a nonzero element of {tower!r}")
     g = [[1 if i == j else 0 for j in range(r)] for i in range(r)]

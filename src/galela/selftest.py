@@ -95,47 +95,47 @@ def correspondence_report() -> list:
 def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     """Both directions of the conjugacy criterion over all subgroup pairs.
 
-    One exhaustive pass over PGL(r, q) per case partitions every subgroup by
-    conjugacy (elation.conjugacy_partition), and the scalar classes come
-    from elation.equivalence_classes.  Every class member, derived as
-    scalar_multiple(representative, mu^k), must admit the diagonal
-    conjugator by its witness scalar mu^k (checked by the explicit
-    projective identity inside conjugator) and carry the representative's
-    label in the pass; every class of the pass must lie inside one scalar
-    class.  Together these make the two partitions equal, so each pair is
-    counted from the class sizes instead of being tested on its own.  cap
-    bounds the subgroup enumeration and |PGL(r, q)|.
+    The subgroups are the members of elation.equivalence_classes of every
+    order, in class order, member k being mu^k times the representative.
+    Their rows must be distinct, which with the walk's check that the class
+    sizes sum to the Gaussian binomial makes them every subgroup once.  One
+    exhaustive pass over PGL(r, q) per case partitions them by conjugacy
+    (elation.conjugacy_partition).  Each member must admit the diagonal
+    conjugator by mu^k (checked by the projective identity in conjugator) and
+    carry its representative's label, and, by class number, each class of the
+    pass must lie in one scalar class: the partitions are equal, so pairs are
+    counted from class sizes.  cap bounds each order's stream and |PGL(r, q)|.
     """
     out = []
     for r, p, h in cases:
-        subs = [H for m in range(1, h + 1)
-                for H in elation.enumerate_subgroups(p, h, m, cap=cap)]
-        sweep = elation.conjugacy_partition(subs, r, cap=cap)
-        label = {H.rows: i for H, i in zip(subs, sweep.labels)}
-        scalar_rep = {}
-        equivalent = 0
-        for m in range(1, h + 1):
-            for c in elation.equivalence_classes(p, h, m, cap=cap):
-                rep = c.representative
-                for H, alpha in zip(c.members, c.witness_scalars):
-                    elation.conjugator(rep, alpha, r)
-                    if label[H.rows] != label[rep.rows]:
-                        raise VerificationError(
-                            "scalar-equivalent pair not conjugate in the PGL sweep",
-                            {"case": [r, p, h], "alpha": alpha,
-                             "first": [list(row) for row in rep.rows],
-                             "second": [list(row) for row in H.rows]})
-                    scalar_rep[H.rows] = rep.rows
-                equivalent += c.size * (c.size + 1) // 2
-        for j, (H, i) in enumerate(zip(subs, sweep.labels)):
-            if scalar_rep[H.rows] != scalar_rep[subs[i].rows]:
+        classes = [c for m in range(1, h + 1) for c in elation.equivalence_classes(p, h, m, cap)]
+        subs = [H for c in classes for H in c.members]
+        owner = [k for k, c in enumerate(classes) for _ in range(c.size)]  # class numbers
+        if len({H.rows for H in subs}) != len(subs):
+            raise VerificationError("scalar classes repeat a subgroup",
+                                    {"case": [r, p, h], "rows": [H.rows for H in subs]})
+        sweep = elation.conjugacy_partition(subs, r, cap=cap)  # rejects r < 2 first
+        first = 0  # index of the class's representative, its member 0
+        for c in classes:
+            for k, alpha in enumerate(c.witness_scalars):
+                elation.conjugator(c.representative, alpha, r)
+                if sweep.labels[first + k] != sweep.labels[first]:
+                    raise VerificationError(
+                        "scalar-equivalent pair not conjugate in the PGL sweep",
+                        {"case": [r, p, h], "alpha": alpha,
+                         "first": [list(row) for row in c.representative.rows],
+                         "second": [list(row) for row in subs[first + k].rows]})
+            first += c.size
+        for j, i in enumerate(sweep.labels):
+            if owner[i] != owner[j]:
                 witness = sweep.witnesses.get((i, j))
                 raise VerificationError(
                     "conjugation witness found for an inequivalent pair",
                     {"case": [r, p, h],
                      "first": [list(row) for row in subs[i].rows],
-                     "second": [list(row) for row in H.rows],
+                     "second": [list(row) for row in subs[j].rows],
                      "witness": None if witness is None else [list(row) for row in witness]})
+        equivalent = sum(c.size * (c.size + 1) // 2 for c in classes)
         out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
                     "equivalent_pairs": equivalent,
                     "inequivalent_pairs": len(subs) * (len(subs) + 1) // 2 - equivalent,

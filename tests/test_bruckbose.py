@@ -27,7 +27,7 @@ from galela import (
     theta,
     verify_star_model,
 )
-from galela import bruckbose, elation, linalg, pspace
+from galela import bruckbose, elation, linalg, pspace, selftest
 from galela.bruckbose import (
     EXHAUSTIVE_LIMIT,
     admissible_orders,
@@ -35,7 +35,9 @@ from galela.bruckbose import (
     sample_affine_points,
     sample_line_specs,
 )
+from galela.combinat import divisors, gaussian_binomial, is_prime
 from galela.elation import dimension_profile, enumerate_subgroups, subspace_of_center
+from galela.errors import CapExceeded
 from galela.pspace import field_for, span, subspace_points
 
 
@@ -624,3 +626,63 @@ class TestFullSweep:
     def test_rejects_inadmissible_order(self):
         with pytest.raises(ValueError):
             verify_star_model(2, 2, 4, 2, m=3)
+
+
+def filtered_subgroups(p, h, n, m):
+    """The subgroups verify_star_model checked before it pulled them back:
+    every order-p^m subgroup that dimension_profile finds GF(p^n)-closed."""
+    return [H.rows for H in enumerate_subgroups(p, h, m)
+            if dimension_profile(H).minimal_n % n == 0]
+
+
+PULLBACK_CASES = [(p, h, n, m) for p in range(2, 257) if is_prime(p)
+                  for h in range(1, 9) if p**h <= 256
+                  for n in divisors(h) for m in range(n, h + 1, n)
+                  if gaussian_binomial(h, m, p) <= 20000]
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("p,h,n,m", PULLBACK_CASES)
+    def test_checked_subgroups_are_the_filtered_ones(self, p, h, n, m, monkeypatch):
+        # the subgroups whose cosets are checked, each with the center
+        # section it is handed, against the old filter; lines are not checked
+        checked = []
+
+        def record(E, section, frame, points):
+            assert section == subspace_of_center(E, n)
+            checked.append(E.rows)
+            return True
+
+        monkeypatch.setattr(bruckbose, "_check_cosets", record)
+        monkeypatch.setattr(bruckbose, "incidence_check", lambda frame, specs: True)
+        report = verify_star_model(2, p, h, n, m=m)
+        assert len(set(checked)) == len(checked) == report["orders"][0]["subgroups"]
+        assert sorted(checked) == sorted(filtered_subgroups(p, h, n, m))
+
+    def test_no_subgroup_list_and_no_profile(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("GF(p)-subgroup filter reached")
+
+        monkeypatch.setattr(elation, "enumerate_subgroups", forbidden)
+        monkeypatch.setattr(elation, "dimension_profile", forbidden)
+        for frame in selftest.STAR_CASES:
+            assert verify_star_model(*frame)["ok"] is True
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (2, 0), (2, 6), (2, -2), (1, 5), (0, 2)])
+    def test_explicit_order_checked_before_the_frame(self, n, m, monkeypatch):
+        # m // n would round a bad m down to an admissible order
+        def no_frame(*args):
+            raise AssertionError("frame built for an inadmissible order")
+
+        monkeypatch.setattr(bruckbose, "StarFrame", no_frame)
+        with pytest.raises(ValueError, match=f"order exponent {m} is not admissible"):
+            verify_star_model(2, 2, 4, n, m=m)
+
+    def test_cap_bounds_the_center_sections(self):
+        # GF(256) over GF(4): 357 lines of PG(3, 4) exceed 300, though the
+        # 257 points of the line sample do not; over GF(16), 17 points of
+        # PG(1, 16) stand for 200,787 subgroups of order 2^4
+        with pytest.raises(CapExceeded, match="357 subspaces exceed cap 300"):
+            verify_star_model(2, 2, 8, 2, m=4, cap=300)
+        report = verify_star_model(2, 2, 8, 4, cap=300)
+        assert [row["subgroups"] for row in report["orders"]] == [17, 1]

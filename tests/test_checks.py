@@ -391,6 +391,19 @@ elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPa
     assert run_optimized(code) == ["1", "raised"]
 
 
+def test_lemma1_distinct_members_check_survives_optimize():
+    # mu^2 times a subgroup read as the subgroup itself: GF(4)'s one class of
+    # order-2 subgroups lists its representative twice.  mu itself stays
+    # right, since equivalence_classes checks mu times each representative
+    # against its walk; the sweep and the class checks take the list as it is
+    code = PREAMBLE + """
+from galela import selftest
+real = elation.scalar_multiple
+elation.scalar_multiple = lambda H, alpha: real(H, alpha) if alpha == H.tower.mu else H
+""" + MESSAGE.format(call="selftest.lemma1_report([(2, 2, 2)])")
+    assert optimized_message(code) == "1 scalar classes repeat a subgroup"
+
+
 def test_correspondence_count_check_survives_optimize():
     # a closed form one too high: GF(16) has 3 classes of order-4 subgroups
     code = PREAMBLE + """
@@ -413,6 +426,21 @@ WRONG_SECTION = """
 # every subgroup's center section replaced by the whole center block
 bruckbose.embed_center_section = lambda X, frame: frame.zstar
 """
+
+
+def test_star_pullback_round_trip_check_survives_optimize():
+    # every center section pulled back to the first one's subgroup, whose
+    # own section passes its coset checks each time
+    code = PREAMBLE + """
+real = elation.group_from_subspace
+first = []
+def pulled(X, h):
+    first[:] = first or [real(X, h)]
+    return first[0]
+elation.group_from_subspace = pulled
+""" + MESSAGE.format(call="bruckbose.verify_star_model(2, 2, 4, 1, m=2)")
+    assert optimized_message(code) == \
+        "1 pulled-back subgroup's center section is not its subspace"
 
 
 def test_orbit_closure_identity_survives_optimize():

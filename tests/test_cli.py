@@ -27,6 +27,7 @@ BRUCKBOSE_SHA256 = {
     "2-3-4-2": "a3b589dcd11678b769c0c7dad5776254db8a23261eed013ce62feb655bbce9b6",
     "2-2-6-3": "9b9532630d7ce96f738652d8fd93c5eca161593389bb8d3ff7600bce1ace54e1",
     "4-2-2-1": "8575466967518c9c9a002ef4060d67fb9b5bb36afe3ed204862c5606b2e98511",
+    "2-2-8-4": "059bdc1c30bda398cad451b795bc54d2c57dcde6dc53df4f4eb790c6633c9498",
 }
 
 
@@ -238,7 +239,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("frame", sorted(BRUCKBOSE_SHA256))
     def test_bruckbose_matches_pinned_digest(self, frame, capsys):
-        # odd characteristic, n > 1 and r = 4 frames, each swept exhaustively
+        # odd characteristic, n > 1 and r = 4 frames, each swept exhaustively;
+        # 2-2-8-4 checks GF(256)'s 18 GF(16)-closed subgroups, 17 of them of order 2^4
         r, p, h, n = frame.split("-")
         assert cli.main(["verify", "bruckbose", "--r", r, "--p", p, "--h", h, "--n", n,
                          "--json"]) == 0
@@ -271,6 +273,13 @@ class TestVerify:
         assert r.returncode == 3
         assert not r.stdout
         assert "cap" in r.stderr.lower()
+
+    def test_bruckbose_inadmissible_order_exit_code(self):
+        r = run_cli("verify", "bruckbose", "--r", "2", "--p", "2", "--h", "4", "--n", "2",
+                    "--m", "3")
+        assert r.returncode == 2
+        assert not r.stdout
+        assert "order exponent 3 is not admissible for n = 2" in r.stderr
 
     @pytest.mark.parametrize("args,listed", [
         # theta(12, 4) = 5,592,405 points, whose list is never built

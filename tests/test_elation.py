@@ -373,6 +373,12 @@ class TestConjugation:
         with pytest.raises(ValueError):
             conjugator(H, 0, 3)
 
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_conjugator_rejects_small_r(self, r):
+        H = enumerate_subgroups(2, 4, 2)[0]
+        with pytest.raises(ValueError, match="need r >= 2"):
+            conjugator(H, 1, r)
+
     def test_no_witness_for_equivalent_pair(self):
         cls = equivalence_classes(2, 2, 1)
         rep = cls[0].representative
@@ -601,6 +607,22 @@ class TestConjugacyPartition:
                             lambda subgroups, r, cap=None: elation.ConjugacyPartition(labels, {}))
         with pytest.raises(VerificationError, match=message):
             selftest.lemma1_report([(2, 2, 2)])
+
+    def test_lemma1_report_streams_each_order_once(self, monkeypatch):
+        # the subgroups are the scalar classes' own members: one subspace
+        # stream per order, and no enumerate_subgroups list beside it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerate_subgroups called")
+
+        streams = []
+        real = pspace.subspace_groups
+        monkeypatch.setattr(elation, "enumerate_subgroups", forbidden)
+        monkeypatch.setattr(pspace, "subspace_groups",
+                            lambda s, t, q, cap=None, hyperplane=False:
+                            streams.append((s, t, q)) or real(s, t, q, cap, hyperplane))
+        report = selftest.lemma1_report([(2, 2, 3), (3, 2, 2)])
+        assert streams == [(3, 1, 2), (3, 2, 2), (3, 3, 2), (2, 1, 2), (2, 2, 2)]
+        assert [row["subgroups"] for row in report] == [15, 4]
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
     def test_iterate_pgl_order(self, r, p, h):
