@@ -27,9 +27,9 @@ x by (0, v, 0) moves both sets by (0, coords(v), 0), a translation of the
 big space fixing A* pointwise.  If c passes, so does every c' in c + E:
 the image sets agree, and coords(c') is one of c's images, so coords(c') +
 W = coords(c) + W.  The first sample point of each coset is therefore the
-first to fail, if any does.  A line's spread element is listed once per
-point at infinity.  Every check raises VerificationError with a
-counterexample.
+first to fail, if any does.  The frame builds each spread element once,
+and a sample of lines checks each distinct line once.  Every check raises
+VerificationError with a counterexample.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ SAMPLE_SIZE = 256
 
 
 class StarFrame:
-    """Fixed star representation of PG(r-1, p^h) over the subfield GF(p^n)."""
+    """Fixed star representation of PG(r-1, p^h) over the subfield GF(p^n): spread holds the
+    elements of the sorted points at infinity, the center (0, ..., 0, 1) first, as zstar."""
 
     def __init__(self, r: int, p: int, h: int, n: int):
         if r < 2:
@@ -63,11 +64,8 @@ class StarFrame:
         self.dprime = h // n
         self.vecdim = (r - 1) * self.dprime + 1
 
-        unit = linalg.identity(self.vecdim)
-        self.astar = pspace.Subspace(self.q, unit[1:])
-
-        infinite = [(0,) + pt for pt in pspace.enumerate_points(r - 1, self.tower.order)]
-        self.spread = tuple(star_infinite(P, self) for P in infinite)
+        self.infinite = tuple((0,) + pt for pt in pspace.enumerate_points(r - 1, self.tower.order))
+        self.spread = tuple(star_infinite(P, self) for P in self.infinite)
         # every member lies in X00 = 0, so theta(vecdim - 1, q) distinct points
         # make them partition it, and each has rank d' (star_infinite's rank)
         points = [pt for S in self.spread for pt in pspace.subspace_points(S)]
@@ -77,8 +75,8 @@ class StarFrame:
                 "field reduction did not give a spread of the hyperplane at infinity",
                 {"params": [r, p, h, n], "points": len(points), "distinct": len(set(points))})
 
-        self.zstar = star_infinite((0,) * (r - 1) + (1,), self)
-        if self.zstar.basis != unit[-self.dprime:]:
+        self.zstar = self.spread[0]
+        if self.zstar.basis != linalg.identity(self.vecdim)[-self.dprime:]:
             raise VerificationError("the center's spread element is not the last coordinate block",
                                     {"params": [r, p, h, n], "zstar": self.zstar.basis})
 
@@ -242,8 +240,8 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
 
 
 def _check_cosets(E, section, frame, points) -> bool:
-    """common_intersection_check's coset checks on affine points, iterated once in order, section
-    being E's center section; verify_star_model passes its sample, checked affine once."""
+    """common_intersection_check's coset checks on affine points, iterated once in order, against
+    section, which a pass shows to be coords(E); verify_star_model passes its checked sample."""
     vectors = _vectors(embed_center_section(section, frame))
     elements = E.elements()
     add = frame.tower.add
@@ -261,26 +259,26 @@ def incidence_check(frame: StarFrame, sample) -> bool:
     A line with affine points maps onto the affine part of span(P*, S), P
     any of its affine points and S the spread element of its point at
     infinity, so its closure meets A* in S; a line inside the hyperplane at
-    infinity maps into the span of two spread elements.  Each spread
-    element, and for a line with affine points its vectors, is built once
-    per point at infinity of the sample.  Returns True, or raises
-    VerificationError with the failing line and the frame's params.
+    infinity maps into the span of two spread elements.  The spread
+    elements are the frame's, and their vectors are listed once per point
+    at infinity.  Every pair is normalized and spanned, but each distinct
+    line, keyed by its RREF basis, is checked once: the check depends on the
+    line alone.  Returns True, or raises VerificationError with the failing
+    line's first pair and the frame's params.
     """
     bigq = frame.tower.order
-    members, cosets = {}, {}  # normalized point at infinity -> its element, its vectors
-
-    def member(P):
-        if P not in members:
-            members[P] = star_infinite(P, frame)
-        return members[P]
-
+    spread = dict(zip(frame.infinite, frame.spread))  # point at infinity -> its element
+    lines, cosets = set(), {}  # bases of the lines checked; point at infinity -> its vectors
     for x, y in sample:
         x = pspace.normalize_point(x, bigq)
         y = pspace.normalize_point(y, bigq)
         if x == y:
             raise ValueError("degenerate line spec: the two points coincide")
-        where = {"spec": [list(x), list(y)], "params": [frame.r, frame.p, frame.h, frame.n]}
         line = pspace.span([x, y], bigq)
+        if line.basis in lines:
+            continue
+        lines.add(line.basis)
+        where = {"spec": [list(x), list(y)], "params": [frame.r, frame.p, frame.h, frame.n]}
         pts = pspace.subspace_points(line)
         affine = [P for P in pts if P[0] != 0]
         infinite = [P for P in pts if P[0] == 0]
@@ -290,7 +288,7 @@ def incidence_check(frame: StarFrame, sample) -> bool:
                     "kind": "line off the hyperplane has several infinite points", **where})
             point = infinite[0]
             if point not in cosets:
-                cosets[point] = _vectors(member(point))
+                cosets[point] = _vectors(spread[point])
             _check_affine_image(
                 {star_point(P, frame) for P in affine}, star_point(affine[0], frame),
                 cosets[point], frame,
@@ -299,15 +297,17 @@ def incidence_check(frame: StarFrame, sample) -> bool:
                 ("affine line image does not cut a spread element",
                  "line image is missing affine points"))
         else:
-            closure = pspace.subspace_sum(member(x), member(y))
+            closure = pspace.subspace_sum(spread[x], spread[y])
             if closure.t != 2 * frame.dprime:
                 raise VerificationError("incidence check failed", {
                     "kind": "infinite line span has wrong rank", **where, "rank": closure.t})
             for P in pts:
-                if not all(pspace.contains(closure, row) for row in member(P).basis):
+                if not all(pspace.contains(closure, row) for row in spread[P].basis):
                     raise VerificationError("incidence check failed", {
                         "kind": "spread element escapes the infinite line span", **where,
                         "point": list(P)})
+    if not lines:
+        raise ValueError("empty sample")
     return True
 
 
@@ -359,8 +359,9 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     Sweeps every GF(p^n)-closed subgroup of each admissible order (or just
     order p^m when m is given), checks all orbit images against the span
     identity, then checks line incidences.  The subgroups are the pull-backs
-    (elation.group_from_subspace) of the streamed (m/n)-subspaces X of
-    PG(h/n - 1, p^n); each one's center section must be X again, so with the
+    H (elation.group_from_subspace) of the streamed (m/n)-subspaces X of
+    PG(h/n - 1, p^n).  The coset check compares x^H's images with x* + X,
+    so a pass shows coords(H) = X: distinct X give distinct H, and with the
     stream's count check each of the [h/n choose m/n]_{p^n} is checked once.
     cap, pspace.subspace_cap's default if None, bounds each order's stream
     and, first, the longest list: the theta(r, p^h) points of the line
@@ -381,11 +382,7 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     for mm in orders:
         for basis in pspace.subspace_bases(frame.dprime, mm // n, frame.q, cap):
             X = pspace.Subspace(frame.q, basis)
-            H = elation.group_from_subspace(X, h)
-            if elation.subspace_of_center(H, n) != X:
-                raise VerificationError("pulled-back subgroup's center section is not its subspace",
-                                        {"params": [r, p, h, n], "subspace": basis, "rows": H.rows})
-            _check_cosets(H, X, frame, sample)
+            _check_cosets(elation.group_from_subspace(X, h), X, frame, sample)
         groups = combinat.gaussian_binomial(frame.dprime, mm // n, frame.q)  # as the stream checked
         per_order.append({
             "m": mm,

@@ -68,7 +68,7 @@ class TestFrameConstruction:
     def test_spread_partitions_hyperplane(self):
         f = plane_frame()
         total = sum(len(subspace_points(X)) for X in f.spread)
-        assert total == len(subspace_points(f.astar))
+        assert total == len(subspace_points(span(linalg.identity(f.vecdim)[1:], f.q)))
         for i, X in enumerate(f.spread):
             for Y in f.spread[i + 1 :]:
                 assert subspace_intersection(X, Y) is None
@@ -76,7 +76,9 @@ class TestFrameConstruction:
     def test_zstar_is_last_block(self):
         f = plane_frame()
         assert f.zstar.basis == ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
-        assert f.zstar in f.spread
+        assert f.zstar is f.spread[0]
+        assert f.infinite == tuple(sorted(f.infinite))
+        assert [star_infinite(P, f) for P in f.infinite] == list(f.spread)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -233,6 +235,8 @@ class TestGeometricChecks:
         H = group_from_elements(f.tower, (0, 1))
         with pytest.raises(ValueError):
             common_intersection_check(H, f, [])
+        with pytest.raises(ValueError, match="empty sample"):
+            incidence_check(f, [])
 
     def test_non_affine_sample_point_rejected(self):
         f = small_frame()
@@ -257,13 +261,12 @@ class TestGeometricChecks:
     def test_spread_element_built_once_per_point_at_infinity(self, frame, specs, monkeypatch):
         f = StarFrame(*frame)
         sample = specs(f)
-        # every point at infinity of a sampled line, and those of the lines
-        # with affine points, whose elements' vectors the coset check lists
-        at_infinity, of_affine_lines = set(), set()
+        # the points at infinity of the lines with affine points, whose
+        # elements' vectors the coset check lists; the elements are the frame's
+        of_affine_lines = set()
         for x, y in sample:
             pts = subspace_points(span([x, y], f.tower.order))
             infinite = {P for P in pts if P[0] == 0}
-            at_infinity |= infinite
             if len(infinite) < len(pts):
                 of_affine_lines |= infinite
         calls, listed = [], []
@@ -280,9 +283,23 @@ class TestGeometricChecks:
         monkeypatch.setattr(bruckbose, "star_infinite", counted)
         monkeypatch.setattr(bruckbose, "_vectors", counted_vectors)
         assert incidence_check(f, sample) is True
-        assert len(calls) == len(set(calls)) == len(at_infinity)
-        assert set(calls) == at_infinity
+        assert calls == []
         assert len(listed) == len(of_affine_lines)
+
+    @pytest.mark.parametrize("frame, specs", [
+        ((3, 2, 2, 1), lambda f: sample_line_specs(f)),
+        ((3, 2, 4, 2), lambda f: sample_line_specs(f, size=200, seed=3))],
+        ids=["3-2-2-1-exhaustive", "3-2-4-2"])
+    def test_points_listed_once_per_distinct_line(self, frame, specs, monkeypatch):
+        f = StarFrame(*frame)
+        sample = specs(f)
+        lines = {span([x, y], f.tower.order) for x, y in sample}
+        assert len(lines) < len(sample)
+        calls = []
+        real = pspace.subspace_points
+        monkeypatch.setattr(pspace, "subspace_points", lambda X: calls.append(X) or real(X))
+        assert incidence_check(f, sample) is True
+        assert sorted(calls, key=lambda X: X.basis) == sorted(lines, key=lambda X: X.basis)
 
     def test_degenerate_pair_rejected(self):
         f = small_frame()
@@ -292,6 +309,13 @@ class TestGeometricChecks:
         # projectively equal infinite reps count as the same point
         with pytest.raises(ValueError):
             incidence_check(f, [((0, 1), (0, t.mu))])
+
+    def test_degenerate_pair_rejected_after_its_line_was_checked(self):
+        # PG(1,16) is one line, checked on the first pair
+        f = small_frame()
+        t = f.tower
+        with pytest.raises(ValueError, match="degenerate line spec"):
+            incidence_check(f, [((1, 0), (0, 1)), ((1, 1), (1, 2)), ((0, 1), (0, t.mu))])
 
 
 def count_closures(monkeypatch):
@@ -458,6 +482,25 @@ class TestWork:
         report = verify_star_model(2, 2, 4, 1)
         assert report["orders"][0]["subgroups"] > 1
         assert calls["_affine"] == report["sample"]["affine_points"] + calls["star_point"]
+
+    def test_star_model_lists_points_once_per_distinct_line(self, monkeypatch):
+        # PG(1,16): one spread element for the frame's partition check, and
+        # one line for the 136 sampled pairs
+        calls = []
+        real = pspace.subspace_points
+        monkeypatch.setattr(pspace, "subspace_points", lambda X: calls.append(X) or real(X))
+        report = verify_star_model(2, 2, 4, 1)
+        assert report["sample"]["line_specs"] == 136
+        assert len(calls) == 2
+
+    def test_star_model_derives_no_center_section(self, monkeypatch):
+        # each pulled-back subgroup is checked against the subspace it came from
+        def forbidden(*args):
+            raise AssertionError("center section derived")
+
+        monkeypatch.setattr(elation, "subspace_of_center", forbidden)
+        for frame in [*selftest.STAR_CASES, (2, 2, 8, 4)]:
+            assert verify_star_model(*frame)["ok"] is True
 
     def test_line_points_reuse_one_coefficient_list(self, monkeypatch):
         # every line of PG(2,4) lists its points from the same 5 combinations

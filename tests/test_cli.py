@@ -229,13 +229,15 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == reference["lemma1"]["sha256"]
 
     def test_star_workload_matches_recorded_digest(self, capsys):
-        # the star workload of perfbench/run.py at seed 0, whose recorded
-        # digest this only reads
-        assert cli.main(["verify", "bruckbose", "--r", "3", "--p", "2", "--h", "4", "--n", "1",
-                         "--seed", "0", "--json"]) == 0
-        out = capsys.readouterr().out
-        reference = json.loads(REFERENCE.read_text())["star"]
-        assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256_by_seed"]["0"]
+        # the star workload of perfbench/run.py at each seed whose recorded
+        # digest this only reads; every seed's 256 pairs repeat some lines
+        digests = json.loads(REFERENCE.read_text())["star"]["sha256_by_seed"]
+        assert sorted(digests, key=int) == [str(seed) for seed in range(10)]
+        for seed, digest in digests.items():
+            assert cli.main(["verify", "bruckbose", "--r", "3", "--p", "2", "--h", "4", "--n", "1",
+                             "--seed", seed, "--json"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
     @pytest.mark.parametrize("frame", sorted(BRUCKBOSE_SHA256))
     def test_bruckbose_matches_pinned_digest(self, frame, capsys):
