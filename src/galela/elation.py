@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import combinat, linalg, pspace, singer
 from .errors import CapExceeded, VerificationError
@@ -297,42 +297,39 @@ def _field_tables(tower):
 
 
 def _grow_span(span, v, add, mul):
-    """The span of a frame's rows grown by the row v: every s + c v with s in
-    span and c in GF(q), a set of q |span| vectors.  None when v already
-    lies in span.  add and mul are the field's tables."""
-    if v in span:
-        return None
+    """The span of a frame's rows grown by the row v, outside span: every
+    s + c v with s in span and c in GF(q), a set of q |span| vectors.  add
+    and mul are the field's tables."""
     multiples = [[row[x] for x in v] for row in mul]
     return {tuple(add[a][b] for a, b in zip(s, w)) for s in span for w in multiples}
 
 
-def _iterate_pgl(r: int, tower: FieldTower):
+def _iterate_pgl(r: int, tower: FieldTower, refute=None):
     """All of PGL(r, q), one matrix per projective class, streamed.
 
     The first row is a normalized projective point, later rows are nonzero
     vectors in itertools.product order outside the span of the earlier
     ones.  Independence is a lookup in the set of vectors the rows chosen so
-    far span, which grows q-fold with each row.
+    far span, which grows q-fold with each row.  With refute, every frame
+    of fewer than r rows is offered to it as it grows; a frame it rules out
+    is yielded once, short, in place of its completions, and no span is
+    grown for it.  Without refute every item is a full matrix.
     """
     q = tower.order
     add, _, mul, _ = _field_tables(tower)
     nonzero = [v for v in itertools.product(range(q), repeat=r) if any(v)]
 
-    def extend(frame, span):
-        if len(frame) == r - 1:
-            # the last row's span is never used, only its independence
-            for v in nonzero:
-                if v not in span:
-                    yield frame + (v,)
-            return
-        for v in nonzero:
-            grown = _grow_span(span, v, add, mul)
-            if grown is not None:
-                yield from extend(frame + (v,), grown)
+    def extend(frame, span, rows):
+        for v in rows:
+            if v in span:
+                continue
+            grown = frame + (v,)
+            if len(grown) == r or refute is not None and refute(grown):
+                yield grown
+            else:
+                yield from extend(grown, _grow_span(span, v, add, mul), nonzero)
 
-    zero = {(0,) * r}
-    for fr in pspace.enumerate_points(r, q):
-        yield from extend((fr,), _grow_span(zero, fr, add, mul))
+    yield from extend((), {(0,) * r}, pspace.enumerate_points(r, q))
 
 
 @dataclass(frozen=True)
@@ -360,17 +357,22 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     is g with lam times column r-1 added to column 0, and N_mu g is g with mu
     times row 0 added to row r-1, so rows 0..r-2 of N_mu g are g's own.  c
     is therefore forced by the pivot k0 of row 0, c == (g M_lam)[0][k0] /
-    g[0][k0], and rows 0..r-2 of g M_lam must be c times g's rows; this
-    depends on g's first r-1 rows (its head) only, so the (lam, c)
-    candidates are found once per head.  For each g the last row then forces
+    g[0][k0], and rows 0..r-2 of g M_lam must be c times g's rows.  Each of
+    these rows is tested as the frame of g's rows grows, each frame keeping
+    the (lam, c) candidates of the frame above it that its new row passes,
+    so the candidates of g's first r-1 rows (its head) are found once per
+    head.  A frame that keeps no candidate is ruled out: no completion of
+    it matches any subgroup, so _iterate_pgl yields it once in place of its
+    completions.  For each full g the last row then forces
     mu == (g M_lam)[r-1][k0] / c - g[r-1][k0], and the whole last row must
     equal c (g[r-1] + mu g[0]).  All arithmetic reads GF(q)'s tables.  A
     subgroup matches for g when every nonzero lam in it has a mu, and the
     first match of each pair joins the two subgroups in a union-find, whose
     blocks are the classes.  The matches depend on g only through its map
     lam -> mu, so a map met before is not matched again.  No theory beyond
-    the definition is used: every element of PGL is visited and checked,
-    and the count is checked against pgl_order.
+    the definition is used: every frame is visited, a ruled-out frame
+    stands for its completions, which are counted, every other element of
+    PGL is visited and checked, and the count is checked against pgl_order.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
@@ -399,27 +401,43 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
             i = parent[i]
         return i
 
-    def head_candidates(head):
-        """(lam, c, 1/c) for every lam whose g M_lam agrees with c g on the head."""
-        top = head[0]
-        k0 = next(k for k, x in enumerate(top) if x)
-        out = []
-        for lam in all_lams:
-            moved = [(add[row[0]][mul[lam][row[-1]]],) + row[1:] for row in head]
-            c = mul[moved[0][k0]][inv[top[k0]]]
-            if c and all(m == tuple(mul[c][x] for x in row) for m, row in zip(moved, head)):
-                out.append((lam, c, inv[c]))
+    tested = {}  # rows -> the last frame of that many rows tested, its k0 and candidates
+
+    def standing(frame):
+        """k0 and the (lam, c, 1/c) whose g M_lam agrees with c g on the frame's rows.
+
+        Row 0's pivot k0 fixes c for each lam; each later row filters the
+        candidates of the frame without it, the last of its length tested.
+        """
+        met = tested.get(len(frame))
+        if met is not None and met[0] == frame:
+            return met[1]
+        row = frame[-1]
+        if len(frame) == 1:
+            k0, above = next(k for k, x in enumerate(row) if x), []
+            for lam in all_lams:
+                moved = (add[row[0]][mul[lam][row[-1]]],) + row[1:]
+                c = mul[moved[k0]][inv[row[k0]]]
+                if c:
+                    above.append((lam, c, inv[c]))
+        else:
+            k0, above = standing(frame[:-1])
+        out = [(lam, c, ic) for lam, c, ic in above
+               if (add[row[0]][mul[lam][row[-1]]],) + row[1:] == tuple(mul[c][x] for x in row)]
+        tested[len(frame)] = frame, (k0, out)
         return k0, out
 
+    # an item of k rows stands for its completions: prod_{k<=i<r} (q^r - q^i)
+    # for a ruled-out frame, 1 for a full g
+    completions = [prod(q**r - q**i for i in range(k, r)) for k in range(r + 1)]
     witnesses = {}
     seen = set()  # every image map whose matches are recorded
     count = 0
-    head = None
-    for g in _iterate_pgl(r, tower):
-        count += 1
-        if g[:-1] != head:
-            head = g[:-1]
-            k0, candidates = head_candidates(head)
+    for g in _iterate_pgl(r, tower, lambda frame: not standing(frame)[1]):
+        count += completions[len(g)]
+        if len(g) < r:
+            continue
+        k0, candidates = standing(g[:-1])
         if not candidates:
             continue
         top, last = g[0], g[-1]

@@ -75,6 +75,7 @@ class FieldTower:
         # set here, not on first use: an attribute added to an instance after
         # __init__ slows every attribute lookup on it
         self._zech = None
+        self.zech_checked = False  # set by singer.check_zech once the Zech table passed
 
     def __repr__(self):
         return f"GF({self.p}^{self.h})"
@@ -489,6 +490,6 @@ class FieldTower:
             raise ValueError(f"expected {dprime} coordinates, got {len(cs)}")
         acc = 0
         for i, c in enumerate(cs):
-            if c:
-                acc = self.add(acc, self.mul(self.from_subfield(c, n), self.pow(self.mu, i)))
+            if c:  # i < h/n <= p^h - 1, so exp[i] is mu^i
+                acc = self.add(acc, self.mul(self.from_subfield(c, n), self.exp[i]))
         return acc

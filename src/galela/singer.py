@@ -40,7 +40,7 @@ its start shows that the theta(s,q)/theta(u,q)-th power of the generator
 fixes every member, and with each member's point count that makes the
 orbit cover every point theta(t,q)/theta(u,q) times (orbit_census gives
 the argument).  check_zech compares the Zech table, of which the stream
-may read only part, with the field's addition once per call.
+may read only part, with the field's addition once per field object.
 """
 
 from __future__ import annotations
@@ -377,10 +377,13 @@ def check_zech(field):
     """VerificationError unless the field's Zech table agrees with its own add.
 
     exp[zech[k]] must be 1 + mu^k, and zech[k] must be 0 where that sum is
-    0: O(p^h) additions.  The census runs it once per call after its
-    stream, since a stream of the subspaces inside one hyperplane need not
-    read every entry.
+    0: O(p^h) additions.  The census runs it after its stream, since a
+    stream of the subspaces inside one hyperplane need not read every
+    entry.  The pass runs once per field object: it sets the field's
+    zech_checked, and a later call on that field returns at once.
     """
+    if field.zech_checked:
+        return
     exp, add = field.exp, field.add
     for k, (x, z) in enumerate(zip(exp, field.zech)):
         total = add(1, x)
@@ -388,6 +391,7 @@ def check_zech(field):
             raise VerificationError("Zech table differs from the field's addition",
                                     {"field": (field.p, field.h), "k": k, "zech": z,
                                      "one_plus_mu_k": total})
+    field.zech_checked = True
 
 
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:

@@ -363,6 +363,20 @@ gf.make_field(2, 4).zech[1] = 1
         {"field": [2, 4], "k": 1, "zech": 1, "one_plus_mu_k": 3}]
 
 
+def test_zech_check_runs_on_each_fresh_field_under_optimize():
+    # the cached GF(16) passes first; the check is kept per field object, so
+    # a new GF(16) with the same fault is still caught after the stream
+    code = PREAMBLE + """
+singer.orbit_census(4, 2, 2)
+fresh = gf.FieldTower(2, 4)
+fresh.zech[1] = 1
+gf._CACHE[2, 4] = fresh
+""" + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_details(code) == [
+        1, "Zech table differs from the field's addition",
+        {"field": [2, 4], "k": 1, "zech": 1, "one_plus_mu_k": 3}]
+
+
 def test_class_walk_direction_check_survives_optimize():
     # rotating down by one bit from the start: the census walks against the
     # Singer generator, which only the link from the generator to rotate sees
@@ -389,6 +403,25 @@ elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPa
     tuple(range(len(subgroups))), {})
 """ + REPORT.format(call="selftest.lemma1_report([(2, 2, 2)])")
     assert run_optimized(code) == ["1", "raised"]
+
+
+def test_pgl_count_check_covers_ruled_out_frames_under_optimize():
+    # the first two-row frame of PGL(3, 4) ruled out goes missing: it stands
+    # for the 64 - 16 completions of its span, which the count then lacks
+    code = PREAMBLE + """
+real = elation._iterate_pgl
+def dropping(r, tower, refute=None):
+    dropped = False
+    for g in real(r, tower, refute):
+        if len(g) == 2 and not dropped:
+            dropped = True
+        else:
+            yield g
+elation._iterate_pgl = dropping
+""" + DETAILS.format(call="elation.conjugacy_partition(elation.enumerate_subgroups(2, 2, 1), 3)")
+    assert optimized_details(code) == [
+        1, "PGL sweep visited the wrong number of elements",
+        {"r": 3, "q": 4, "swept": 60480 - 48, "pgl_order": 60480}]
 
 
 def test_lemma1_distinct_members_check_survives_optimize():

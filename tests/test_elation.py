@@ -37,6 +37,7 @@ from galela import (
     verify_correspondence,
 )
 from galela import elation, linalg, pspace, selftest, singer
+from galela.combinat import factorize, prime_power
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
@@ -571,7 +572,7 @@ class TestConjugacyPartition:
         # the first witness of a pair is one the forward sweep never keeps
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         backwards = list(_iterate_pgl(r, subgroups[0].tower))[::-1]
-        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
+        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower, refute=None: iter(backwards))
         part = conjugacy_partition(subgroups, r)
         labels, witnesses = reference_partition(subgroups, r, backwards)
         assert part.labels == labels
@@ -592,10 +593,65 @@ class TestConjugacyPartition:
         subgroups = enumerate_subgroups(2, 2, 1)
         full = elation._iterate_pgl
         monkeypatch.setattr(elation, "_iterate_pgl",
-                            lambda r, tower: itertools.islice(full(r, tower), 59))
+                            lambda r, tower, refute=None: itertools.islice(full(r, tower), 59))
         with pytest.raises(VerificationError) as exc:
             conjugacy_partition(subgroups, 2)
         assert exc.value.details["swept"] == 59
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_dropped_frame_is_short_by_its_completions(self, monkeypatch, rows):
+        # a ruled-out frame of PGL(3, 4) stands for prod_{rows<=i<3} (64 - 4^i)
+        # elements, and the count misses exactly those when it goes missing
+        subgroups = enumerate_subgroups(2, 2, 1)
+        full, dropped = elation._iterate_pgl, []
+
+        def dropping(r, tower, refute=None):
+            for g in full(r, tower, refute):
+                if len(g) == rows and not dropped:
+                    dropped.append(g)
+                else:
+                    yield g
+
+        monkeypatch.setattr(elation, "_iterate_pgl", dropping)
+        with pytest.raises(VerificationError,
+                           match="PGL sweep visited the wrong number of elements") as exc:
+            conjugacy_partition(subgroups, 3)
+        assert len(dropped) == 1
+        missing = 1
+        for i in range(rows, 3):
+            missing *= 4**3 - 4**i
+        assert exc.value.details["swept"] == pgl_order(3, 4) - missing
+
+    @pytest.mark.parametrize("r,q", [(2, q) for q in range(2, 33) if len(factorize(q)) == 1]
+                             + [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
+    def test_ruled_out_frames_change_nothing(self, monkeypatch, r, q):
+        # the same labels and witnesses as the sweep fed every element of PGL
+        p, h = prime_power(q)
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        part = conjugacy_partition(subgroups, r)
+        full = elation._iterate_pgl
+        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower, refute=None: full(r, tower))
+        every = conjugacy_partition(subgroups, r)
+        assert part.labels == every.labels
+        assert part.witnesses == every.witnesses
+
+    def test_ruled_out_frames_are_not_completed(self, monkeypatch):
+        # PGL(3, 4) with GF(4)'s 4 subgroups: a frame keeps a candidate only
+        # with its rows in x_2 = 0, so 16 of the 21 first rows and 240 of
+        # the 300 two-row frames on the other 5 are ruled out, and the 60
+        # heads left are completed in 64 - 16 ways each
+        subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
+        full, items = elation._iterate_pgl, []
+
+        def recording(r, tower, refute=None):
+            for g in full(r, tower, refute):
+                items.append(g)
+                yield g
+
+        monkeypatch.setattr(elation, "_iterate_pgl", recording)
+        assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
+        assert Counter(map(len, items)) == {1: 16, 2: 240, 3: 2880}
+        assert all(not row[-1] for g in items if len(g) == 3 for row in g[:-1])
 
     @pytest.mark.parametrize("labels,message", [
         ((0, 1, 2, 3), "scalar-equivalent pair not conjugate"),

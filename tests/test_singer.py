@@ -27,7 +27,7 @@ from galela import (
     subspace_points,
     theta,
 )
-from galela import elation, singer
+from galela import elation, gf, singer
 from galela.combinat import divisors, prime_power
 from galela.gf import make_field
 from galela.linalg import matvec
@@ -286,6 +286,35 @@ class TestCensus:
         keys = [(r.u, r.representative.basis) for r in census.orbits]
         assert keys == sorted(keys)
 
+
+class IterCountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestZechCheck:
+    def test_two_censuses_over_one_field_check_it_once(self, monkeypatch):
+        fresh = gf.FieldTower(2, 4)
+        fresh._zech = table = IterCountingList(fresh.zech)
+        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        orbit_census(4, 2, 2)
+        orbit_census(4, 2, 2)
+        assert table.passes == 1
+
+    def test_a_fresh_field_is_checked_again(self, monkeypatch):
+        # the cached GF(16) passes; a new field object of the same order with
+        # zech[1] = 1 does not, though the lines inside x_0 = 0 never read it
+        orbit_census(4, 2, 2)
+        fresh = gf.FieldTower(2, 4)
+        fresh.zech[1] = 1
+        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        with pytest.raises(VerificationError, match="Zech table differs"):
+            orbit_census(4, 2, 2)
 
 @pytest.mark.parametrize("s,t,q", CENSUS_CASES + ((3, 1, 9),))
 class TestLogCoordinates:
