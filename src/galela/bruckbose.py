@@ -166,13 +166,14 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
     """Star image of the orbit of an affine point x under the group of E.
 
     Returns the projective closure of the image points in canonical form.
-    The image is checked to be the affine part of the span of x* and the
-    embedded center section of E, the model's central identity, and
-    VerificationError is raised otherwise.
+    The image is checked, by _check_cosets on the sample [x], to be the
+    affine part of the span of x* and the embedded center section of E,
+    the model's central identity, and VerificationError is raised otherwise.
     """
-    section = embed_center_section(elation.subspace_of_center(E, frame.n), frame)
-    _orbit_closure(tuple(x), E, E.elements(), _vectors(section), frame)
-    return pspace.span([star_point(x, frame), *section.basis], frame.q)
+    section = elation.subspace_of_center(E, frame.n)
+    _check_cosets(E, section, frame, [tuple(x)])
+    return pspace.span([star_point(x, frame), *embed_center_section(section, frame).basis],
+                       frame.q)
 
 
 def _check_affine_image(images, base, vectors, frame, error, kinds):
@@ -203,18 +204,6 @@ def _orbit_error(kind, E, frame, **fields) -> VerificationError:
         "m": E.m, "subgroup": [list(row) for row in E.rows]})
 
 
-def _orbit_closure(x, E, elements, vectors, frame):
-    # orbit_image's check on a subgroup's precomputed elements and the
-    # vectors of its center section; star_point rejects an x that is not
-    # affine and normalized
-    images = {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements}
-    _check_affine_image(
-        images, star_point(x, frame), vectors, frame,
-        lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
-        ("orbit closure differs from the span of x* and the center section",
-         "orbit image is not an affine subspace"))
-
-
 def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample) -> bool:
     """Every sampled orbit closure meets z* in the center section of E.
 
@@ -240,8 +229,11 @@ def common_intersection_check(E: elation.ElationGroup, frame: StarFrame, sample)
 
 
 def _check_cosets(E, section, frame, points) -> bool:
-    """common_intersection_check's coset checks on affine points, iterated once in order, against
-    section, which a pass shows to be coords(E); verify_star_model passes its checked sample."""
+    """The coset checks of common_intersection_check, verify_star_model and
+    orbit_image: points, iterated once in order, each coset of last
+    coordinates checked on its first point x, whose image set under E must
+    be x* + section, embedded.  A pass shows section to be coords(E).
+    star_point rejects an x that is not affine and normalized."""
     vectors = _vectors(embed_center_section(section, frame))
     elements = E.elements()
     add = frame.tower.add
@@ -249,7 +241,12 @@ def _check_cosets(E, section, frame, points) -> bool:
     for x in points:
         if x[-1] not in covered:
             covered.update(add(x[-1], lam) for lam in elements)
-            _orbit_closure(x, E, elements, vectors, frame)
+            _check_affine_image(
+                {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements},
+                star_point(x, frame), vectors, frame,
+                lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
+                ("orbit closure differs from the span of x* and the center section",
+                 "orbit image is not an affine subspace"))
     return True
 
 

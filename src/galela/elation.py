@@ -118,15 +118,10 @@ def elation_matrix(tower: FieldTower, lam: int, r: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _group_from_rows(tower, raw_rows):
-    red, _ = linalg.rref(raw_rows, pspace.field_for(tower.p))
-    return ElationGroup(tower, red)
-
-
 def group_from_elements(tower: FieldTower, elems) -> ElationGroup:
     """Subgroup generated (as a GF(p)-space) by the given field elements."""
-    rows = [tower.coeffs(e) for e in elems]
-    return _group_from_rows(tower, rows)
+    red, _ = linalg.rref([tower.coeffs(e) for e in elems], pspace.field_for(tower.p))
+    return ElationGroup(tower, red)
 
 
 def _subgroup_groups(p: int, h: int, m: int, cap):
@@ -144,12 +139,11 @@ def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
 
 
 def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
-    """The subgroup alpha * H."""
+    """The subgroup alpha * H: the span of alpha times H's basis elements."""
     tower = H.tower
     if alpha == 0:
         raise ValueError("zero is not a valid scalar for a subgroup")
-    rows = [tower.coeffs(tower.mul(alpha, e)) for e in H.basis_elements]
-    return _group_from_rows(tower, rows)
+    return group_from_elements(tower, [tower.mul(alpha, e) for e in H.basis_elements])
 
 
 def dimension_profile(H: ElationGroup) -> DimensionProfile:
@@ -225,11 +219,15 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     the walk's next member; and the stabilizer under scalars is GF(p^n)*, n
     the representative's minimal_n as RREF membership reads it, so u == n.  The
     profile holds for every member, as alpha*H is a space over H's subfields.
+    For m > 1 the Zech table the stream read is checked after the walk, as
+    the census checks it (singer.check_zech, once per field).
     """
     groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
     theta = combinat.theta(h, p)
     _, orbits = singer.rotation_orbits(_class_log_sets(tower, m, groups), h, m, p)
+    if m > 1:
+        singer.check_zech(tower)
     classes = []
     for u, size, rows, bits in orbits:
         rep = ElationGroup(tower, rows)
@@ -254,9 +252,11 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
 def conjugator(H: ElationGroup, alpha: int, r: int):
     """Diagonal matrix conjugating the elation group of H onto that of alpha * H.
 
-    alpha is the class's witness scalar; the returned matrix is the identity
-    with alpha in the last diagonal slot, and the projective identity
-    g M_lam g^-1 == M_(alpha lam) is checked for every lam in H.
+    alpha is the class's witness scalar; the returned matrix g is the
+    identity with alpha in the last diagonal slot, and g M_lam == M_(alpha
+    lam) g is checked entry by entry for every lam in H, the no-inverse form
+    conjugacy_partition tests with c = 1.  Exact equality implies the
+    projective identity g M_lam g^-1 == M_(alpha lam).
     """
     tower = H.tower
     if r < 2:
@@ -266,16 +266,15 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
     g = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     g[r - 1][r - 1] = alpha
     g = tuple(tuple(row) for row in g)
-    ginv = linalg.mat_inverse(g, tower)
     for lam in H.elements():
-        lhs = linalg.matmul(linalg.matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower)
-        rhs = elation_matrix(tower, tower.mul(alpha, lam), r)
-        if linalg.scale_projective(lhs, tower) != linalg.scale_projective(rhs, tower):
+        lhs = linalg.matmul(g, elation_matrix(tower, lam, r), tower)
+        rhs = linalg.matmul(elation_matrix(tower, tower.mul(alpha, lam), r), g, tower)
+        if lhs != rhs:
             raise VerificationError(
-                "diagonal conjugator fails the projective identity",
+                "diagonal conjugator fails g M_lam == M_(alpha lam) g",
                 {"field": [tower.p, tower.h], "r": r, "alpha": alpha, "lam": lam,
-                 "conjugate": [list(row) for row in lhs],
-                 "expected": [list(row) for row in rhs]})
+                 "g_times_m_lam": [list(row) for row in lhs],
+                 "m_alpha_lam_times_g": [list(row) for row in rhs]})
     return g
 
 
@@ -529,44 +528,35 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     """Check that classes of GF(p^n)-closed subgroups biject with Singer orbits.
 
     One enumeration, bounded by cap: orbit_census(h/n, m/n, p^n).  Checked
-    once per call on the h GF(p)-basis elements x, so on every element as
-    coords(., n) is GF(p)-linear: coords(mu x) == C coords(x), C the Singer
-    generator; from_coords(coords(x)) == x; coords(gamma x) == rho coords(x),
-    gamma the GF(p^n) generator, rho its canonical encoding.  C must act as
-    rotate on each point, hence on every log set.  coords is then a
-    GF(p^n)-linear bijection taking mu H to C coords(H), so the scalar
-    classes of GF(p^n)-closed order-p^m subgroups go one to one onto the
-    orbits; group_from_subspace pulls each representative back to an H of
-    its class.  H's minimal_n, from RREF contains, must be n u, u from the
-    census walk: the class's stabilizer is the orbit's, and for u = 1 the
-    minimal classes are the free orbits.  The counts must equal
-    count_classes' closed forms.  Each check raises VerificationError.
+    once per call, in one pass over the h GF(p)-basis elements x, so on
+    every element as coords(., n) is GF(p)-linear: coords(mu x) == C
+    coords(x), C the Singer generator; from_coords(coords(x)) == x;
+    coords(gamma x) == rho coords(x), gamma the GF(p^n) generator, rho its
+    canonical encoding.  C must then act as rotate on each point, hence on
+    every log set.  coords is then a GF(p^n)-linear bijection taking mu H
+    to C coords(H), so the scalar classes of GF(p^n)-closed order-p^m
+    subgroups go one to one onto the orbits; group_from_subspace pulls
+    each representative back to an H of its class.  H's minimal_n, from
+    RREF contains, must be n u, u from the census walk: the class's
+    stabilizer is the orbit's, and for u = 1 the minimal classes are the
+    free orbits.  The counts must equal count_classes' closed forms.  Each
+    check raises VerificationError.
     """
     # count_classes rejects bad parameters before the census is built
     predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
     census = singer.orbit_census(h // n, m // n, p**n, cap=cap)
     S, tower, params = census.singer, make_field(p, h), [p, h, m, n]
+    gamma = tower.subfield_generator(n)
+    rho = tower.to_subfield(gamma, n)
     # p**i encodes the element with coefficient vector e_i: a GF(p)-basis
-    basis = [p**i for i in range(h)]
-    for x in basis:
+    for x in (p**i for i in range(h)):
+        cs = tower.coords(x, n)
         image = tower.coords(tower.mul(tower.mu, x), n)
-        moved = linalg.matvec(S.generator, tower.coords(x, n), S.field)
+        moved = linalg.matvec(S.generator, cs, S.field)
         if image != moved:
             raise VerificationError("coords does not take mu to the Singer generator",
                                     {"params": params, "x": x, "coords_of_mu_x": image,
                                      "generator_times_coords": moved})
-    # compared with rotate itself, not with log v + 1, so a wrong rotation fails here
-    theta = S.projective_order
-    for v, k in S.log.items():
-        w = pspace.normalize_point(linalg.matvec(S.generator, v, S.field), S.q)
-        if singer.rotate(1 << k % theta, theta) != 1 << S.log[w] % theta:
-            raise VerificationError("rotate differs from the Singer generator on a point",
-                                    {"params": params, "point": v, "log": k % theta,
-                                     "image": w, "image_log": S.log[w] % theta})
-    gamma = tower.subfield_generator(n)
-    rho = tower.to_subfield(gamma, n)
-    for x in basis:
-        cs = tower.coords(x, n)
         back = tower.from_coords(cs, n)
         if back != x:
             raise VerificationError("from_coords does not invert coords",
@@ -577,6 +567,14 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
             raise VerificationError("coords does not take the subfield generator to its scalar",
                                     {"params": params, "x": x, "coords_of_gamma_x": image,
                                      "rho_times_coords": scaled})
+    # compared with rotate itself, not with log v + 1, so a wrong rotation fails here
+    theta = S.projective_order
+    for v, k in S.log.items():
+        w = pspace.normalize_point(linalg.matvec(S.generator, v, S.field), S.q)
+        if singer.rotate(1 << k % theta, theta) != 1 << S.log[w] % theta:
+            raise VerificationError("rotate differs from the Singer generator on a point",
+                                    {"params": params, "point": v, "log": k % theta,
+                                     "image": w, "image_log": S.log[w] % theta})
     minimal_classes = 0
     for i, rec in enumerate(census.orbits):
         H = group_from_subspace(rec.representative, h)

@@ -66,7 +66,7 @@ class FieldTower:
         self.mu = self._smallest_primitive()
         self._build_tables()
         # mu has full order, so this power has order p^n - 1 and generates GF(p^n)
-        self.subfield_generators = {n: self.exp[(order - 1) // (p**n - 1)] if order > 2 else 1
+        self.subfield_generators = {n: self.exp[(order - 1) // (p**n - 1)]
                                     for n in combinat.divisors(h)}
         self._subfield_sets: dict[int, frozenset] = {}
         self._subfield_maps: dict[int, tuple[dict, dict]] = {}
@@ -75,7 +75,6 @@ class FieldTower:
         # set here, not on first use: an attribute added to an instance after
         # __init__ slows every attribute lookup on it
         self._zech = None
-        self.zech_checked = False  # set by singer.check_zech once the Zech table passed
 
     def __repr__(self):
         return f"GF({self.p}^{self.h})"
@@ -206,7 +205,7 @@ class FieldTower:
 
         low_table, high_table = combinations(images[:half]), combinations(images[half:])
         split = p**half
-        exp = [0] * (2 * n if n > 0 else 1)
+        exp = [0] * 2 * n
         log = [-1] * self.order
         cur = 1
         for k in range(n):
@@ -294,15 +293,14 @@ class FieldTower:
             if k == 0:
                 return 1
             raise ZeroDivisionError(f"0**{k} in {self!r}")
-        n = self.order - 1
-        return self.exp[(self.log[a] * k) % n] if n else 1
+        return self.exp[(self.log[a] * k) % (self.order - 1)]
 
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         n = self.order - 1
-        for f in combinat.prime_factors(n) if n > 1 else []:
+        for f in combinat.prime_factors(n):
             while n % f == 0 and self.pow(a, n // f) == 1:
                 n //= f
         return n
@@ -322,9 +320,8 @@ class FieldTower:
     def _subfield_set(self, n: int) -> frozenset:
         if n not in self._subfield_sets:
             e = (self.order - 1) // (self.p**n - 1)
-            members = {0} | {self.exp[(e * k) % (self.order - 1)] for k in range(self.p**n - 1)} \
-                if self.order > 2 else {0, 1}
-            self._subfield_sets[n] = frozenset(members)
+            members = {self.exp[(e * k) % (self.order - 1)] for k in range(self.p**n - 1)}
+            self._subfield_sets[n] = frozenset({0} | members)
         return self._subfield_sets[n]
 
     def subfield_generator(self, n: int) -> int:
@@ -456,29 +453,28 @@ class FieldTower:
         """Coordinates of a in the power basis 1, mu, ..., mu^(h/n - 1) over GF(p^n).
 
         Entries are canonical GF(p^n) encodings, so they can feed straight
-        into subspace machinery over the small field.
+        into subspace machinery over the small field.  Every n takes the
+        same path; for n = h the basis is 1 alone and gamma = rho = mu, so
+        the one entry is a itself.
         """
         self._check_subfield_degree(n)
         key = (a, n)
         cached = self._coords_cache.get(key)
         if cached is not None:
             return cached
-        if n == self.h:
-            out = (self.to_subfield(a, n),)
-        else:
-            minv, small, rho_pows = self._coords_context(n)
-            digits = self.coeffs(a)
-            p = self.p
-            x = [sum(mr * d for mr, d in zip(row, digits)) % p for row in minv]
-            out = []
-            for i in range(self.h // n):
-                acc = 0
-                for j in range(n):
-                    c = x[i * n + j]
-                    if c:
-                        acc = small.add(acc, small.mul(c, rho_pows[j]))
-                out.append(acc)
-            out = tuple(out)
+        minv, small, rho_pows = self._coords_context(n)
+        digits = self.coeffs(a)
+        p = self.p
+        x = [sum(mr * d for mr, d in zip(row, digits)) % p for row in minv]
+        out = []
+        for i in range(self.h // n):
+            acc = 0
+            for j in range(n):
+                c = x[i * n + j]
+                if c:
+                    acc = small.add(acc, small.mul(c, rho_pows[j]))
+            out.append(acc)
+        out = tuple(out)
         self._coords_cache[key] = out
         return out
 

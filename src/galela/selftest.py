@@ -101,10 +101,11 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     sizes sum to the Gaussian binomial makes them every subgroup once.  One
     exhaustive pass over PGL(r, q) per case partitions them by conjugacy
     (elation.conjugacy_partition).  Each member must admit the diagonal
-    conjugator by mu^k (checked by the projective identity in conjugator) and
-    carry its representative's label, and, by class number, each class of the
-    pass must lie in one scalar class: the partitions are equal, so pairs are
-    counted from class sizes.  cap bounds each order's stream and |PGL(r, q)|.
+    conjugator by mu^k (conjugator checks g M_lam == M_(mu^k lam) g, entry
+    by entry) and carry its representative's label, and, by class number,
+    each class of the pass must lie in one scalar class: the partitions are
+    equal, so pairs are counted from class sizes.  cap bounds each order's
+    stream and |PGL(r, q)|.
     """
     out = []
     for r, p, h in cases:

@@ -40,14 +40,15 @@ its start shows that the theta(s,q)/theta(u,q)-th power of the generator
 fixes every member, and with each member's point count that makes the
 orbit cover every point theta(t,q)/theta(u,q) times (orbit_census gives
 the argument).  check_zech compares the Zech table, of which the stream
-may read only part, with the field's addition once per field object.
+may read only part, with the field's addition; it keeps its own memo, so
+the pass runs once per field object.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import gcd
 
 from . import combinat, linalg, pspace
@@ -373,17 +374,17 @@ def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
     return index, orbits
 
 
+@cache
 def check_zech(field):
     """VerificationError unless the field's Zech table agrees with its own add.
 
     exp[zech[k]] must be 1 + mu^k, and zech[k] must be 0 where that sum is
-    0: O(p^h) additions.  The census runs it after its stream, since a
-    stream of the subspaces inside one hyperplane need not read every
-    entry.  The pass runs once per field object: it sets the field's
-    zech_checked, and a later call on that field returns at once.
+    0: O(p^h) additions.  The census and the scalar classes run it after
+    their streams, since a stream need not read every entry.  The pass runs
+    once per field object: a call that returns is memoized on the field, so
+    a later call on it returns at once, while a call that raises is not, so
+    a failing field fails again.
     """
-    if field.zech_checked:
-        return
     exp, add = field.exp, field.add
     for k, (x, z) in enumerate(zip(exp, field.zech)):
         total = add(1, x)
@@ -391,7 +392,6 @@ def check_zech(field):
             raise VerificationError("Zech table differs from the field's addition",
                                     {"field": (field.p, field.h), "k": k, "zech": z,
                                      "one_plus_mu_k": total})
-    field.zech_checked = True
 
 
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:

@@ -319,14 +319,16 @@ class TestGeometricChecks:
 
 
 def count_closures(monkeypatch):
+    """The points x whose orbit closure is checked, in order: one per call of
+    _check_affine_image, x read back from its base x*."""
     calls = []
-    real = bruckbose._orbit_closure
+    real = bruckbose._check_affine_image
 
-    def counted(x, E, elements, vectors, frame):
-        calls.append(x)
-        return real(x, E, elements, vectors, frame)
+    def counted(images, base, vectors, frame, error, kinds):
+        calls.append(star_point_inverse(base, frame))
+        return real(images, base, vectors, frame, error, kinds)
 
-    monkeypatch.setattr(bruckbose, "_orbit_closure", counted)
+    monkeypatch.setattr(bruckbose, "_check_affine_image", counted)
     return calls
 
 

@@ -377,6 +377,39 @@ gf._CACHE[2, 4] = fresh
         {"field": [2, 4], "k": 1, "zech": 1, "one_plus_mu_k": 3}]
 
 
+def test_class_zech_check_runs_on_each_fresh_field_under_optimize():
+    # zech[0] = 5 says 1 + 1 = mu^5: no basis reads that entry, so the
+    # scalar classes see it only through the table check after the stream
+    code = PREAMBLE + """
+elation.equivalence_classes(2, 4, 2)
+fresh = gf.FieldTower(2, 4)
+fresh.zech[0] = 5
+gf._CACHE[2, 4] = fresh
+""" + DETAILS.format(call="elation.equivalence_classes(2, 4, 2)")
+    assert optimized_details(code) == [
+        1, "Zech table differs from the field's addition",
+        {"field": [2, 4], "k": 0, "zech": 5, "one_plus_mu_k": 0}]
+
+
+def test_conjugator_identity_check_survives_optimize():
+    # the elation matrices with lam in the upper-right corner: g M_lam then
+    # has lam there and M_(mu lam) g has mu^2 lam, unequal in GF(4)
+    code = PREAMBLE + """
+def misplaced(tower, lam, r):
+    rows = [[int(i == j) for j in range(r)] for i in range(r)]
+    rows[0][r - 1] = lam
+    return tuple(map(tuple, rows))
+elation.elation_matrix = misplaced
+tower = gf.make_field(2, 2)
+H = elation.group_from_elements(tower, (1,))
+""" + DETAILS.format(call="elation.conjugator(H, tower.mu, 3)")
+    assert optimized_details(code) == [
+        1, "diagonal conjugator fails g M_lam == M_(alpha lam) g",
+        {"field": [2, 2], "r": 3, "alpha": 2, "lam": 1,
+         "g_times_m_lam": [[1, 0, 1], [0, 1, 0], [0, 0, 2]],
+         "m_alpha_lam_times_g": [[1, 0, 3], [0, 1, 0], [0, 0, 2]]}]
+
+
 def test_class_walk_direction_check_survives_optimize():
     # rotating down by one bit from the start: the census walks against the
     # Singer generator, which only the link from the generator to rotate sees

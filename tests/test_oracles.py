@@ -4,11 +4,17 @@ sympy's dense GF(p)[x] arithmetic (``sympy.polys.galoistools``) is an
 independent implementation of the field construction: it confirms that each
 tower's modulus is the least monic irreducible, that its designated
 generator is the least primitive element, and that multiplication agrees.
-hypothesis drives property tests of the field axioms, coordinate round
-trips, RREF canonicity and the dimension formula.  Both are test-only
+sympy also builds a Singer cycle of PG(s-1,p) from a primitive polynomial
+of its own finding, whose orbits on subspaces (``PermutationGroup.orbit``)
+must have the census's sizes, and whose logs of a hyperplane's points must
+form Singer's difference set.  hypothesis drives property tests of the field
+axioms, coordinate round trips, RREF canonicity and the dimension formula.  Both are test-only
 dependencies (the ``test`` extra); the examples are bounded and derandomized
 so the tests run in the same few seconds every time.
 """
+
+import itertools
+from collections import Counter
 
 import pytest
 
@@ -18,8 +24,9 @@ galoistools = pytest.importorskip("sympy.polys.galoistools")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, factorint
+from sympy.combinatorics import Permutation, PermutationGroup
 
-from galela import make_field, subspace_intersection, subspace_sum
+from galela import make_field, orbit_census, subspace_intersection, subspace_sum
 from galela.linalg import matmul, rref
 from galela.pspace import span
 
@@ -90,6 +97,94 @@ def test_exp_and_zech_tables_match_sympy(p, h):
         one_plus = galoistools.gf_add(power, [1], p, ZZ)
         # 1 + mu^k = 0 has no log; the table holds 0 there
         assert tower.zech[k] == (log[tuple(one_plus)] if one_plus else 0)
+
+
+# (s, t, p): t-subspaces of PG(s-1, p) under a Singer cycle built by sympy
+SINGER_CASES = [(4, 2, 2), (5, 2, 2), (6, 2, 2), (6, 3, 2), (4, 2, 3)]
+
+
+def normalized(v, p):
+    """v scaled so that its first nonzero entry is 1, over GF(p), p prime."""
+    lead = pow(next(c for c in v if c), -1, p)
+    return tuple(c * lead % p for c in v)
+
+
+def sympy_singer(s, p):
+    """The points of PG(s-1, p) and a Singer cycle on their indices, from sympy alone.
+
+    The modulus f is the first monic irreducible of degree s, in sympy's
+    dense order, in which x has order p^s - 1.  A point is a nonzero vector
+    of s coefficients, highest degree first, scaled so that its first
+    nonzero entry is 1; the cycle multiplies it by x modulo f.
+    """
+    for tail in itertools.product(range(p), repeat=s):
+        f = [1, *tail]
+        if galoistools.gf_irreducible_p(f, p, ZZ) and is_primitive([1, 0], f, p, p**s):
+            break
+
+    def times_x(v):
+        prod = galoistools.gf_rem(galoistools.gf_mul(list(v), [1, 0], p, ZZ), f, p, ZZ)
+        return normalized((0,) * (s - len(prod)) + tuple(int(c) for c in prod), p)
+
+    points = sorted({normalized(v, p) for v in itertools.product(range(p), repeat=s) if any(v)})
+    index = {v: i for i, v in enumerate(points)}
+    return points, Permutation([index[times_x(v)] for v in points]), times_x
+
+
+def subspace_point_sets(points, t, p):
+    """Every t-subspace of PG(s-1, p) as the sorted tuple of its point indices:
+    span(X, P) holds X, P and the points x + cP, x in X and c != 0."""
+    index = {v: i for i, v in enumerate(points)}
+    level = {(i,) for i in range(len(points))}
+    for _ in range(t - 1):
+        grown = set()
+        for X in level:
+            for P in set(range(len(points))) - set(X):
+                v = points[P]
+                sums = {index[normalized([(a + c * b) % p for a, b in zip(points[x], v)], p)]
+                        for x in X for c in range(1, p)}
+                grown.add(tuple(sorted({*X, P, *sums})))
+        level = grown
+    return sorted(level)
+
+
+def theta(k, p):
+    return (p**k - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("s,t,p", SINGER_CASES)
+def test_orbit_sizes_match_a_sympy_singer_cycle(s, t, p):
+    points, cycle, _ = sympy_singer(s, p)
+    group = PermutationGroup([cycle])
+    assert group.order() == theta(s, p)
+    subspaces = subspace_point_sets(points, t, p)
+    assert all(len(X) == theta(t, p) for X in subspaces)
+    seen, sizes = set(), []
+    for X in subspaces:
+        if X not in seen:
+            orbit = {tuple(sorted(Y)) for Y in group.orbit(X, action="sets")}
+            seen |= orbit
+            sizes.append(len(orbit))
+    assert seen == set(subspaces)
+    assert sorted(sizes) == sorted(rec.size for rec in orbit_census(s, t, p).orbits)
+
+
+@pytest.mark.parametrize("s,p", sorted({(s, p) for s, _, p in SINGER_CASES}))
+def test_hyperplane_logs_are_a_singer_difference_set(s, p):
+    """The logs, mod theta(s,p), of the points with constant coefficient 0
+    give every nonzero difference exactly theta(s-2,p) times."""
+    _, _, times_x = sympy_singer(s, p)
+    n = theta(s, p)
+    cur, logs = (0,) * (s - 1) + (1,), {}
+    for k in range(n):
+        logs[cur] = k
+        cur = times_x(cur)
+    assert len(logs) == n and cur == (0,) * (s - 1) + (1,)
+    D = [k for v, k in logs.items() if v[-1] == 0]
+    assert len(D) == theta(s - 1, p)
+    differences = Counter((a - b) % n for a, b in itertools.permutations(D, 2))
+    assert sorted(differences) == list(range(1, n))
+    assert set(differences.values()) == {theta(s - 2, p)}
 
 
 # every GF(p^h) of order at most 4096 with a proper subfield; in a field of

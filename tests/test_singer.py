@@ -316,6 +316,29 @@ class TestZechCheck:
         with pytest.raises(VerificationError, match="Zech table differs"):
             orbit_census(4, 2, 2)
 
+
+class TestClassZechCheck:
+    """TestZechCheck for the scalar classes, which stream through the same table."""
+
+    def test_two_classifications_over_one_field_check_it_once(self, monkeypatch):
+        fresh = gf.FieldTower(2, 4)
+        fresh._zech = table = IterCountingList(fresh.zech)
+        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        equivalence_classes(2, 4, 2)
+        equivalence_classes(2, 4, 2)
+        assert table.passes == 1
+
+    def test_a_fresh_field_is_checked_again(self, monkeypatch):
+        # zech[0] = 5 says 1 + 1 = mu^5; no basis of independent rows reads
+        # zech[0], so the point counts pass and only the table check sees it
+        equivalence_classes(2, 4, 2)
+        fresh = gf.FieldTower(2, 4)
+        fresh.zech[0] = 5
+        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        with pytest.raises(VerificationError, match="Zech table differs"):
+            equivalence_classes(2, 4, 2)
+
+
 @pytest.mark.parametrize("s,t,q", CENSUS_CASES + ((3, 1, 9),))
 class TestLogCoordinates:
     """The census's log sets and rotation against the matrix action."""
