@@ -146,20 +146,9 @@ def embed_center_section(X: pspace.Subspace, frame: StarFrame) -> pspace.Subspac
     return pspace.Subspace(frame.q, tuple(pad + row for row in X.basis))
 
 
-def _shifted(x, lam, tower):
-    # the elation with parameter lam adds lam to the last coordinate of an
-    # affine point (1, x1, ..., x(r-1))
-    return x[:-1] + (tower.add(x[-1], lam),)
-
-
-def _vectors(W: pspace.Subspace) -> tuple:
+def _vectors(W: pspace.Subspace) -> list:
     """All q^W.t vectors of W, the zero vector included."""
-    field = pspace.field_for(W.q)
-    out = [(0,) * W.s]
-    for row in W.basis:
-        multiples = [tuple(field.mul(c, v) for v in row) for c in field.elements()]
-        out = [tuple(map(field.add, u, w)) for w in multiples for u in out]
-    return tuple(out)
+    return linalg.coset((0,) * W.s, W.basis, pspace.field_for(W.q))
 
 
 def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
@@ -233,17 +222,21 @@ def _check_cosets(E, section, frame, points) -> bool:
     orbit_image: points, iterated once in order, each coset of last
     coordinates checked on its first point x, whose image set under E must
     be x* + section, embedded.  A pass shows section to be coords(E).
-    star_point rejects an x that is not affine and normalized."""
+    star_point rejects an x that is not affine and normalized.  The
+    elation with parameter lam adds lam to x's last coordinate, so the image
+    of x under it is x*'s head followed by the block coords(x[-1] + lam)."""
     vectors = _vectors(embed_center_section(section, frame))
     elements = E.elements()
-    add = frame.tower.add
+    add, coords, n = frame.tower.add, frame.tower.coords, frame.n
     covered = set()  # last coordinates of the cosets checked so far
     for x in points:
         if x[-1] not in covered:
-            covered.update(add(x[-1], lam) for lam in elements)
+            coset = [add(x[-1], lam) for lam in elements]
+            covered.update(coset)
+            base = star_point(x, frame)
+            head = base[:-frame.dprime]
             _check_affine_image(
-                {star_point(_shifted(x, lam, frame.tower), frame) for lam in elements},
-                star_point(x, frame), vectors, frame,
+                {head + coords(c, n) for c in coset}, base, vectors, frame,
                 lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
                 ("orbit closure differs from the span of x* and the center section",
                  "orbit image is not an affine subspace"))
@@ -360,14 +353,15 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     PG(h/n - 1, p^n).  The coset check compares x^H's images with x* + X,
     so a pass shows coords(H) = X: distinct X give distinct H, and with the
     stream's count check each of the [h/n choose m/n]_{p^n} is checked once.
-    cap, pspace.subspace_cap's default if None, bounds each order's stream
+    cap, pspace.DEFAULT_SUBSPACE_CAP if None, bounds each order's stream
     and, first, the longest list: the theta(r, p^h) points of the line
     sample, or their pairs if exhaustive.  orbits_checked counts (subgroup,
     sample point) pairs, not distinct orbits.
     """
     if m is not None and not (n >= 1 and m % n == 0 and 1 <= m <= h):
         raise ValueError(f"order exponent {m} is not admissible for n = {n}")
-    points, limit = combinat.theta(r, p**h), pspace.subspace_cap(cap)
+    points = combinat.theta(r, p**h)
+    limit = pspace.DEFAULT_SUBSPACE_CAP if cap is None else cap
     listed, what = (points * (points - 1) // 2, "point pairs") if exhaustive else (points, "points")
     if listed > limit:
         raise CapExceeded(f"{listed} {what} exceed cap {limit}")

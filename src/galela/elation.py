@@ -62,13 +62,11 @@ class ElationGroup:
         return tuple(self.tower.from_coeffs(row) for row in self.rows)
 
     def elements(self) -> tuple:
-        """All p^m members as field encodings, sorted."""
+        """All p^m members as field encodings, sorted: the span of the
+        coefficient rows, one linalg.coset of the zero vector."""
         tower = self.tower
-        out = [0]
-        for b in self.basis_elements:
-            # each nonzero multiple of b shifts the span so far: p^m - 1 additions in all
-            shifts = [tower.mul(c, b) for c in range(1, tower.p)]
-            out += [tower.add(x, s) for s in shifts for x in out]
+        out = [tower.from_coeffs(v) for v in
+               linalg.coset((0,) * tower.h, self.rows, pspace.field_for(tower.p))]
         if len(set(out)) != tower.p ** self.m:
             raise VerificationError(
                 "subgroup basis does not span p^m distinct elements",

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a field handle.
 
 A "field" here is any object with add/sub/mul/neg/inv methods on int-encoded
-elements where 0 and 1 are the additive and multiplicative identities
-(FieldTower qualifies).  Vectors are tuples, matrices are tuples of row
-tuples; everything stays hashable.
+elements where 0 and 1 are the additive and multiplicative identities, and
+an elements() method listing every element, 0 first (FieldTower
+qualifies).  Vectors are tuples, matrices are tuples of row tuples;
+everything stays hashable.
 """
 
 from __future__ import annotations
@@ -57,6 +58,21 @@ def reduce_vector(v, rows, pivots, field):
 
 def in_rowspace(v, rows, pivots, field) -> bool:
     return not any(reduce_vector(v, rows, pivots, field))
+
+
+def coset(start, rows, field) -> list:
+    """Every vector start + sum c_i rows_i, one per coefficient tuple.
+
+    The tuples come in itertools.product(field.elements(), ...) order:
+    start first, the first row's coefficient varying slowest.  Distinct
+    tuples give distinct vectors exactly when the rows are independent.
+    """
+    out = [tuple(start)]
+    for row in reversed(rows):
+        # each nonzero multiple of row shifts the vectors so far, which vary faster
+        multiples = [tuple(field.mul(c, v) for v in row) for c in field.elements() if c]
+        out += [tuple(map(field.add, u, w)) for w in multiples for u in out]
+    return out
 
 
 def matvec(mat, v, field):

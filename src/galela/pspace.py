@@ -10,29 +10,23 @@ by row in sorted order as groups, the first t-1 rows and one shared list of
 last rows, so no basis is built unless asked for (subspace_bases), and
 checks at the end that it held the Gaussian binomial's count.  It can
 stream only the subspaces inside the hyperplane x_0 = 0, the first ones
-of the sorted order.
+of the sorted order, and is bounded by its cap argument,
+DEFAULT_SUBSPACE_CAP if None.  The points of a subspace are listed only
+when asked for (subspace_points), as cosets of spans of its basis rows
+(linalg.coset).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import combinat, linalg
 from .errors import CapExceeded, VerificationError
 from .gf import make_field
 
-SUBSPACE_CAP_ENV = "GALELA_CAP_SUBSPACES"
 DEFAULT_SUBSPACE_CAP = 10**7
-
-
-def subspace_cap(override=None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(SUBSPACE_CAP_ENV)
-    return int(env) if env else DEFAULT_SUBSPACE_CAP
 
 
 @functools.cache
@@ -100,9 +94,9 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     A group stands for the RREF bases prefix + (row,), row in rows: prefix
     holds t - 1 rows, and rows is the one list of rows with pivot p.  Raises
     ValueError or CapExceeded here, before the first group is asked for, if
-    t is out of range, the Gaussian binomial exceeds the cap or q is not a
-    prime power.  The stream raises VerificationError at its end unless its
-    groups held exactly the Gaussian binomial's count.
+    t is out of range, the Gaussian binomial exceeds cap (DEFAULT_SUBSPACE_CAP
+    if None) or q is not a prime power.  The stream raises VerificationError
+    at its end unless its groups held exactly the Gaussian binomial's count.
 
     With hyperplane and t < s, only the subspaces inside the hyperplane
     x_0 = 0 are streamed: the bases whose first pivot is 1 or more, which
@@ -119,7 +113,7 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     if not 1 <= t <= s:
         raise ValueError(f"bad subspace dimension {t} in ambient {s}")
     total = combinat.gaussian_binomial(s, t, q)
-    limit = subspace_cap(cap)
+    limit = DEFAULT_SUBSPACE_CAP if cap is None else cap
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
     combinat.prime_power(q)  # ValueError unless q is the order of a field
@@ -178,12 +172,6 @@ def contains(X: Subspace, point) -> bool:
     return linalg.in_rowspace(point, X.basis, pivots, field)
 
 
-@functools.cache
-def _point_coefficients(t: int, q: int) -> tuple:
-    """enumerate_points(t, q), built once per (t, q): subspace_points' combinations."""
-    return tuple(enumerate_points(t, q))
-
-
 # maxsize=0 stores nothing and only counts calls: the census and the star
 # checks ask for each subspace's points about once.  The decorator stays only
 # because perfbench/trace_layers.py reads cache_info().
@@ -191,23 +179,20 @@ def _point_coefficients(t: int, q: int) -> tuple:
 def subspace_points(X: Subspace) -> tuple:
     """All points of PG(s-1,q) lying in X.
 
-    Combinations with first nonzero coefficient 1 hit each point exactly
-    once, and the result is already normalized because the basis is RREF.
+    Each point is the combination of the basis whose coefficient vector has
+    first nonzero coefficient 1, at some row i: row i plus a vector of the
+    span of the rows after it, one linalg.coset per i.  The result is
+    already normalized because the basis is RREF.  Taking i from last to
+    first lists the coefficient vectors in sorted order, enumerate_points(t,
+    q)'s.
     """
     field = field_for(X.q)
-    pts = []
-    for coeff in _point_coefficients(X.t, X.q):
-        acc = [0] * X.s
-        for c, row in zip(coeff, X.basis):
-            if c:
-                for k, v in enumerate(row):
-                    if v:
-                        acc[k] = field.add(acc[k], field.mul(c, v))
-        pts.append(tuple(acc))
+    pts = tuple(pt for i in reversed(range(X.t))
+                for pt in linalg.coset(X.basis[i], X.basis[i + 1:], field))
     if len(set(pts)) != len(pts):
         raise VerificationError("subspace points are not distinct",
                                 {"subspace": X.basis, "q": X.q})
-    return tuple(pts)
+    return pts
 
 
 def is_cover(members, k: int) -> bool:

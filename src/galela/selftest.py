@@ -15,6 +15,7 @@ from math import gcd
 
 from . import bruckbose, combinat, elation, singer
 from .errors import VerificationError
+from .gf import make_field
 
 CENSUS_CASES = (
     (2, 1, 2), (3, 1, 2), (4, 2, 2), (4, 2, 3), (6, 2, 2),
@@ -105,10 +106,12 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     by entry) and carry its representative's label, and, by class number,
     each class of the pass must lie in one scalar class: the partitions are
     equal, so pairs are counted from class sizes.  cap bounds each order's
-    stream and |PGL(r, q)|.
+    stream and |PGL(r, q)|.  A case whose field does not exist (p not prime,
+    h < 1) is rejected before anything is enumerated.
     """
     out = []
     for r, p, h in cases:
+        make_field(p, h)  # ValueError here, not an empty sweep for h < 1
         classes = [c for m in range(1, h + 1) for c in elation.equivalence_classes(p, h, m, cap)]
         subs = [H for c in classes for H in c.members]
         owner = [k for k, c in enumerate(classes) for _ in range(c.size)]  # class numbers

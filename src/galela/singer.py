@@ -413,6 +413,7 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     stabilizer parameter u and number of members inside H0 per orbit; both
     closed-form counts for every subfield degree d | gcd(t, s); and, when a
     basis has two rows or more, the Zech table the stream read (check_zech).
+    cap bounds [s choose t]_q, DEFAULT_CENSUS_CAP if None.
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -425,7 +426,7 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     members.  With |X| = theta(t,q), checked for every streamed subspace
     and kept by rotation, that is theta(t,q)/theta(u,q).
     """
-    limit = min(DEFAULT_CENSUS_CAP, pspace.subspace_cap()) if cap is None else cap
+    limit = DEFAULT_CENSUS_CAP if cap is None else cap
     groups = pspace.subspace_groups(s, t, q, cap=limit, hyperplane=True)
     S = SingerGroup(s, q)
     # H0's points as bits, each position once (a sum, unlike an or, would carry)

@@ -3,7 +3,8 @@
 A bare ``assert`` is stripped under -O; every module of the package carries
 its checks as ``VerificationError`` raises instead.  The guard parses each
 module for assert statements, and checks are forced to fail in an optimized
-interpreter to show they still run there.
+interpreter to show they still run there.  A second guard keeps the package
+from reading the environment: its results depend on its arguments alone.
 """
 
 import ast
@@ -25,6 +26,19 @@ def test_module_has_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_no_environment(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in ENVIRONMENT_READERS for alias in node.names))]
+    assert lines == [], f"{path.name} reads the environment on lines {lines}"
 
 
 def run_python_O(code):
@@ -582,3 +596,22 @@ frame = bruckbose.StarFrame(3, 2, 2, 1)
 frame.spread = (frame.zstar,) * len(frame.spread)
 """ + REPORT.format(call="bruckbose.incidence_check(frame, [((1, 0, 0), (1, 1, 0))])")
     assert run_optimized(code) == ["1", "raised"]
+
+
+def test_repeated_subgroup_row_check_survives_optimize():
+    # two equal rows span 2 elements of GF(8), not 4
+    code = PREAMBLE + """
+H = elation.ElationGroup(gf.make_field(2, 3), ((1, 0, 0), (1, 0, 0)))
+""" + DETAILS.format(call="H.elements()")
+    assert optimized_details(code) == [
+        1, "subgroup basis does not span p^m distinct elements",
+        {"field": [2, 3], "rows": [[1, 0, 0], [1, 0, 0]], "distinct": 2}]
+
+
+def test_dependent_subspace_rows_check_survives_optimize():
+    # a basis that is not RREF: its second row repeats its first
+    code = PREAMBLE + """
+X = pspace.Subspace(2, ((1, 0, 1), (1, 0, 1)))
+""" + DETAILS.format(call="pspace.subspace_points(X)")
+    assert optimized_details(code) == [
+        1, "subspace points are not distinct", {"subspace": [[1, 0, 1], [1, 0, 1]], "q": 2}]

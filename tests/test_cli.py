@@ -106,11 +106,6 @@ class TestCensus:
         assert not r.stdout
         assert "cap" in r.stderr.lower()
 
-    def test_subspace_cap_env_exit_code(self):
-        r = run_cli("census", "--s", "4", "--t", "2", "--q", "2",
-                    env_extra={"GALELA_CAP_SUBSPACES": "10"})
-        assert r.returncode == 3
-
     def test_one_point_space(self, capsys):
         # PG(0,4) is one point: one orbit, u = 1, and it is a spread
         assert cli.main(["census", "--s", "1", "--t", "1", "--q", "4", "--json"]) == 0
@@ -153,12 +148,12 @@ class TestClassify:
         assert len(payload["classes"]) == 3
         assert sorted(c["size"] for c in payload["classes"]) == [5, 15, 15]
 
-    def test_subspace_cap_env_exit_code(self):
-        r = run_cli(
-            "classify", "--p", "2", "--h", "4", "--m", "2",
-            env_extra={"GALELA_CAP_SUBSPACES": "10"},
-        )
+    def test_cap_exceeded_exit_code(self):
+        # [4 choose 2]_2 = 35 subgroups of order 4 in GF(16)
+        r = run_cli("classify", "--p", "2", "--h", "4", "--m", "2", "--cap", "34")
         assert r.returncode == 3
+        assert not r.stdout
+        assert "35 subspaces exceed cap 34" in r.stderr
 
     def test_benchmark_workload_matches_recorded_digest(self, capsys):
         # the classify workload of perfbench/run.py, whose recorded digest
@@ -248,6 +243,21 @@ class TestVerify:
                          "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == BRUCKBOSE_SHA256[frame]
+
+    def test_correspondence_cap_exceeded_exit_code(self):
+        # the census of the 35 lines of PG(3,2), the GF(2)-closed order-4 subgroups of GF(16)
+        r = run_cli("verify", "correspondence", "--p", "2", "--h", "4", "--m", "2", "--n", "1",
+                    "--cap", "34")
+        assert r.returncode == 3
+        assert not r.stdout
+        assert "35 subspaces exceed cap 34" in r.stderr
+
+    @pytest.mark.parametrize("h", ["0", "-1"])
+    def test_lemma1_bad_degree_exit_code(self, h):
+        out = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", h)
+        assert out.returncode == 2
+        assert not out.stdout
+        assert f"bad extension degree {h}" in out.stderr
 
     @pytest.mark.parametrize("r", ["1", "0"])
     def test_lemma1_small_r_exit_code(self, r):

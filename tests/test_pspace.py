@@ -6,7 +6,6 @@ and the lattice operations are checked pointwise.
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -26,7 +25,6 @@ from galela import (
     theta,
 )
 from galela.pspace import (
-    SUBSPACE_CAP_ENV,
     Subspace,
     contains,
     field_for,
@@ -34,7 +32,7 @@ from galela.pspace import (
     subspace_bases,
     subspace_groups,
 )
-from galela import combinat
+from galela import combinat, linalg, pspace
 from galela.combinat import factorize
 
 
@@ -128,6 +126,45 @@ class TestPoints:
     def test_normalize_rejects_zero(self):
         with pytest.raises(ValueError):
             normalize_point((0, 0, 0), 2)
+
+
+def combination(start, coeffs, rows, field):
+    """start + sum c_i rows_i, one coordinate at a time."""
+    out = tuple(start)
+    for c, row in zip(coeffs, rows):
+        out = tuple(field.add(a, field.mul(c, v)) for a, v in zip(out, row))
+    return out
+
+
+class TestCoset:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_product_order_from_start(self, q):
+        # independent, dependent and repeated rows; the start need not lie off their span
+        field = field_for(q)
+        rowsets = [(), ((1, 0, 2 % q),), ((1, 1, 0), (0, 1, 1)), ((1, 1, 0), (1, 1, 0)),
+                   ((0, 1, 1), (1, 0, q - 1), (1, 1, 0))]
+        for rows, start in itertools.product(rowsets, [(0, 0, 0), (1, q - 1, 0)]):
+            got = linalg.coset(start, rows, field)
+            assert got == [combination(start, c, rows, field)
+                           for c in itertools.product(field.elements(), repeat=len(rows))]
+            assert got[0] == start
+
+    def test_independent_rows_give_each_vector_once(self):
+        field = field_for(3)
+        got = linalg.coset((2, 0, 1, 0), ((1, 0, 0, 2), (0, 0, 1, 1)), field)
+        assert len(got) == len(set(got)) == 9
+
+    @pytest.mark.parametrize("q", prime_powers(256))
+    def test_subspace_points_are_the_coefficient_combinations(self, q):
+        # every subspace with q^s <= 256 and s <= 6, points in enumerate_points(t, q)'s order
+        field, checked = field_for(q), 0
+        for s in itertools.takewhile(lambda s: q**s <= 256, range(1, 7)):
+            for t in range(1, s + 1):
+                for basis in subspace_bases(s, t, q):
+                    assert subspace_points(Subspace(q, basis)) == tuple(
+                        combination((0,) * s, c, basis, field) for c in enumerate_points(t, q))
+                    checked += 1
+        assert checked > 0
 
 
 class TestCanonicalize:
@@ -257,6 +294,12 @@ class TestEnumeration:
         with pytest.raises(error):
             subspace_bases(*args)
 
+    def test_default_cap_applies_without_cap(self, monkeypatch):
+        monkeypatch.setattr(pspace, "DEFAULT_SUBSPACE_CAP", 34)
+        with pytest.raises(CapExceeded, match="35 subspaces exceed cap 34"):
+            enumerate_subspaces(4, 2, 2)
+        assert len(enumerate_subspaces(4, 2, 2, cap=35)) == 35
+
     def test_stream_checks_its_count_at_the_end(self, monkeypatch):
         # one subspace too many predicted: all 35 lines of PG(3,2) stream out
         # before the check fails
@@ -267,18 +310,6 @@ class TestEnumeration:
         with pytest.raises(VerificationError) as exc:
             next(stream)
         assert exc.value.details == {"case": (4, 2, 2), "subspaces": 35}
-
-    def test_cap_env_variable(self):
-        old = os.environ.get(SUBSPACE_CAP_ENV)
-        os.environ[SUBSPACE_CAP_ENV] = "10"
-        try:
-            with pytest.raises(CapExceeded):
-                enumerate_subspaces(4, 2, 2)
-        finally:
-            if old is None:
-                del os.environ[SUBSPACE_CAP_ENV]
-            else:
-                os.environ[SUBSPACE_CAP_ENV] = old
 
 
 class TestMembership:

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from galela import (
+    CapExceeded,
     SingerGroup,
     VerificationError,
     act,
@@ -27,7 +28,7 @@ from galela import (
     subspace_points,
     theta,
 )
-from galela import elation, gf, singer
+from galela import elation, gf, pspace, singer
 from galela.combinat import divisors, prime_power
 from galela.gf import make_field
 from galela.linalg import matvec
@@ -225,6 +226,16 @@ class TestCensus:
         assert len(census.orbits) == predicted_orbit_count(s, t, q)
         free = sum(1 for r in census.orbits if r.u == 1)
         assert free == predicted_free_orbit_count(s, t, q)
+
+    def test_default_cap_applies_without_cap(self, monkeypatch):
+        # the lines of PG(3,2) are 35, [4 choose 2]_2, though only 7 lie in the hyperplane
+        monkeypatch.setattr(pspace, "DEFAULT_SUBSPACE_CAP", 10**9)
+        monkeypatch.setattr(singer, "DEFAULT_CENSUS_CAP", 34)
+        with pytest.raises(CapExceeded, match="35 subspaces exceed cap 34"):
+            orbit_census(4, 2, 2)
+        monkeypatch.setattr(singer, "DEFAULT_CENSUS_CAP", 35)
+        monkeypatch.setattr(pspace, "DEFAULT_SUBSPACE_CAP", 1)
+        assert len(orbit_census(4, 2, 2).orbits) == 3
 
     def test_orbit_sizes_account_for_everything(self):
         census = orbit_census(4, 2, 2)
