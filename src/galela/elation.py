@@ -217,15 +217,13 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     the walk's next member; and the stabilizer under scalars is GF(p^n)*, n
     the representative's minimal_n as RREF membership reads it, so u == n.  The
     profile holds for every member, as alpha*H is a space over H's subfields.
-    For m > 1 the Zech table the stream read is checked after the walk, as
-    the census checks it (singer.check_zech, once per field).
+    For m > 1 the stream reads the field's Zech table, checked against its
+    addition when the field built it.
     """
     groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
     theta = combinat.theta(h, p)
     _, orbits = singer.rotation_orbits(_class_log_sets(tower, m, groups), h, m, p)
-    if m > 1:
-        singer.check_zech(tower)
     classes = []
     for u, size, rows, bits in orbits:
         rep = ElationGroup(tower, rows)

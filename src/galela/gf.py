@@ -19,8 +19,10 @@ mere relabeling.
 The exp and log tables come from one walk of x -> x * mu, which is
 GF(p)-linear and so steps by table lookups on the digits; the walk must
 meet every nonzero element before it returns to 1.  The Zech table
-zech[k] = log(1 + mu^k) is built from them on first use.  Every log set is
-expanded with it: those of the subgroups of this field, and, when this
+zech[k] = log(1 + mu^k) is built from them on first use and compared with
+the field's own addition as it is built, once per field object, as the
+walk and the subfield maps are checked when they are built.  Every log set
+is expanded with it: those of the subgroups of this field, and, when this
 field is GF(q^s), those of the subspaces in the Singer census of PG(s-1,q).
 """
 
@@ -227,14 +229,23 @@ class FieldTower:
         Adding 1 changes only the constant coefficient.  Where 1 + mu^k = 0
         the entry is 0, as if the sum were 1: a basis element inside the span
         of the ones before it then repeats a point of the span's log set and
-        fails its point count.  Built on first use.
+        fails its point count.  Built on first use, each entry checked
+        against add as it is built (a log set need not read them all):
+        VerificationError unless exp[zech[k]] = 1 + mu^k, or zech[k] = 0
+        where that sum is 0.
         """
         if self._zech is None:
-            p, log = self.p, self.log
+            p, exp, log = self.p, self.exp, self.log
             zech = []
-            for x in self.exp[:self.order - 1]:
+            for k, x in enumerate(itertools.islice(exp, self.order - 1)):
                 s = x + 1 if x % p != p - 1 else x + 1 - p
-                zech.append(log[s] if s else 0)
+                z = log[s] if s else 0
+                total = self.add(1, x)
+                if (exp[z] != total) if total else z:
+                    raise VerificationError("Zech table differs from the field's addition",
+                                            {"field": (p, self.h), "k": k, "zech": z,
+                                             "one_plus_mu_k": total})
+                zech.append(z)
             self._zech = zech
         return self._zech
 
@@ -484,8 +495,11 @@ class FieldTower:
         dprime = self.h // n
         if len(cs) != dprime:
             raise ValueError(f"expected {dprime} coordinates, got {len(cs)}")
+        _, up = self._subfield_map(n)
         acc = 0
         for i, c in enumerate(cs):
             if c:  # i < h/n <= p^h - 1, so exp[i] is mu^i
-                acc = self.add(acc, self.mul(self.from_subfield(c, n), self.exp[i]))
+                if c not in up:
+                    raise ValueError(f"{c} is not an element of GF({self.p}^{n})")
+                acc = self.add(acc, self.mul(up[c], self.exp[i]))
         return acc

@@ -105,19 +105,6 @@ def identity(k):
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def mat_pow(mat, k, field):
-    if k < 0:
-        raise ValueError("negative matrix power")
-    result = identity(len(mat))
-    base = mat
-    while k:
-        if k & 1:
-            result = matmul(result, base, field)
-        base = matmul(base, base, field)
-        k >>= 1
-    return result
-
-
 def mat_inverse(mat, field):
     """Inverse via Gauss-Jordan on the augmented matrix; raises if singular."""
     k = len(mat)

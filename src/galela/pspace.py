@@ -11,15 +11,16 @@ last rows, so no basis is built unless asked for (subspace_bases), and
 checks at the end that it held the Gaussian binomial's count.  It can
 stream only the subspaces inside the hyperplane x_0 = 0, the first ones
 of the sorted order, and is bounded by its cap argument,
-DEFAULT_SUBSPACE_CAP if None.  The points of a subspace are listed only
-when asked for (subspace_points), as cosets of spans of its basis rows
-(linalg.coset).
+DEFAULT_SUBSPACE_CAP if None.  Vectors are listed by the one coset
+enumerator, linalg.coset: the points of a subspace, only when asked for
+(subspace_points), as cosets of spans of its basis rows, and the rows with
+pivot p that enumerate_points and subspace_groups read as the coset of
+e_p and the unit vectors after it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from . import combinat, linalg
@@ -52,16 +53,17 @@ class Subspace:
         return len(self.basis)
 
 
+def _pivot_rows(s: int, q: int) -> list[list[tuple]]:
+    """rows[p]: the rows of GF(q)^s with pivot p, sorted: the coset e_p + span(e_(p+1), ...)."""
+    units = linalg.identity(s)
+    return [linalg.coset(units[p], units[p + 1:], field_for(q)) for p in range(s)]
+
+
 def enumerate_points(s: int, q: int) -> list[tuple]:
     """All points of PG(s-1, q), sorted; first nonzero coordinate is 1."""
     if s < 1:
         raise ValueError(f"bad ambient dimension {s}")
-    field = field_for(q)
-    pts = []
-    for lead in range(s):
-        for tail in itertools.product(field.elements(), repeat=s - lead - 1):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
+    pts = [pt for rows in reversed(_pivot_rows(s, q)) for pt in rows]
     if len(pts) != combinat.theta(s, q):
         raise VerificationError("point count is not theta(s,q)",
                                 {"case": (s, q), "points": len(pts)})
@@ -116,12 +118,9 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     limit = DEFAULT_SUBSPACE_CAP if cap is None else cap
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
-    combinat.prime_power(q)  # ValueError unless q is the order of a field
     first = 1 if hyperplane and t < s else 0  # the least pivot a row may have
     expected = combinat.gaussian_binomial(s - first, t, q)
-    # rows[p]: every row with its pivot in column p, sorted
-    rows = [[(0,) * p + (1,) + tail for tail in itertools.product(range(q), repeat=s - p - 1)]
-            if p >= first else [] for p in range(s)]
+    rows = _pivot_rows(s, q)  # ValueError unless q is the order of a field
 
     def extend(prefix, zero):
         """Groups of the bases that begin with prefix, t - 2 rows or fewer;

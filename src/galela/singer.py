@@ -39,16 +39,16 @@ carries the other orbit facts, so none is checked again: its return to
 its start shows that the theta(s,q)/theta(u,q)-th power of the generator
 fixes every member, and with each member's point count that makes the
 orbit cover every point theta(t,q)/theta(u,q) times (orbit_census gives
-the argument).  check_zech compares the Zech table, of which the stream
-may read only part, with the field's addition; it keeps its own memo, so
-the pass runs once per field object.
+the argument).  The Zech table the stream reads, perhaps only in part,
+comes checked from the field, which compares it with its own addition
+when it builds it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import gcd
 
 from . import combinat, linalg, pspace
@@ -86,13 +86,11 @@ class SingerGroup:
         return f"SingerGroup(s={self.s}, q={self.q})"
 
 
-def act(S: SingerGroup, X: pspace.Subspace, k: int = 1) -> pspace.Subspace:
-    """Image of X under the k-th power of the Singer generator."""
+def act(S: SingerGroup, X: pspace.Subspace) -> pspace.Subspace:
+    """Image of X under the Singer generator."""
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
-    mat = S.generator if k == 1 else \
-        linalg.mat_pow(S.generator, k % S.projective_order, S.field)
-    Y = pspace.span([linalg.matvec(mat, row, S.field) for row in X.basis], S.q)
+    Y = pspace.span([linalg.matvec(S.generator, row, S.field) for row in X.basis], S.q)
     # a collineation keeps dimension; a singular generator would not
     if Y.t != X.t:
         raise VerificationError("image of a subspace has the wrong dimension",
@@ -374,26 +372,6 @@ def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
     return index, orbits
 
 
-@cache
-def check_zech(field):
-    """VerificationError unless the field's Zech table agrees with its own add.
-
-    exp[zech[k]] must be 1 + mu^k, and zech[k] must be 0 where that sum is
-    0: O(p^h) additions.  The census and the scalar classes run it after
-    their streams, since a stream need not read every entry.  The pass runs
-    once per field object: a call that returns is memoized on the field, so
-    a later call on it returns at once, while a call that raises is not, so
-    a failing field fails again.
-    """
-    exp, add = field.exp, field.add
-    for k, (x, z) in enumerate(zip(exp, field.zech)):
-        total = add(1, x)
-        if (exp[z] != total) if total else z:
-            raise VerificationError("Zech table differs from the field's addition",
-                                    {"field": (field.p, field.h), "k": k, "zech": z,
-                                     "one_plus_mu_k": total})
-
-
 def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     """Partition all t-dimensional subspaces of PG(s-1,q) into Singer orbits.
 
@@ -406,14 +384,15 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     its least, the representative, as in a stream of every subspace.  The
     census keeps the representatives, one index from the log sets inside
     H0 to walk numbers and each walk's rank in the sorted records, and no
-    other subspace.  In this order it verifies: the slice's count and
+    other subspace.  In this order it verifies: when a basis has two rows
+    or more, the Zech table of GF(q^s) against the field's addition (the
+    field does so once, as it builds the table); the slice's count and
     theta(t,q) points per streamed subspace; each walk's return to its
     start; that the walked members inside H0 are the streamed subspaces;
     that the walks hold no more than [s choose t]_q sets; rotation_orbits'
-    stabilizer parameter u and number of members inside H0 per orbit; both
-    closed-form counts for every subfield degree d | gcd(t, s); and, when a
-    basis has two rows or more, the Zech table the stream read (check_zech).
-    cap bounds [s choose t]_q, DEFAULT_CENSUS_CAP if None.
+    stabilizer parameter u and number of members inside H0 per orbit; and
+    both closed-form counts for every subfield degree d | gcd(t, s).  cap
+    bounds [s choose t]_q, DEFAULT_CENSUS_CAP if None.
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -433,8 +412,6 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     hyperplane = sum(1 << k for k in {k % S.projective_order for v, k in S.log.items()
                                       if t == s or not v[0]})
     index, orbits = rotation_orbits(_census_log_sets(S, t, groups), s, t, q, hyperplane)
-    if t > 1:
-        check_zech(S.big)
     order = sorted(range(len(orbits)), key=lambda i: (orbits[i][0], orbits[i][2]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)

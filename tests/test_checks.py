@@ -367,10 +367,11 @@ gf.make_field(2, 4).zech[1] = 1
 
 
 def test_census_zech_check_survives_optimize():
-    # the same fault met by the census: the lines inside x_0 = 0 never read
-    # that entry, so the table check after the stream is what sees it
+    # the same fault put in before the table is built: log[3] = 1 builds
+    # zech[1] = log(1 + mu) = 1, an entry the lines inside x_0 = 0 never
+    # read, so the check as the field builds the table is what sees it
     code = PREAMBLE + """
-gf.make_field(2, 4).zech[1] = 1
+gf.make_field(2, 4).log[3] = 1
 """ + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
     assert optimized_details(code) == [
         1, "Zech table differs from the field's addition",
@@ -378,12 +379,12 @@ gf.make_field(2, 4).zech[1] = 1
 
 
 def test_zech_check_runs_on_each_fresh_field_under_optimize():
-    # the cached GF(16) passes first; the check is kept per field object, so
-    # a new GF(16) with the same fault is still caught after the stream
+    # the cached GF(16) passes first; each field object checks the table it
+    # builds, so a new GF(16) with the same fault is still caught
     code = PREAMBLE + """
 singer.orbit_census(4, 2, 2)
 fresh = gf.FieldTower(2, 4)
-fresh.zech[1] = 1
+fresh.log[3] = 1
 gf._CACHE[2, 4] = fresh
 """ + DETAILS.format(call="singer.orbit_census(4, 2, 2)")
     assert optimized_details(code) == [
@@ -392,17 +393,18 @@ gf._CACHE[2, 4] = fresh
 
 
 def test_class_zech_check_runs_on_each_fresh_field_under_optimize():
-    # zech[0] = 5 says 1 + 1 = mu^5: no basis reads that entry, so the
-    # scalar classes see it only through the table check after the stream
+    # log[2] = 0 in GF(9) builds zech[0] = 0, which says 1 + 1 = 1: no basis
+    # reads that entry, so the scalar classes see it only through the check
+    # as the field builds the table
     code = PREAMBLE + """
-elation.equivalence_classes(2, 4, 2)
-fresh = gf.FieldTower(2, 4)
-fresh.zech[0] = 5
-gf._CACHE[2, 4] = fresh
-""" + DETAILS.format(call="elation.equivalence_classes(2, 4, 2)")
+elation.equivalence_classes(3, 2, 2)
+fresh = gf.FieldTower(3, 2)
+fresh.log[2] = 0
+gf._CACHE[3, 2] = fresh
+""" + DETAILS.format(call="elation.equivalence_classes(3, 2, 2)")
     assert optimized_details(code) == [
         1, "Zech table differs from the field's addition",
-        {"field": [2, 4], "k": 0, "zech": 5, "one_plus_mu_k": 0}]
+        {"field": [3, 2], "k": 0, "zech": 0, "one_plus_mu_k": 2}]
 
 
 def test_conjugator_identity_check_survives_optimize():

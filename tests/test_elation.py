@@ -733,7 +733,7 @@ class TestSubspaceBridge:
         for H in enumerate_subgroups(2, 4, 2):
             X = subspace_of_center(H, 1)
             Y = subspace_of_center(scalar_multiple(H, t.mu), 1)
-            assert Y == act(S, X, 1)
+            assert Y == act(S, X)
 
     def test_group_from_subspace_over_subfield(self):
         X = span(((1, 0),), 4)

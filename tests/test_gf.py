@@ -331,6 +331,12 @@ class TestCoords:
                     small.mul(sc, x) for x in t.coords(a, 2)
                 )
 
+    def test_from_coords_rejects_a_coordinate_outside_the_subfield(self):
+        # GF(4) has the encodings 0..3, so 4 is no coordinate over it
+        t = make_field(2, 4)
+        with pytest.raises(ValueError, match="not an element of GF"):
+            t.from_coords((0, 4), 2)
+
     def test_coords_distinct(self):
         t = make_field(2, 6)
         for n in (1, 2, 3):

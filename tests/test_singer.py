@@ -124,6 +124,13 @@ class TestOrbitPartition:
         check()
 
 
+def act_times(S, X, k):
+    """X after k applications of act."""
+    for _ in range(k):
+        X = act(S, X)
+    return X
+
+
 class TestGenerator:
     def test_small_binary_generator(self):
         S = SingerGroup(2, 2)
@@ -150,7 +157,9 @@ class TestGenerator:
         # order of the matrix in PGL equals the point cycle length
         S = SingerGroup(3, 2)
         X = span(((1, 0, 0),), 2)
-        assert act(S, X, S.projective_order) == X
+        walk = [act_times(S, X, k) for k in range(1, S.projective_order + 1)]
+        assert walk[-1] == X
+        assert X not in walk[:-1]
 
     def test_rejects_degenerate_dimension(self):
         with pytest.raises(ValueError):
@@ -159,15 +168,24 @@ class TestGenerator:
 
 class TestAction:
     def test_identity_power(self):
+        # the generator's theta(s,q)-th power fixes X, and no smaller power
+        # does: the line <e0, e1> of PG(3,2) is not in the line spread's orbit
         S = SingerGroup(4, 2)
         X = span(((1, 0, 0, 0), (0, 1, 0, 0)), 2)
-        assert act(S, X, 0) == X
-        assert act(S, X, S.projective_order) == X
+        assert act_times(S, X, 0) == X
+        walk = [act_times(S, X, k) for k in range(1, S.projective_order + 1)]
+        assert walk[-1] == X
+        assert X not in walk[:-1]
 
     def test_action_composes(self):
+        # seven steps of act rotate the log set by seven
         S = SingerGroup(4, 2)
         X = span(((1, 0, 1, 0), (0, 1, 1, 1)), 2)
-        assert act(S, act(S, X, 3), 4) == act(S, X, 7)
+        bits = log_set(S, X)
+        for _ in range(7):
+            bits = rotate(bits, S.projective_order)
+        assert act_times(S, act_times(S, X, 3), 4) == act_times(S, X, 7)
+        assert log_set(S, act_times(S, X, 7)) == bits
 
     def test_action_preserves_dimension(self):
         S = SingerGroup(4, 3)
@@ -308,46 +326,69 @@ class IterCountingList(list):
         return super().__iter__()
 
 
+def fresh_field(monkeypatch, p, h):
+    """A new GF(p^h), cached in place of the canonical one, its exp passes counted.
+
+    The Zech table is built, and checked against add, in one pass over
+    exp; nothing else in a census or a classification iterates over exp.
+    """
+    fresh = gf.FieldTower(p, h)
+    fresh.exp = IterCountingList(fresh.exp)
+    monkeypatch.setitem(gf._CACHE, (p, h), fresh)
+    return fresh
+
+
 class TestZechCheck:
     def test_two_censuses_over_one_field_check_it_once(self, monkeypatch):
-        fresh = gf.FieldTower(2, 4)
-        fresh._zech = table = IterCountingList(fresh.zech)
-        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        fresh = fresh_field(monkeypatch, 2, 4)
         orbit_census(4, 2, 2)
         orbit_census(4, 2, 2)
-        assert table.passes == 1
+        assert fresh.exp.passes == 1
 
     def test_a_fresh_field_is_checked_again(self, monkeypatch):
         # the cached GF(16) passes; a new field object of the same order with
-        # zech[1] = 1 does not, though the lines inside x_0 = 0 never read it
+        # log[3] = 1 builds zech[1] = log(1 + mu) = 1, which the lines inside
+        # x_0 = 0 never read
         orbit_census(4, 2, 2)
-        fresh = gf.FieldTower(2, 4)
-        fresh.zech[1] = 1
-        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
-        with pytest.raises(VerificationError, match="Zech table differs"):
+        fresh = fresh_field(monkeypatch, 2, 4)
+        fresh.log[3] = 1
+        with pytest.raises(VerificationError, match="Zech table differs") as caught:
             orbit_census(4, 2, 2)
+        assert caught.value.details == {"field": (2, 4), "k": 1, "zech": 1, "one_plus_mu_k": 3}
+
+    def test_every_reader_of_the_table_gets_a_checked_one(self, monkeypatch):
+        # zech[0] = log(1 + 1) is the only entry that reads log[2], and no
+        # basis of independent rows reads zech[0]: the point counts pass, so
+        # only the check at the build sees the fault, before either log_set
+        fresh = fresh_field(monkeypatch, 3, 3)
+        S = SingerGroup(3, 3)
+        X = span(((1, 0, 0), (0, 1, 0)), 3)
+        H = elation.ElationGroup(fresh, X.basis)
+        fresh.log[2] = 0
+        with pytest.raises(VerificationError, match="Zech table differs"):
+            log_set(S, X)
+        with pytest.raises(VerificationError, match="Zech table differs"):
+            elation.log_set(H)
 
 
 class TestClassZechCheck:
     """TestZechCheck for the scalar classes, which stream through the same table."""
 
     def test_two_classifications_over_one_field_check_it_once(self, monkeypatch):
-        fresh = gf.FieldTower(2, 4)
-        fresh._zech = table = IterCountingList(fresh.zech)
-        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
+        fresh = fresh_field(monkeypatch, 2, 4)
         equivalence_classes(2, 4, 2)
         equivalence_classes(2, 4, 2)
-        assert table.passes == 1
+        assert fresh.exp.passes == 1
 
     def test_a_fresh_field_is_checked_again(self, monkeypatch):
-        # zech[0] = 5 says 1 + 1 = mu^5; no basis of independent rows reads
-        # zech[0], so the point counts pass and only the table check sees it
-        equivalence_classes(2, 4, 2)
-        fresh = gf.FieldTower(2, 4)
-        fresh.zech[0] = 5
-        monkeypatch.setitem(gf._CACHE, (2, 4), fresh)
-        with pytest.raises(VerificationError, match="Zech table differs"):
-            equivalence_classes(2, 4, 2)
+        # log[2] = 0 builds zech[0] = 0, which says 1 + 1 = 1; no basis of
+        # independent rows reads zech[0], so only the check at the build sees it
+        equivalence_classes(3, 2, 2)
+        fresh = fresh_field(monkeypatch, 3, 2)
+        fresh.log[2] = 0
+        with pytest.raises(VerificationError, match="Zech table differs") as caught:
+            equivalence_classes(3, 2, 2)
+        assert caught.value.details == {"field": (3, 2), "k": 0, "zech": 0, "one_plus_mu_k": 2}
 
 
 @pytest.mark.parametrize("s,t,q", CENSUS_CASES + ((3, 1, 9),))
