@@ -193,14 +193,14 @@ def log_set(H: ElationGroup) -> int:
     field's own log and Zech tables by singer.span_log_sets, which checks
     that H has theta(m,p) points.
     """
-    return next(_class_log_sets(H.tower, H.m, [(H.rows[:-1], H.rows[-1:])]))[2][0]
+    return next(_class_log_sets(H.tower, [(H.rows[:-1], H.rows[-1:])]))[2][0]
 
 
-def _class_log_sets(tower: FieldTower, m: int, groups):
-    """singer.span_log_sets of groups of m-row coefficient bases, from the tower's tables."""
+def _class_log_sets(tower: FieldTower, groups):
+    """singer.span_log_sets of groups of coefficient bases, from the tower's tables."""
     log, encode = tower.log, tower.from_coeffs
-    return singer.span_log_sets(groups, lambda row: log[encode(row)],
-                                tower.zech if m > 1 else (), combinat.theta(tower.h, tower.p),
+    return singer.span_log_sets(groups, lambda row: log[encode(row)], tower,
+                                combinat.theta(tower.h, tower.p),
                                 lambda rows: {"field": (tower.p, tower.h), "rows": rows})
 
 
@@ -217,13 +217,13 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     the walk's next member; and the stabilizer under scalars is GF(p^n)*, n
     the representative's minimal_n as RREF membership reads it, so u == n.  The
     profile holds for every member, as alpha*H is a space over H's subfields.
-    For m > 1 the stream reads the field's Zech table, checked against its
-    addition when the field built it.
+    m, cap and the order of GF(p^h) are checked before any vector is listed;
+    the Zech table the stream reads comes checked from the field.
     """
     groups = _subgroup_groups(p, h, m, cap)
     tower = make_field(p, h)
     theta = combinat.theta(h, p)
-    _, orbits = singer.rotation_orbits(_class_log_sets(tower, m, groups), h, m, p)
+    _, orbits = singer.rotation_orbits(_class_log_sets(tower, groups), h, m, p)
     classes = []
     for u, size, rows, bits in orbits:
         rep = ElationGroup(tower, rows)
@@ -279,6 +279,16 @@ def pgl_order(r: int, q: int) -> int:
     for i in range(r):
         num *= q**r - q**i
     return combinat.exact_div(num, q - 1)
+
+
+def admit_sweep(r: int, q: int, cap=None) -> int:
+    """|PGL(r, q)|; ValueError unless r >= 2, CapExceeded above cap (PGL_CAP if None)."""
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    size, limit = pgl_order(r, q), PGL_CAP if cap is None else cap
+    if size > limit:
+        raise CapExceeded(f"|PGL({r},{q})| = {size} exceeds cap {limit}")
+    return size
 
 
 def _field_tables(tower):
@@ -369,18 +379,13 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     stands for its completions, which are counted, every other element of
     PGL is visited and checked, and the count is checked against pgl_order.
     """
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
     if not subgroups:
         raise ValueError("no subgroups to partition")
     tower = subgroups[0].tower
     if any(H.tower is not tower for H in subgroups):
         raise ValueError("subgroups live in different fields")
     q = tower.order
-    size = pgl_order(r, q)
-    limit = PGL_CAP if cap is None else cap
-    if size > limit:
-        raise CapExceeded(f"|PGL({r},{q})| = {size} exceeds cap {limit}")
+    size = admit_sweep(r, q, cap)
     add, sub, mul, inv = _field_tables(tower)
     # lam = 0 always matches through N_0 = identity, so it is skipped
     nonzero = [frozenset(lam for lam in H.elements() if lam) for H in subgroups]
@@ -535,8 +540,8 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
     each representative back to an H of its class.  H's minimal_n, from
     RREF contains, must be n u, u from the census walk: the class's
     stabilizer is the orbit's, and for u = 1 the minimal classes are the
-    free orbits.  The counts must equal count_classes' closed forms.  Each
-    check raises VerificationError.
+    free orbits.  orbit_census has compared count_classes' closed forms, its
+    own for d = 1, with these counts.  Each check raises VerificationError.
     """
     # count_classes rejects bad parameters before the census is built
     predicted = [count_classes(p, h, m, n), count_classes(p, h, m, n, minimal=True)]
@@ -571,7 +576,6 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
             raise VerificationError("rotate differs from the Singer generator on a point",
                                     {"params": params, "point": v, "log": k % theta,
                                      "image": w, "image_log": S.log[w] % theta})
-    minimal_classes = 0
     for i, rec in enumerate(census.orbits):
         H = group_from_subspace(rec.representative, h)
         minimal_n = dimension_profile(H).minimal_n
@@ -579,18 +583,14 @@ def verify_correspondence(p: int, h: int, m: int, n: int, cap=None) -> dict:
             raise VerificationError("class stabilizer differs from its orbit's",
                                     {"params": params, "representative": [list(r) for r in H.rows],
                                      "orbit": i, "u": rec.u, "minimal_n": minimal_n})
-        minimal_classes += minimal_n == n
-    classes = len(census.orbits)
-    if [classes, minimal_classes] != predicted:
-        raise VerificationError("class counts differ from the closed forms", {
-            "params": params, "observed": [classes, minimal_classes], "predicted": predicted})
+    free = sum(1 for rec in census.orbits if rec.u == 1)
     return {
         "params": {"p": p, "h": h, "m": m, "n": n},
-        "classes": classes,
+        "classes": len(census.orbits),
         "orbits": len(census.orbits),
         "bijection": True,
-        "minimal_classes": minimal_classes,
-        "free_orbits": sum(1 for rec in census.orbits if rec.u == 1),
+        "minimal_classes": free,
+        "free_orbits": free,
         "minimal_match": True,
         "predicted_classes": predicted[0],
         "predicted_minimal": predicted[1],

@@ -7,8 +7,8 @@ space, pivots ascending, stored as a tuple of row tuples; equal subspaces
 therefore compare equal as values, and span is the one way from generating
 rows to that form.  Enumeration (subspace_groups) streams the RREF bases row
 by row in sorted order as groups, the first t-1 rows and one shared list of
-last rows, so no basis is built unless asked for (subspace_bases), and
-checks at the end that it held the Gaussian binomial's count.  It can
+last rows, so no basis is built unless asked for (subspace_bases) and no
+row until the stream is read, and checks its count at the end.  It can
 stream only the subspaces inside the hyperplane x_0 = 0, the first ones
 of the sorted order, and is bounded by its cap argument,
 DEFAULT_SUBSPACE_CAP if None.  Vectors are listed by the one coset
@@ -95,9 +95,9 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
 
     A group stands for the RREF bases prefix + (row,), row in rows: prefix
     holds t - 1 rows, and rows is the one list of rows with pivot p.  Raises
-    ValueError or CapExceeded here, before the first group is asked for, if
-    t is out of range, the Gaussian binomial exceeds cap (DEFAULT_SUBSPACE_CAP
-    if None) or q is not a prime power.  The stream raises VerificationError
+    ValueError or CapExceeded here, before any row is listed, if t is out of
+    range, the Gaussian binomial exceeds cap (DEFAULT_SUBSPACE_CAP if None)
+    or q is not the order of a field.  The stream raises VerificationError
     at its end unless its groups held exactly the Gaussian binomial's count.
 
     With hyperplane and t < s, only the subspaces inside the hyperplane
@@ -108,8 +108,9 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     The bases are walked row by row.  A row has its pivot, a 1, in a column
     where the earlier rows are 0, and anything right of it; the later pivots
     must fall where this row is 0 too, so a row is kept only if enough such
-    columns remain.  Rows are tried with their pivot right to left and then
-    in tuple order, which is sorted order, so the bases come out sorted and
+    columns remain, and a prefix of t - 1 rows yields one group per such
+    column.  Rows are tried with their pivot right to left and then in
+    tuple order, which is sorted order, so the bases come out sorted and
     the bases sharing a prefix of rows are consecutive and share its tuples.
     """
     if not 1 <= t <= s:
@@ -119,36 +120,29 @@ def subspace_groups(s: int, t: int, q: int, cap=None, hyperplane=False):
     if total > limit:
         raise CapExceeded(f"{total} subspaces exceed cap {limit}")
     first = 1 if hyperplane and t < s else 0  # the least pivot a row may have
-    expected = combinat.gaussian_binomial(s - first, t, q)
-    rows = _pivot_rows(s, q)  # ValueError unless q is the order of a field
+    field_for(q)  # ValueError unless q is the order of a field
 
-    def extend(prefix, zero):
-        """Groups of the bases that begin with prefix, t - 2 rows or fewer;
-        zero lists the columns right of its last pivot where all its rows
-        are 0.  A prefix one row short of t - 1 yields its groups here, one
-        per pivot of the last row, rather than from one more level."""
+    def extend(rows, prefix, zero):
+        """Groups of the bases that begin with prefix, t - 1 rows or fewer;
+        zero lists the columns right of its last pivot where all its rows are 0."""
         need = t - len(prefix)
+        if need == 1:
+            for p in reversed(zero):
+                yield prefix, rows[p]
+            return
         for k in range(len(zero) - need, -1, -1):
             later = zero[k + 1:]
             for row in rows[zero[k]]:
                 free = [j for j in later if not row[j]]
-                if len(free) < need - 1:
-                    continue
-                if need == 2:
-                    head = prefix + (row,)
-                    for p in reversed(free):
-                        yield head, rows[p]
-                else:
-                    yield from extend(prefix + (row,), free)
+                if len(free) >= need - 1:
+                    yield from extend(rows, prefix + (row,), free)
 
     def groups():
         count = 0
-        top = (((), rows[p]) for p in reversed(range(first, s))) if t == 1 else \
-            extend((), list(range(first, s)))
-        for group in top:
+        for group in extend(_pivot_rows(s, q), (), list(range(first, s))):
             count += len(group[1])
             yield group
-        if count != expected:
+        if count != combinat.gaussian_binomial(s - first, t, q):
             raise VerificationError("subspace count is not the Gaussian binomial",
                                     {"case": (s, t, q), "subspaces": count})
 

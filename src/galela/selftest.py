@@ -98,8 +98,8 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
 
     The subgroups are the members of elation.equivalence_classes of every
     order, in class order, member k being mu^k times the representative.
-    Their rows must be distinct, which with the walk's check that the class
-    sizes sum to the Gaussian binomial makes them every subgroup once.  One
+    Their rows must be distinct, which with walk_orbits' check that the walks
+    hold exactly the streamed subgroups makes them every subgroup once.  One
     exhaustive pass over PGL(r, q) per case partitions them by conjugacy
     (elation.conjugacy_partition).  Each member must admit the diagonal
     conjugator by mu^k (conjugator checks g M_lam == M_(mu^k lam) g, entry
@@ -107,18 +107,18 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     each class of the pass must lie in one scalar class: the partitions are
     equal, so pairs are counted from class sizes.  cap bounds each order's
     stream and |PGL(r, q)|.  A case whose field does not exist (p not prime,
-    h < 1) is rejected before anything is enumerated.
+    h < 1), r < 2 or |PGL(r, q)| > cap is rejected before anything is listed.
     """
     out = []
     for r, p, h in cases:
-        make_field(p, h)  # ValueError here, not an empty sweep for h < 1
+        order = elation.admit_sweep(r, make_field(p, h).order, cap)  # ValueError for h < 1
         classes = [c for m in range(1, h + 1) for c in elation.equivalence_classes(p, h, m, cap)]
         subs = [H for c in classes for H in c.members]
         owner = [k for k, c in enumerate(classes) for _ in range(c.size)]  # class numbers
         if len({H.rows for H in subs}) != len(subs):
             raise VerificationError("scalar classes repeat a subgroup",
                                     {"case": [r, p, h], "rows": [H.rows for H in subs]})
-        sweep = elation.conjugacy_partition(subs, r, cap=cap)  # rejects r < 2 first
+        sweep = elation.conjugacy_partition(subs, r, cap=cap)
         first = 0  # index of the class's representative, its member 0
         for c in classes:
             for k, alpha in enumerate(c.witness_scalars):
@@ -143,7 +143,7 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
         out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
                     "equivalent_pairs": equivalent,
                     "inequivalent_pairs": len(subs) * (len(subs) + 1) // 2 - equivalent,
-                    "group_order": elation.pgl_order(r, p**h)})
+                    "group_order": order})
     return out
 
 

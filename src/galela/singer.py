@@ -101,28 +101,29 @@ def act(S: SingerGroup, X: pspace.Subspace) -> pspace.Subspace:
 def log_set(S: SingerGroup, X: pspace.Subspace) -> int:
     """The points of X as a theta(s,q)-bit integer: bit k for the point mu^k.
 
-    span_log_sets expands X's basis, a group of one, with the Zech table of
+    span_log_sets expands X's basis, a group of one, with the tables of
     GF(q^s).  Raises VerificationError unless X has theta(t,q) points.
     """
     if X.q != S.q or X.s != S.s:
         raise ValueError(f"subspace of PG({X.s - 1},{X.q}) fed to {S!r}")
-    return next(_census_log_sets(S, X.t, [(X.basis[:-1], X.basis[-1:])]))[2][0]
+    return next(_census_log_sets(S, [(X.basis[:-1], X.basis[-1:])]))[2][0]
 
 
-def _census_log_sets(S: SingerGroup, t: int, groups):
-    """span_log_sets of groups of t-row bases of PG(s-1,q), from the tables of GF(q^s)."""
-    return span_log_sets(groups, S.log.__getitem__, S.big.zech if t > 1 else (),
-                         S.projective_order, lambda basis: {"case": (S.s, S.q), "basis": basis})
+def _census_log_sets(S: SingerGroup, groups):
+    """span_log_sets of groups of bases of PG(s-1,q), from the tables of GF(q^s)."""
+    return span_log_sets(groups, S.log.__getitem__, S.big, S.projective_order,
+                         lambda basis: {"case": (S.s, S.q), "basis": basis})
 
 
-def span_log_sets(groups, rowlog, zech, theta: int, where):
+def span_log_sets(groups, rowlog, field, theta: int, where):
     """Yield (prefix, rows, sets) per group: sets[i] is the points of prefix + (rows[i],).
 
     The bases prefix + (row,), row in rows, are tuples of independent rows,
     the groups come in any order, and the points are theta-bit integers.
-    rowlog(row) is the row's log in [0, n), n = q^s - 1 = theta (q - 1);
-    zech[k] is log(1 + mu^k), n entries, so that log(v + mu^k v) = log v +
-    zech[k], and may be empty when every basis has one row.  Row by row: the
+    field is GF(q^s), of order n + 1, n = theta (q - 1), and rowlog(row) is
+    the row's log in [0, n).  Its Zech table, zech[k] = log(1 + mu^k), so
+    that log(v + mu^k v) = log v + zech[k], is read when the first prefix
+    row is pushed, so bases of one row never read it.  Row by row: the
     points of span(Y, b), b outside Y, are those of Y, b, and y + b for
     every nonzero y of Y, with log(y + b) = log b + zech(log y - log b).
     The nonzero vectors of Y are the GF(q)*-multiples of its points, and
@@ -139,7 +140,8 @@ def span_log_sets(groups, rowlog, zech, theta: int, where):
     logs are read once per call for each rows object (subspace_groups shares
     s), so per basis only its last row's Zech reads and the count remain.
     """
-    scalars = range(0, len(zech), theta)
+    scalars = range(0, field.order - 1, theta)
+    zech = None
     stack = [((), [], 0, 0)]  # the zero space
     table = {}  # id(rows) -> (rows, their logs), rows kept so that its id stays unique
     for prefix, rows in groups:
@@ -149,6 +151,7 @@ def span_log_sets(groups, rowlog, zech, theta: int, where):
         del stack[depth:]
         _, logs, bits, points = stack[-1]
         for row in prefix[depth - 1:]:
+            zech = zech or field.zech
             b = rowlog(row)
             # y - b lies in (-n, n), where Python's indexing wraps mod n
             new = [b % theta] + [(b + zech[y - b]) % theta for y in logs]
@@ -317,11 +320,11 @@ def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
     pairs, spread evenly over the hyperplanes: H0 holds
     theta(s-t,q)/theta(u,q) of them, at least one since u | s - t.  The
     checks, each a VerificationError: the walked members indexed are the
-    streamed log sets (walk_orbits); the walks hold no more sets than the
-    [s choose t]_q subspaces; u per orbit; given hyperplane, each orbit's
-    number of members in H0; and the closed forms.  With the stream's own
-    count of [s-1 choose t]_q, the per-orbit counts make the sizes sum to
-    exactly [s choose t]_q.
+    streamed log sets (walk_orbits); u per orbit; given hyperplane, each
+    orbit's number of members in H0; and the closed forms.  No total is
+    checked again: without hyperplane the index holds every walked set, and
+    with it the stream's count of [s-1 choose t]_q and the per-orbit counts
+    make the sizes sum to exactly [s choose t]_q.
 
     The orbits with d | u are those of the GF(q^d)-closed subspaces, the
     Singer orbits of PG(s/d - 1, q^d) on (t/d)-subspaces (the paper's
@@ -342,11 +345,6 @@ def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
         return rotate(bits, theta)
 
     index, firsts = walk_orbits(pairs, step, (lambda bits: not bits & outside) if sliced else None)
-    total = combinat.gaussian_binomial(s, t, q)
-    walked = sum(size for _, size, _ in firsts)
-    if walked > total:
-        raise VerificationError("orbits do not partition the items",
-                                {"case": (s, t, q), "subspaces": total, "walked": walked})
     orbits = []
     for i, ((prefix, rows, sets), size, inside) in enumerate(firsts):
         u = None if theta % size else degree_of.get(theta // size)
@@ -384,15 +382,15 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     its least, the representative, as in a stream of every subspace.  The
     census keeps the representatives, one index from the log sets inside
     H0 to walk numbers and each walk's rank in the sorted records, and no
-    other subspace.  In this order it verifies: when a basis has two rows
-    or more, the Zech table of GF(q^s) against the field's addition (the
-    field does so once, as it builds the table); the slice's count and
-    theta(t,q) points per streamed subspace; each walk's return to its
-    start; that the walked members inside H0 are the streamed subspaces;
-    that the walks hold no more than [s choose t]_q sets; rotation_orbits'
-    stabilizer parameter u and number of members inside H0 per orbit; and
-    both closed-form counts for every subfield degree d | gcd(t, s).  cap
-    bounds [s choose t]_q, DEFAULT_CENSUS_CAP if None.
+    other subspace.  cap bounds [s choose t]_q, DEFAULT_CENSUS_CAP if None;
+    it and the orders of GF(q) and GF(q^s) are checked before any vector is
+    listed.  Then, in this order, it verifies: when a basis has two rows or
+    more, the Zech table of GF(q^s) against the field's addition (the field
+    does so once, as it builds the table); the slice's count and theta(t,q)
+    points per streamed subspace; each walk's return to its start; that
+    the walked members inside H0 are the streamed subspaces; rotation_orbits'
+    u and number of members inside H0 per orbit, which fix the total; and
+    both closed-form counts for every subfield degree d | gcd(t, s).
 
     Each orbit is a uniform cover, every point on exactly
     theta(t,q)/theta(u,q) members, and that follows from the checks above,
@@ -411,7 +409,7 @@ def orbit_census(s: int, t: int, q: int, cap=None) -> OrbitCensus:
     # H0's points as bits, each position once (a sum, unlike an or, would carry)
     hyperplane = sum(1 << k for k in {k % S.projective_order for v, k in S.log.items()
                                       if t == s or not v[0]})
-    index, orbits = rotation_orbits(_census_log_sets(S, t, groups), s, t, q, hyperplane)
+    index, orbits = rotation_orbits(_census_log_sets(S, groups), s, t, q, hyperplane)
     order = sorted(range(len(orbits)), key=lambda i: (orbits[i][0], orbits[i][2]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     records = tuple(OrbitRecord(pspace.Subspace(q, basis), size, u)

@@ -86,12 +86,16 @@ def optimized_message(code):
 
 def test_census_partition_check_survives_optimize():
     # rotation followed by the complement: a permutation of the 15-bit sets
-    # whose walks leave the lines of PG(3,2)
+    # whose walks leave the lines of PG(3,2).  The classes index every
+    # walked set, 70 for 35 subgroups; the census indexes only the sets
+    # inside x_0 = 0, and its walks of 30 fit no u first
     code = PREAMBLE + """
 real = singer.rotate
 singer.rotate = lambda bits, theta: real(bits, theta) ^ ((1 << theta) - 1)
-""" + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
-    assert optimized_message(code) == "1 orbits do not partition the items"
+""" + MESSAGE.format(call="elation.equivalence_classes(2, 4, 2)") \
+        + MESSAGE.format(call="singer.orbit_census(4, 2, 2)")
+    assert optimized_message(code).splitlines() == [
+        "1 orbits do not partition the items", "1 orbit size fits no divisor of gcd(t, s)"]
 
 
 def test_census_stabilizer_check_survives_optimize():
@@ -487,12 +491,13 @@ elation.scalar_multiple = lambda H, alpha: real(H, alpha) if alpha == H.tower.mu
 
 
 def test_correspondence_count_check_survives_optimize():
-    # a closed form one too high: GF(16) has 3 classes of order-4 subgroups
+    # a closed form one too high: GF(16) has 3 classes of order-4 subgroups,
+    # and the census behind the correspondence compares the same closed form
     code = PREAMBLE + """
-real = elation.count_classes
-elation.count_classes = lambda p, h, m, n, minimal=False: real(p, h, m, n, minimal) + 1
-""" + REPORT.format(call="elation.verify_correspondence(2, 4, 2, 1)")
-    assert run_optimized(code) == ["1", "raised"]
+real = singer.predicted_orbit_count
+singer.predicted_orbit_count = lambda s, d, q: real(s, d, q) + 1
+""" + MESSAGE.format(call="elation.verify_correspondence(2, 4, 2, 1)")
+    assert optimized_message(code) == "1 orbit count differs from the closed form"
 
 
 def test_spread_partition_check_survives_optimize():

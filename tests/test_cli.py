@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from galela import VerificationError, cli
+from galela import VerificationError, cli, elation, pspace
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -335,6 +335,34 @@ class TestVerify:
             "error": "verification failure",
             "message": "orbit size fits no divisor of gcd(t, s)",
             "details": {"case": [4, 1, 2], "size": 14}}
+
+    @pytest.mark.parametrize("argv,code", [
+        # GF(2^21) is over the field order cap, and PG(20,2) has 2,097,151 points
+        (["classify", "--p", "2", "--h", "21", "--m", "1"], 3),
+        (["census", "--s", "21", "--t", "1", "--q", "2", "--cap", "10000000"], 3),
+        (["verify", "correspondence", "--p", "2", "--h", "21", "--m", "1", "--n", "1",
+          "--cap", "10000000"], 3),
+        # |PGL(3,256)| is over PGL_CAP, and r = 1 has no elations
+        (["verify", "lemma1", "--r", "3", "--p", "2", "--h", "8"], 3),
+        (["verify", "lemma1", "--r", "1", "--p", "2", "--h", "8"], 2),
+    ], ids=["classify", "census", "correspondence", "lemma1-cap", "lemma1-r"])
+    def test_admission_runs_before_any_work(self, argv, code, monkeypatch):
+        # no vector may be listed and no class returned before the caps and
+        # the parameters are checked; classify itself calls
+        # equivalence_classes, whose own checks must stop it first
+        def listed(*args, **kwargs):
+            raise AssertionError("a vector was listed")
+
+        real = elation.equivalence_classes
+
+        def classes(*args, **kwargs):
+            real(*args, **kwargs)
+            raise AssertionError("a class was enumerated")
+
+        monkeypatch.setattr(pspace, "_pivot_rows", listed)
+        monkeypatch.setattr(pspace, "enumerate_points", listed)
+        monkeypatch.setattr(elation, "equivalence_classes", classes)
+        assert cli.main(argv) == code
 
 
 class TestParser:

@@ -334,7 +334,7 @@ class TestLogWalk:
 
         def batch(groups):
             return [bits for _, _, sets in span_log_sets(
-                        groups, lambda row: tower.log[tower.from_coeffs(row)], tower.zech,
+                        groups, lambda row: tower.log[tower.from_coeffs(row)], tower,
                         gaussian_binomial(h, 1, p), lambda rows: {"rows": rows})
                     for bits in sets]
         assert batch(subspace_groups(h, m, p)) == one_by_one

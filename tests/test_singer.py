@@ -446,7 +446,7 @@ class TestLogCoordinates:
 
 def census_log_sets(S, groups):
     """span_log_sets of (prefix, rows) groups, flattened to one log set per basis."""
-    return [bits for _, _, sets in span_log_sets(groups, S.log.__getitem__, S.big.zech,
+    return [bits for _, _, sets in span_log_sets(groups, S.log.__getitem__, S.big,
                                                  S.projective_order, lambda basis: {"basis": basis})
             for bits in sets]
 
@@ -575,14 +575,14 @@ class TestHyperplaneSlice:
     @pytest.mark.parametrize("s,t,q", CENSUS_BOX)
     def test_census_equals_the_full_stream_walk(self, s, t, q):
         S = SingerGroup(s, q)
-        groups = singer._census_log_sets(S, t, subspace_groups(s, t, q))
+        groups = singer._census_log_sets(S, subspace_groups(s, t, q))
         expected = sorted(full_stream_walk(groups, s, t, q))
         got = [(r.u, r.size, r.representative.basis) for r in orbit_census(s, t, q).orbits]
         assert got == expected
 
     @pytest.mark.parametrize("p,h,m", CLASS_BOX)
     def test_classes_equal_the_full_stream_walk(self, p, h, m):
-        groups = elation._class_log_sets(make_field(p, h), m, subspace_groups(h, m, p))
+        groups = elation._class_log_sets(make_field(p, h), subspace_groups(h, m, p))
         expected = full_stream_walk(groups, h, m, p)
         got = [(c.profile.minimal_n, c.size, c.representative.rows)
                for c in equivalence_classes(p, h, m)]
