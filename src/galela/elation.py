@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from . import combinat, linalg, pspace, singer
 from .errors import CapExceeded, VerificationError
@@ -281,6 +281,12 @@ def pgl_order(r: int, q: int) -> int:
     return combinat.exact_div(num, q - 1)
 
 
+def flag_stabilizer_order(r: int, q: int) -> int:
+    """|PGL(r, q)| over the theta(r, q) theta(r-1, q) flags (point, hyperplane
+    through it): the order of the stabilizer of the flag (z, X0 = 0)."""
+    return combinat.exact_div(pgl_order(r, q), combinat.theta(r, q) * combinat.theta(r - 1, q))
+
+
 def admit_sweep(r: int, q: int, cap=None) -> int:
     """|PGL(r, q)|; ValueError unless r >= 2, CapExceeded above cap (PGL_CAP if None)."""
     if r < 2:
@@ -309,32 +315,36 @@ def _grow_span(span, v, add, mul):
     return {tuple(add[a][b] for a, b in zip(s, w)) for s in span for w in multiples}
 
 
-def _iterate_pgl(r: int, tower: FieldTower, refute=None):
-    """All of PGL(r, q), one matrix per projective class, streamed.
+def _iterate_pgl(r: int, tower: FieldTower):
+    """The stabilizer in PGL(r, q) of the flag (z, X0 = 0), streamed.
 
-    The first row is a normalized projective point, later rows are nonzero
-    vectors in itertools.product order outside the span of the earlier
-    ones.  Independence is a lookup in the set of vectors the rows chosen so
-    far span, which grows q-fold with each row.  With refute, every frame
-    of fewer than r rows is offered to it as it grows; a frame it rules out
-    is yielded once, short, in place of its completions, and no span is
-    grown for it.  Without refute every item is a full matrix.
+    g M_lam g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
+    determines both, so only a g fixing the flag carries one elation group
+    of the flag onto another: its column r-1 is d e_{r-1} and its row 0 a
+    multiple of e_0, here e_0.  Rows 1..r-2 are nonzero vectors with
+    x_{r-1} == 0 outside the span of the rows above, and the last row is
+    any vector with x_{r-1} != 0, each in itertools.product order.
+    Independence is a lookup in the set of vectors the rows chosen so far
+    span, which grows q-fold with each row.
     """
     q = tower.order
     add, _, mul, _ = _field_tables(tower)
-    nonzero = [v for v in itertools.product(range(q), repeat=r) if any(v)]
+    vectors = list(itertools.product(range(q), repeat=r))
+    axis = [v for v in vectors if any(v) and not v[-1]]
+    off_axis = [v for v in vectors if v[-1]]
 
-    def extend(frame, span, rows):
-        for v in rows:
-            if v in span:
-                continue
-            grown = frame + (v,)
-            if len(grown) == r or refute is not None and refute(grown):
-                yield grown
-            else:
-                yield from extend(grown, _grow_span(span, v, add, mul), nonzero)
+    def extend(frame, span):
+        # span: the vectors frame[:-1] spans, frame[-1] outside it
+        if len(frame) == r - 1:
+            for v in off_axis:
+                yield frame + (v,)
+        else:
+            span = _grow_span(span, frame[-1], add, mul)
+            for v in axis:
+                if v not in span:
+                    yield from extend(frame + (v,), span)
 
-    yield from extend((), {(0,) * r}, pspace.enumerate_points(r, q))
+    yield from extend(((1,) + (0,) * (r - 1),), {(0,) * r})
 
 
 @dataclass(frozen=True)
@@ -356,28 +366,21 @@ class ConjugacyPartition:
 def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     """Partition subgroups by PGL(r, q)-conjugacy in one exhaustive pass.
 
+    g E(H) g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
+    determines both, so a g carrying E(H) onto E(H') fixes the flag
+    (z, X0 = 0): the pass sweeps that stabilizer, _iterate_pgl, alone.
     g conjugates E(H) onto E(H') exactly when for every lam in H there are
-    mu in H' and a nonzero c with g M_lam == c N_mu g, every entry compared,
-    and the mu found are the elements of H'; no inverse is formed.  g M_lam
-    is g with lam times column r-1 added to column 0, and N_mu g is g with mu
-    times row 0 added to row r-1, so rows 0..r-2 of N_mu g are g's own.  c
-    is therefore forced by the pivot k0 of row 0, c == (g M_lam)[0][k0] /
-    g[0][k0], and rows 0..r-2 of g M_lam must be c times g's rows.  Each of
-    these rows is tested as the frame of g's rows grows, each frame keeping
-    the (lam, c) candidates of the frame above it that its new row passes,
-    so the candidates of g's first r-1 rows (its head) are found once per
-    head.  A frame that keeps no candidate is ruled out: no completion of
-    it matches any subgroup, so _iterate_pgl yields it once in place of its
-    completions.  For each full g the last row then forces
-    mu == (g M_lam)[r-1][k0] / c - g[r-1][k0], and the whole last row must
-    equal c (g[r-1] + mu g[0]).  All arithmetic reads GF(q)'s tables.  A
-    subgroup matches for g when every nonzero lam in it has a mu, and the
-    first match of each pair joins the two subgroups in a union-find, whose
-    blocks are the classes.  The matches depend on g only through its map
-    lam -> mu, so a map met before is not matched again.  No theory beyond
-    the definition is used: every frame is visited, a ruled-out frame
-    stands for its completions, which are counted, every other element of
-    PGL is visited and checked, and the count is checked against pgl_order.
+    mu in H' and a nonzero c with g M_lam == c N_mu g, and the mu found are
+    the elements of H'.  g M_lam is g with lam times column r-1 added to
+    column 0, and N_mu g is g with mu times row 0 added to row r-1.  Row 0
+    of g is e_0 and its column r-1 is d e_{r-1}, so g M_lam is g with lam d
+    added at (r-1, 0) and N_mu g is g with mu added there: c == 1 and
+    mu == d lam.  g therefore carries E(H) onto E(d H), its matches depend
+    on d alone, and they are made for the first g of each d.  Each match
+    joins the two subgroups in a union-find, whose blocks are the classes,
+    and the first g of each pair is its witness.  Every element of the
+    stabilizer is counted, and the count is checked against
+    flag_stabilizer_order.  cap bounds |PGL(r, q)|.
     """
     if not subgroups:
         raise ValueError("no subgroups to partition")
@@ -385,14 +388,13 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     if any(H.tower is not tower for H in subgroups):
         raise ValueError("subgroups live in different fields")
     q = tower.order
-    size = admit_sweep(r, q, cap)
-    add, sub, mul, inv = _field_tables(tower)
-    # lam = 0 always matches through N_0 = identity, so it is skipped
-    nonzero = [frozenset(lam for lam in H.elements() if lam) for H in subgroups]
-    all_lams = sorted(set().union(*nonzero))
+    admit_sweep(r, q, cap)
+    size = flag_stabilizer_order(r, q)
+    mul = _field_tables(tower)[2]
+    elements = [H.elements() for H in subgroups]
     by_elements: dict[frozenset, list] = {}
-    for i, lams in enumerate(nonzero):
-        by_elements.setdefault(lams, []).append(i)
+    for i, lams in enumerate(elements):
+        by_elements.setdefault(frozenset(lams), []).append(i)
     parent = list(range(len(subgroups)))
 
     def find(i):
@@ -401,68 +403,23 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
             i = parent[i]
         return i
 
-    tested = {}  # rows -> the last frame of that many rows tested, its k0 and candidates
-
-    def standing(frame):
-        """k0 and the (lam, c, 1/c) whose g M_lam agrees with c g on the frame's rows.
-
-        Row 0's pivot k0 fixes c for each lam; each later row filters the
-        candidates of the frame without it, the last of its length tested.
-        """
-        met = tested.get(len(frame))
-        if met is not None and met[0] == frame:
-            return met[1]
-        row = frame[-1]
-        if len(frame) == 1:
-            k0, above = next(k for k, x in enumerate(row) if x), []
-            for lam in all_lams:
-                moved = (add[row[0]][mul[lam][row[-1]]],) + row[1:]
-                c = mul[moved[k0]][inv[row[k0]]]
-                if c:
-                    above.append((lam, c, inv[c]))
-        else:
-            k0, above = standing(frame[:-1])
-        out = [(lam, c, ic) for lam, c, ic in above
-               if (add[row[0]][mul[lam][row[-1]]],) + row[1:] == tuple(mul[c][x] for x in row)]
-        tested[len(frame)] = frame, (k0, out)
-        return k0, out
-
-    # an item of k rows stands for its completions: prod_{k<=i<r} (q^r - q^i)
-    # for a ruled-out frame, 1 for a full g
-    completions = [prod(q**r - q**i for i in range(k, r)) for k in range(r + 1)]
     witnesses = {}
-    seen = set()  # every image map whose matches are recorded
+    seen = set()  # every d whose matches are recorded
     count = 0
-    for g in _iterate_pgl(r, tower, lambda frame: not standing(frame)[1]):
-        count += completions[len(g)]
-        if len(g) < r:
+    for g in _iterate_pgl(r, tower):
+        count += 1
+        d = g[-1][-1]
+        if d in seen:
             continue
-        k0, candidates = standing(g[:-1])
-        if not candidates:
-            continue
-        top, last = g[0], g[-1]
-        image = {}  # lam -> mu with g M_lam == c N_mu g
-        for lam, c, ic in candidates:
-            moved = (add[last[0]][mul[lam][last[-1]]],) + last[1:]
-            mu = sub[mul[ic][moved[k0]]][last[k0]]
-            cm, mm = mul[c], mul[mu]
-            if all(x == cm[add[y][mm[t]]] for x, y, t in zip(moved, last, top)):
-                image[lam] = mu
-        # an image map already met matches the same pairs, all witnessed
-        mapping = tuple(image.items())
-        if mapping in seen:
-            continue
-        seen.add(mapping)
-        matched = image.keys()
-        for i, lams in enumerate(nonzero):
-            if lams <= matched:
-                for j in by_elements.get(frozenset(map(image.__getitem__, lams)), ()):
-                    if j != i and (i, j) not in witnesses:
-                        witnesses[i, j] = g
-                        parent[find(i)] = find(j)
+        seen.add(d)
+        for i, lams in enumerate(elements):
+            for j in by_elements.get(frozenset(mul[d][lam] for lam in lams), ()):
+                if j != i and (i, j) not in witnesses:
+                    witnesses[i, j] = g
+                    parent[find(i)] = find(j)
     if count != size:
         raise VerificationError("PGL sweep visited the wrong number of elements",
-                                {"r": r, "q": q, "swept": count, "pgl_order": size})
+                                {"r": r, "q": q, "swept": count, "stabilizer_order": size})
     roots = [find(i) for i in range(len(subgroups))]
     least = {}
     for i, root in enumerate(roots):
@@ -473,8 +430,10 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
 def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap: int = PGL_CAP) -> bool:
     """Exhaustively confirm no g in PGL(r, p^h) conjugates E(H1) onto E(H2).
 
-    A single conjugacy_partition pass over PGL with the two subgroups; True
-    when they land in different classes, i.e. the pass found no witness.
+    Such a g would fix the center and the axis the two groups share, so a
+    single conjugacy_partition pass over their flag stabilizer decides it;
+    True when they land in different classes, i.e. the pass found no
+    witness.  cap bounds |PGL(r, p^h)|.
     """
     labels = conjugacy_partition((H1, H2), r, cap).labels
     return labels[0] != labels[1]

@@ -100,14 +100,15 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     order, in class order, member k being mu^k times the representative.
     Their rows must be distinct, which with walk_orbits' check that the walks
     hold exactly the streamed subgroups makes them every subgroup once.  One
-    exhaustive pass over PGL(r, q) per case partitions them by conjugacy
-    (elation.conjugacy_partition).  Each member must admit the diagonal
-    conjugator by mu^k (conjugator checks g M_lam == M_(mu^k lam) g, entry
-    by entry) and carry its representative's label, and, by class number,
-    each class of the pass must lie in one scalar class: the partitions are
-    equal, so pairs are counted from class sizes.  cap bounds each order's
-    stream and |PGL(r, q)|.  A case whose field does not exist (p not prime,
-    h < 1), r < 2 or |PGL(r, q)| > cap is rejected before anything is listed.
+    exhaustive pass over the flag stabilizer in PGL(r, q) per case
+    partitions them by conjugacy (elation.conjugacy_partition).  Each member
+    must admit the diagonal conjugator by mu^k (conjugator checks g M_lam ==
+    M_(mu^k lam) g, entry by entry) and carry its representative's label,
+    and, by class number, each class of the pass must lie in one scalar
+    class: the partitions are equal, so pairs are counted from class sizes.
+    cap bounds each order's stream and |PGL(r, q)|.  A case whose field
+    does not exist (p not prime, h < 1), r < 2 or |PGL(r, q)| > cap is
+    rejected before anything is listed.
     """
     out = []
     for r, p, h in cases:

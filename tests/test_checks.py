@@ -459,22 +459,20 @@ elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPa
 
 
 def test_pgl_count_check_covers_ruled_out_frames_under_optimize():
-    # the first two-row frame of PGL(3, 4) ruled out goes missing: it stands
-    # for the 64 - 16 completions of its span, which the count then lacks
+    # the first two-row frame of PGL(3, 4)'s flag stabilizer left out with
+    # its completions, the 64 - 16 last rows off the axis, which the count
+    # then lacks
     code = PREAMBLE + """
 real = elation._iterate_pgl
-def dropping(r, tower, refute=None):
-    dropped = False
-    for g in real(r, tower, refute):
-        if len(g) == 2 and not dropped:
-            dropped = True
-        else:
+def dropping(r, tower):
+    for g in real(r, tower):
+        if g[:2] != ((1, 0, 0), (0, 1, 0)):
             yield g
 elation._iterate_pgl = dropping
 """ + DETAILS.format(call="elation.conjugacy_partition(elation.enumerate_subgroups(2, 2, 1), 3)")
     assert optimized_details(code) == [
         1, "PGL sweep visited the wrong number of elements",
-        {"r": 3, "q": 4, "swept": 60480 - 48, "pgl_order": 60480}]
+        {"r": 3, "q": 4, "swept": 576 - 48, "stabilizer_order": 576}]
 
 
 def test_lemma1_distinct_members_check_survives_optimize():

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,12 @@ BRUCKBOSE_SHA256 = {
     "2-2-6-3": "9b9532630d7ce96f738652d8fd93c5eca161593389bb8d3ff7600bce1ace54e1",
     "4-2-2-1": "8575466967518c9c9a002ef4060d67fb9b5bb36afe3ed204862c5606b2e98511",
     "2-2-8-4": "059bdc1c30bda398cad451b795bc54d2c57dcde6dc53df4f4eb790c6633c9498",
+}
+
+# verify lemma1 --json stdout by case r-p-h, as the sweep over all of PGL printed it
+LEMMA1_SHA256 = {
+    "3-2-3": "b71daab94122342d36ca2005eff6a0a6b4cf6fa20e84c74dbfea9760880aa209",
+    "3-3-2": "273a2f71c874072847426dc829bc3f130d794803384c9851b8798ba53f4941a6",
 }
 
 
@@ -270,6 +277,37 @@ class TestVerify:
         assert r.returncode == 3
         assert not r.stdout
         assert "cap" in r.stderr.lower()
+
+    def test_lemma1_cap_bounds_pgl_not_the_flag_stabilizer(self, capsys, monkeypatch):
+        # PGL(2, 256)'s flag stabilizer has only 65,280 elements, but the cap
+        # reads |PGL(2, 256)|, so its 417,198 nontrivial subgroups are never listed
+        def listed(*args, **kwargs):
+            raise AssertionError("a vector was listed")
+
+        monkeypatch.setattr(pspace, "_pivot_rows", listed)
+        assert elation.flag_stabilizer_order(2, 256) == 65280
+        assert cli.main(["verify", "lemma1", "--r", "2", "--p", "2", "--h", "8"]) == 3
+        assert "|PGL(2,256)| = 16776960 exceeds cap 10000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,cap", [("3-2-3", "20000000"), ("3-3-2", "50000000")])
+    def test_lemma1_flag_sweep_matches_pinned_digest(self, capsys, case, cap):
+        # PGL(3, 8) and PGL(3, 9) need a raised cap; their flag stabilizers,
+        # 25,088 and 46,656 elements, take about 0.01 s of process time on a
+        # 2-core Xeon VM, so the 1 s bound leaves a wide margin for slow runs
+        r, p, h = case.split("-")
+        start = time.process_time()
+        assert cli.main(["verify", "lemma1", "--r", r, "--p", p, "--h", h, "--cap", cap,
+                         "--json"]) == 0
+        seconds = time.process_time() - start
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LEMMA1_SHA256[case]
+        assert seconds < 1.0
+
+    def test_lemma1_text_names_the_flag_stabilizer(self, capsys):
+        assert cli.main(["verify", "lemma1", "--r", "3", "--p", "2", "--h", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "subgroups 4, equivalent pairs 7 conjugated, inequivalent pairs 3 swept over "
+            "the 576 projectivities that fix the flag (of 60480 in PGL)\nok\n")
 
     def test_bruckbose(self):
         r = run_cli(

@@ -38,7 +38,7 @@ from galela import (
 )
 from galela import elation, linalg, pspace, selftest, singer
 from galela.combinat import factorize, prime_power
-from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
+from galela.elation import _iterate_pgl, flag_stabilizer_order, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
 from galela.singer import orbit_partition, span_log_sets
@@ -460,6 +460,101 @@ def reference_iterate_pgl(r, tower):
         yield from extend((fr,))
 
 
+def full_pgl(r, tower):
+    """Every element of PGL(r, q) in reference_iterate_pgl's order.
+
+    The first row runs over enumerate_points, each later row over the
+    nonzero vectors in itertools.product order outside the set of vectors
+    the rows above span, grown with the tower's own add and mul.
+    """
+    q, add, mul = tower.order, tower.add, tower.mul
+    nonzero = [v for v in itertools.product(range(q), repeat=r) if any(v)]
+
+    def extend(frame, spanned):
+        # spanned: the vectors frame[:-1] spans, frame[-1] outside it
+        if len(frame) == r:
+            yield frame
+            return
+        spanned = {tuple(add(a, mul(c, b)) for a, b in zip(s, frame[-1]))
+                   for s in spanned for c in range(q)}
+        for v in nonzero:
+            if v not in spanned:
+                yield from extend(frame + (v,), spanned)
+
+    for fr in enumerate_points(r, q):
+        yield from extend((fr,), {(0,) * r})
+
+
+def definition_partition(subgroups, r, sweep):
+    """(labels, witnesses) from g M_lam == c N_mu g solved for every g in sweep.
+
+    Nothing about the flag is assumed.  Rows 0..r-2 of N_mu g are g's own,
+    so c is read off the pivot k0 of row 0 and rows 0..r-2 of g M_lam must
+    be c times g's; the (lam, c) that pass depend on those rows alone and
+    are found once per run of equal heads.  The last row then forces mu and
+    must equal c (g[r-1] + mu g[0]).  H matches H' when every nonzero lam in
+    H has a mu and the mu are the nonzero elements of H'.  Matches join a
+    union-find, the first g of each pair is kept, and a map lam -> mu met
+    before is not matched again.
+    """
+    tower = subgroups[0].tower
+    elems = range(tower.order)
+    add = [[tower.add(a, b) for b in elems] for a in elems]
+    sub = [[tower.sub(a, b) for b in elems] for a in elems]
+    mul = [[tower.mul(a, b) for b in elems] for a in elems]
+    inv = [None] + [tower.inv(a) for a in elems[1:]]
+    nonzero = [frozenset(lam for lam in H.elements() if lam) for H in subgroups]
+    all_lams = sorted(set().union(*nonzero))
+    by_elements = {}
+    for i, lams in enumerate(nonzero):
+        by_elements.setdefault(lams, []).append(i)
+    parent = list(range(len(subgroups)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    witnesses, seen, head = {}, set(), None
+    for g in sweep:
+        top, last = g[0], g[-1]
+        if g[:-1] != head:
+            head, candidates = g[:-1], []
+            k0 = next(k for k, x in enumerate(top) if x)
+            for lam in all_lams:
+                moved = [(add[row[0]][mul[lam][row[-1]]],) + row[1:] for row in head]
+                c = mul[moved[0][k0]][inv[top[k0]]]
+                if c and all(m == tuple(mul[c][x] for x in row) for m, row in zip(moved, head)):
+                    candidates.append((lam, c))
+        image = {}
+        for lam, c in candidates:
+            moved = (add[last[0]][mul[lam][last[-1]]],) + last[1:]
+            mu = sub[mul[inv[c]][moved[k0]]][last[k0]]
+            if moved == tuple(mul[c][add[y][mul[mu][t]]] for y, t in zip(last, top)):
+                image[lam] = mu
+        mapping = tuple(image.items())
+        if mapping in seen:
+            continue
+        seen.add(mapping)
+        for i, lams in enumerate(nonzero):
+            if lams <= image.keys():
+                for j in by_elements.get(frozenset(map(image.__getitem__, lams)), ()):
+                    if j != i:
+                        witnesses.setdefault((i, j), g)
+                        parent[find(i)] = find(j)
+    roots = [find(i) for i in range(len(subgroups))]
+    least = {}
+    for i, root in enumerate(roots):
+        least.setdefault(root, i)
+    return tuple(least[root] for root in roots), witnesses
+
+
+def fixes_flag(g):
+    """Row 0 a multiple of e_0 and column r-1 a multiple of e_{r-1}: g fixes
+    the center z = e_{r-1} and the axis X0 = 0."""
+    return not any(g[0][1:]) and not any(row[-1] for row in g[:-1])
+
+
 def reference_partition(subgroups, r, sweep=None):
     """The normalize-and-look-up pass over sweep, as (labels, witnesses).
 
@@ -556,7 +651,7 @@ class TestConjugacyPartition:
         assert part.witnesses == witnesses
 
     def test_sweep_solves_without_normalizing(self, monkeypatch):
-        # c and mu are solved for, so no matrix is scaled and no row reduced
+        # mu is solved for, so no matrix is scaled and no row reduced
         def refuse(*args):
             raise AssertionError("called from the sweep")
 
@@ -568,15 +663,18 @@ class TestConjugacyPartition:
 
     @pytest.mark.parametrize("r,p,h", [(2, 3, 2), (3, 2, 2)])
     def test_matches_the_normalizing_pass_in_reverse_order(self, monkeypatch, r, p, h):
-        # the order may change the speed but not the checks: swept backwards,
-        # the first witness of a pair is one the forward sweep never keeps
+        # the order may change the speed but not the checks: the flag
+        # stabilizer swept backwards, the first witness of a pair is one the
+        # forward sweep never keeps
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        forward = conjugacy_partition(subgroups, r).witnesses
         backwards = list(_iterate_pgl(r, subgroups[0].tower))[::-1]
-        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower, refute=None: iter(backwards))
+        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
         part = conjugacy_partition(subgroups, r)
         labels, witnesses = reference_partition(subgroups, r, backwards)
         assert part.labels == labels
         assert part.witnesses == witnesses
+        assert all(witnesses[pair] != g for pair, g in forward.items())
 
     def test_labels_are_least_member(self):
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
@@ -590,68 +688,76 @@ class TestConjugacyPartition:
             conjugacy_partition(subgroups, 3, cap=100)
 
     def test_short_sweep_raises(self, monkeypatch):
+        # PGL(2, 4)'s flag stabilizer has 4 * 3 = 12 elements, one short here
         subgroups = enumerate_subgroups(2, 2, 1)
         full = elation._iterate_pgl
         monkeypatch.setattr(elation, "_iterate_pgl",
-                            lambda r, tower, refute=None: itertools.islice(full(r, tower), 59))
+                            lambda r, tower: itertools.islice(full(r, tower), 11))
         with pytest.raises(VerificationError) as exc:
             conjugacy_partition(subgroups, 2)
-        assert exc.value.details["swept"] == 59
+        assert exc.value.details["swept"] == 11
+        assert exc.value.details["stabilizer_order"] == 12
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_dropped_frame_is_short_by_its_completions(self, monkeypatch, rows):
-        # a ruled-out frame of PGL(3, 4) stands for prod_{rows<=i<3} (64 - 4^i)
-        # elements, and the count misses exactly those when it goes missing
+        # the first frame of the given length left out with every completion:
+        # in PGL(3, 4)'s flag stabilizer e_0 alone stands for 16 - 4 second
+        # rows in the axis times 64 - 16 last rows off it, a two-row frame for
+        # its 64 - 16 last rows, and the count misses exactly those
         subgroups = enumerate_subgroups(2, 2, 1)
         full, dropped = elation._iterate_pgl, []
 
-        def dropping(r, tower, refute=None):
-            for g in full(r, tower, refute):
-                if len(g) == rows and not dropped:
-                    dropped.append(g)
-                else:
+        def dropping(r, tower):
+            for g in full(r, tower):
+                dropped[:] = dropped or [g[:rows]]
+                if g[:rows] != dropped[0]:
                     yield g
 
         monkeypatch.setattr(elation, "_iterate_pgl", dropping)
         with pytest.raises(VerificationError,
                            match="PGL sweep visited the wrong number of elements") as exc:
             conjugacy_partition(subgroups, 3)
-        assert len(dropped) == 1
-        missing = 1
-        for i in range(rows, 3):
-            missing *= 4**3 - 4**i
-        assert exc.value.details["swept"] == pgl_order(3, 4) - missing
+        missing = (4**2 - 4 if rows == 1 else 1) * (4**3 - 4**2)
+        assert exc.value.details["swept"] == flag_stabilizer_order(3, 4) - missing
 
     @pytest.mark.parametrize("r,q", [(2, q) for q in range(2, 33) if len(factorize(q)) == 1]
                              + [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
-    def test_ruled_out_frames_change_nothing(self, monkeypatch, r, q):
-        # the same labels and witnesses as the sweep fed every element of PGL
+    def test_ruled_out_frames_change_nothing(self, r, q):
+        # the same labels and witnesses as g M_lam == c N_mu g solved for
+        # every element of PGL, with no use of the flag, and every witness of
+        # that pass fixes the flag: the elements the stabilizer leaves out
+        # match nothing
         p, h = prime_power(q)
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         part = conjugacy_partition(subgroups, r)
-        full = elation._iterate_pgl
-        monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower, refute=None: full(r, tower))
-        every = conjugacy_partition(subgroups, r)
-        assert part.labels == every.labels
-        assert part.witnesses == every.witnesses
+        labels, witnesses = definition_partition(subgroups, r, full_pgl(r, subgroups[0].tower))
+        assert part.labels == labels
+        assert part.witnesses == witnesses
+        assert all(fixes_flag(g) for g in witnesses.values())
+
+    @pytest.mark.parametrize("r,p,h", [(2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1)])
+    def test_definition_pass_matches_the_normalizing_pass_on_all_of_pgl(self, r, p, h):
+        # the oracle above, itself checked: both passes fed every element of PGL
+        subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        tower = subgroups[0].tower
+        assert (definition_partition(subgroups, r, full_pgl(r, tower))
+                == reference_partition(subgroups, r, full_pgl(r, tower)))
 
     def test_ruled_out_frames_are_not_completed(self, monkeypatch):
-        # PGL(3, 4) with GF(4)'s 4 subgroups: a frame keeps a candidate only
-        # with its rows in x_2 = 0, so 16 of the 21 first rows and 240 of
-        # the 300 two-row frames on the other 5 are ruled out, and the 60
-        # heads left are completed in 64 - 16 ways each
+        # PGL(3, 4) with GF(4)'s 4 subgroups: of the 60,480 elements of PGL
+        # only the 576 that fix the flag are built, each a full matrix
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
         full, items = elation._iterate_pgl, []
 
-        def recording(r, tower, refute=None):
-            for g in full(r, tower, refute):
+        def recording(r, tower):
+            for g in full(r, tower):
                 items.append(g)
                 yield g
 
         monkeypatch.setattr(elation, "_iterate_pgl", recording)
         assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
-        assert Counter(map(len, items)) == {1: 16, 2: 240, 3: 2880}
-        assert all(not row[-1] for g in items if len(g) == 3 for row in g[:-1])
+        assert Counter(map(len, items)) == {3: 576}
+        assert all(fixes_flag(g) for g in items)
 
     @pytest.mark.parametrize("labels,message", [
         ((0, 1, 2, 3), "scalar-equivalent pair not conjugate"),
@@ -682,17 +788,26 @@ class TestConjugacyPartition:
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
     def test_iterate_pgl_order(self, r, p, h):
-        # the witnesses are the first g swept, so the order is pinned too
+        # the witnesses are the first g swept, so the order is pinned too:
+        # PGL's own order with the flag's stabilizer kept, and the full
+        # walk the tests feed the sweep in the same order
         tower = make_field(p, h)
-        assert list(_iterate_pgl(r, tower)) == list(reference_iterate_pgl(r, tower))
+        reference = list(reference_iterate_pgl(r, tower))
+        assert list(_iterate_pgl(r, tower)) == [g for g in reference if fixes_flag(g)]
+        assert list(full_pgl(r, tower)) == reference
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1)])
     def test_iterate_pgl_is_pgl(self, r, p, h):
+        # the flag stabilizer: |PGL| / (theta(r, q) theta(r-1, q)) invertible,
+        # projectively distinct matrices, exactly the classes of the
+        # brute-force PGL that fix the flag
         tower = make_field(p, h)
         mats = list(_iterate_pgl(r, tower))
-        assert len(mats) == pgl_order(r, p**h)
+        assert len(mats) == flag_stabilizer_order(r, p**h)
         assert all(len(rref(g, tower)[0]) == r for g in mats)
-        assert len({scale_projective(g, tower) for g in mats}) == len(mats)
+        classes = {scale_projective(g, tower) for g in mats}
+        assert len(classes) == len(mats)
+        assert classes == {g for g in brute_force_pgl(r, tower) if fixes_flag(g)}
 
 
 class TestSubspaceBridge:
