@@ -136,11 +136,10 @@ def cmd_verify_correspondence(args):
 
 def cmd_verify_lemma1(args):
     report = selftest.lemma1_report([(args.r, args.p, args.h)], cap=args.cap)[0]
-    flag = elation.flag_stabilizer_order(args.r, args.p ** args.h)
     lines = [f"subgroups {report['subgroups']}, equivalent pairs "
              f"{report['equivalent_pairs']} conjugated, inequivalent pairs "
-             f"{report['inequivalent_pairs']} swept over the {flag} projectivities "
-             f"that fix the flag (of {report['group_order']} in PGL)",
+             f"{report['inequivalent_pairs']} swept over the {args.p ** args.h - 1} diagonal "
+             f"projectivities diag(1, ..., 1, d) (of {report['group_order']} in PGL)",
              "ok"]
     return _emit(args, report, lines)
 

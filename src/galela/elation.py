@@ -35,7 +35,6 @@ p^n) and pulls each orbit back through from_coords to its class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -245,23 +244,26 @@ def equivalence_classes(p: int, h: int, m: int, cap=None) -> list[EquivalenceCla
     return classes
 
 
+def _diagonal(r: int, d: int):
+    """diag(1, ..., 1, d), r x r: the identity with d in the last diagonal slot."""
+    return tuple(tuple(d if i == j == r - 1 else int(i == j) for j in range(r)) for i in range(r))
+
+
 def conjugator(H: ElationGroup, alpha: int, r: int):
     """Diagonal matrix conjugating the elation group of H onto that of alpha * H.
 
-    alpha is the class's witness scalar; the returned matrix g is the
-    identity with alpha in the last diagonal slot, and g M_lam == M_(alpha
-    lam) g is checked entry by entry for every lam in H, the no-inverse form
-    conjugacy_partition tests with c = 1.  Exact equality implies the
-    projective identity g M_lam g^-1 == M_(alpha lam).
+    alpha is the class's witness scalar; the returned matrix g is
+    diag(1, ..., 1, alpha), and g M_lam == M_(alpha lam) g is checked entry
+    by entry for every lam in H, the no-inverse form conjugacy_partition
+    tests with c = 1.  Exact equality implies the projective identity
+    g M_lam g^-1 == M_(alpha lam).
     """
     tower = H.tower
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     if not 0 < alpha < tower.order:
         raise ValueError(f"{alpha} is not a nonzero element of {tower!r}")
-    g = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    g[r - 1][r - 1] = alpha
-    g = tuple(tuple(row) for row in g)
+    g = _diagonal(r, alpha)
     for lam in H.elements():
         lhs = linalg.matmul(g, elation_matrix(tower, lam, r), tower)
         rhs = linalg.matmul(elation_matrix(tower, tower.mul(alpha, lam), r), g, tower)
@@ -281,12 +283,6 @@ def pgl_order(r: int, q: int) -> int:
     return combinat.exact_div(num, q - 1)
 
 
-def flag_stabilizer_order(r: int, q: int) -> int:
-    """|PGL(r, q)| over the theta(r, q) theta(r-1, q) flags (point, hyperplane
-    through it): the order of the stabilizer of the flag (z, X0 = 0)."""
-    return combinat.exact_div(pgl_order(r, q), combinat.theta(r, q) * combinat.theta(r - 1, q))
-
-
 def admit_sweep(r: int, q: int, cap=None) -> int:
     """|PGL(r, q)|; ValueError unless r >= 2, CapExceeded above cap (PGL_CAP if None)."""
     if r < 2:
@@ -297,16 +293,7 @@ def admit_sweep(r: int, q: int, cap=None) -> int:
     return size
 
 
-def _field_tables(tower):
-    """GF(q)'s add, sub and mul as q x q tables and its inverses as a list
-    (None at 0), each entry read from the tower's own methods."""
-    elems = range(tower.order)
-    add = [[tower.add(a, b) for b in elems] for a in elems]
-    sub = [[tower.sub(a, b) for b in elems] for a in elems]
-    mul = [[tower.mul(a, b) for b in elems] for a in elems]
-    return add, sub, mul, [None] + [tower.inv(a) for a in elems[1:]]
-
-
+# no caller in the package: kept only because perfbench/trace_layers.py counts its calls
 def _grow_span(span, v, add, mul):
     """The span of a frame's rows grown by the row v, outside span: every
     s + c v with s in span and c in GF(q), a set of q |span| vectors.  add
@@ -316,35 +303,13 @@ def _grow_span(span, v, add, mul):
 
 
 def _iterate_pgl(r: int, tower: FieldTower):
-    """The stabilizer in PGL(r, q) of the flag (z, X0 = 0), streamed.
+    """diag(1, ..., 1, d) for d = 1, ..., q - 1: one projectivity per map lam -> d lam.
 
-    g M_lam g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
-    determines both, so only a g fixing the flag carries one elation group
-    of the flag onto another: its column r-1 is d e_{r-1} and its row 0 a
-    multiple of e_0, here e_0.  Rows 1..r-2 are nonzero vectors with
-    x_{r-1} == 0 outside the span of the rows above, and the last row is
-    any vector with x_{r-1} != 0, each in itertools.product order.
-    Independence is a lookup in the set of vectors the rows chosen so far
-    span, which grows q-fold with each row.
+    conjugacy_partition explains why these q - 1 elements of PGL(r, q) are
+    the only ones its pass needs.
     """
-    q = tower.order
-    add, _, mul, _ = _field_tables(tower)
-    vectors = list(itertools.product(range(q), repeat=r))
-    axis = [v for v in vectors if any(v) and not v[-1]]
-    off_axis = [v for v in vectors if v[-1]]
-
-    def extend(frame, span):
-        # span: the vectors frame[:-1] spans, frame[-1] outside it
-        if len(frame) == r - 1:
-            for v in off_axis:
-                yield frame + (v,)
-        else:
-            span = _grow_span(span, frame[-1], add, mul)
-            for v in axis:
-                if v not in span:
-                    yield from extend(frame + (v,), span)
-
-    yield from extend(((1,) + (0,) * (r - 1),), {(0,) * r})
+    for d in range(1, tower.order):
+        yield _diagonal(r, d)
 
 
 @dataclass(frozen=True)
@@ -352,7 +317,7 @@ class ConjugacyPartition:
     """Subgroups partitioned by PGL-conjugacy of their elation groups."""
 
     labels: tuple  # labels[i]: least index of a subgroup conjugate to subgroup i
-    witnesses: dict  # (i, j) -> first g swept with g E(H_i) g^-1 == E(H_j), i != j
+    witnesses: dict  # (i, j) -> first diag(1, ..., 1, d) swept with d H_i == H_j, i != j
 
     @property
     def classes(self) -> tuple:
@@ -364,23 +329,23 @@ class ConjugacyPartition:
 
 
 def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
-    """Partition subgroups by PGL(r, q)-conjugacy in one exhaustive pass.
+    """Partition subgroups by PGL(r, q)-conjugacy in one pass over q - 1 matrices.
 
     g E(H) g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
     determines both, so a g carrying E(H) onto E(H') fixes the flag
-    (z, X0 = 0): the pass sweeps that stabilizer, _iterate_pgl, alone.
+    (z, X0 = 0): scaled so that row 0 is e_0, its column r-1 is d e_{r-1}.
     g conjugates E(H) onto E(H') exactly when for every lam in H there are
     mu in H' and a nonzero c with g M_lam == c N_mu g, and the mu found are
     the elements of H'.  g M_lam is g with lam times column r-1 added to
-    column 0, and N_mu g is g with mu times row 0 added to row r-1.  Row 0
-    of g is e_0 and its column r-1 is d e_{r-1}, so g M_lam is g with lam d
-    added at (r-1, 0) and N_mu g is g with mu added there: c == 1 and
-    mu == d lam.  g therefore carries E(H) onto E(d H), its matches depend
-    on d alone, and they are made for the first g of each d.  Each match
-    joins the two subgroups in a union-find, whose blocks are the classes,
-    and the first g of each pair is its witness.  Every element of the
-    stabilizer is counted, and the count is checked against
-    flag_stabilizer_order.  cap bounds |PGL(r, q)|.
+    column 0, and N_mu g is g with mu times row 0 added to row r-1, so for
+    such a g the first is g with lam d added at (r-1, 0) and the second g
+    with mu added there: c == 1 and mu == d lam.  g therefore carries E(H)
+    onto E(d H), which depends on d alone, and the pass tries one g per d,
+    diag(1, ..., 1, d) from _iterate_pgl; VerificationError unless the
+    stream is exactly those q - 1 matrices, in any order.  H_i is joined in
+    a union-find with each H_j whose element set is d H_i, the blocks are
+    the classes, and the first g streamed for a pair is its witness.  cap
+    bounds |PGL(r, q)|.
     """
     if not subgroups:
         raise ValueError("no subgroups to partition")
@@ -389,8 +354,11 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
         raise ValueError("subgroups live in different fields")
     q = tower.order
     admit_sweep(r, q, cap)
-    size = flag_stabilizer_order(r, q)
-    mul = _field_tables(tower)[2]
+    sweep = list(_iterate_pgl(r, tower))
+    if sorted(sweep) != [_diagonal(r, d) for d in range(1, q)]:
+        raise VerificationError("PGL sweep is not the q - 1 diagonal projectivities",
+                                {"r": r, "q": q,
+                                 "swept": [[list(row) for row in g] for g in sweep]})
     elements = [H.elements() for H in subgroups]
     by_elements: dict[frozenset, list] = {}
     for i, lams in enumerate(elements):
@@ -404,22 +372,13 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
         return i
 
     witnesses = {}
-    seen = set()  # every d whose matches are recorded
-    count = 0
-    for g in _iterate_pgl(r, tower):
-        count += 1
-        d = g[-1][-1]
-        if d in seen:
-            continue
-        seen.add(d)
+    for g in sweep:
+        times_d = [tower.mul(g[-1][-1], lam) for lam in range(q)]
         for i, lams in enumerate(elements):
-            for j in by_elements.get(frozenset(mul[d][lam] for lam in lams), ()):
+            for j in by_elements.get(frozenset(times_d[lam] for lam in lams), ()):
                 if j != i and (i, j) not in witnesses:
                     witnesses[i, j] = g
                     parent[find(i)] = find(j)
-    if count != size:
-        raise VerificationError("PGL sweep visited the wrong number of elements",
-                                {"r": r, "q": q, "swept": count, "stabilizer_order": size})
     roots = [find(i) for i in range(len(subgroups))]
     least = {}
     for i, root in enumerate(roots):
@@ -430,8 +389,9 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
 def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap: int = PGL_CAP) -> bool:
     """Exhaustively confirm no g in PGL(r, p^h) conjugates E(H1) onto E(H2).
 
-    Such a g would fix the center and the axis the two groups share, so a
-    single conjugacy_partition pass over their flag stabilizer decides it;
+    Such a g would fix the center and the axis the two groups share and
+    carry E(H1) onto E(d H1), d its last diagonal entry, so a single
+    conjugacy_partition pass over the q - 1 maps lam -> d lam decides it;
     True when they land in different classes, i.e. the pass found no
     witness.  cap bounds |PGL(r, p^h)|.
     """

@@ -100,8 +100,9 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     order, in class order, member k being mu^k times the representative.
     Their rows must be distinct, which with walk_orbits' check that the walks
     hold exactly the streamed subgroups makes them every subgroup once.  One
-    exhaustive pass over the flag stabilizer in PGL(r, q) per case
-    partitions them by conjugacy (elation.conjugacy_partition).  Each member
+    pass per case over the q - 1 diagonals diag(1, ..., 1, d), to which any
+    g in PGL(r, q) conjugating two of their elation groups reduces, partitions
+    them by conjugacy (elation.conjugacy_partition).  Each member
     must admit the diagonal conjugator by mu^k (conjugator checks g M_lam ==
     M_(mu^k lam) g, entry by entry) and carry its representative's label,
     and, by class number, each class of the pass must lie in one scalar

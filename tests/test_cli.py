@@ -279,20 +279,19 @@ class TestVerify:
         assert "cap" in r.stderr.lower()
 
     def test_lemma1_cap_bounds_pgl_not_the_flag_stabilizer(self, capsys, monkeypatch):
-        # PGL(2, 256)'s flag stabilizer has only 65,280 elements, but the cap
+        # the pass over PGL(2, 256) tries only its 255 diagonals, but the cap
         # reads |PGL(2, 256)|, so its 417,198 nontrivial subgroups are never listed
         def listed(*args, **kwargs):
             raise AssertionError("a vector was listed")
 
         monkeypatch.setattr(pspace, "_pivot_rows", listed)
-        assert elation.flag_stabilizer_order(2, 256) == 65280
         assert cli.main(["verify", "lemma1", "--r", "2", "--p", "2", "--h", "8"]) == 3
         assert "|PGL(2,256)| = 16776960 exceeds cap 10000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case,cap", [("3-2-3", "20000000"), ("3-3-2", "50000000")])
     def test_lemma1_flag_sweep_matches_pinned_digest(self, capsys, case, cap):
-        # PGL(3, 8) and PGL(3, 9) need a raised cap; their flag stabilizers,
-        # 25,088 and 46,656 elements, take about 0.01 s of process time on a
+        # PGL(3, 8) and PGL(3, 9) need a raised cap; their passes, over 7
+        # and 8 diagonals, take about 0.01 s of process time on a
         # 2-core Xeon VM, so the 1 s bound leaves a wide margin for slow runs
         r, p, h = case.split("-")
         start = time.process_time()
@@ -307,7 +306,7 @@ class TestVerify:
         assert cli.main(["verify", "lemma1", "--r", "3", "--p", "2", "--h", "2"]) == 0
         assert capsys.readouterr().out == (
             "subgroups 4, equivalent pairs 7 conjugated, inequivalent pairs 3 swept over "
-            "the 576 projectivities that fix the flag (of 60480 in PGL)\nok\n")
+            "the 3 diagonal projectivities diag(1, ..., 1, d) (of 60480 in PGL)\nok\n")
 
     def test_bruckbose(self):
         r = run_cli(

@@ -38,7 +38,7 @@ from galela import (
 )
 from galela import elation, linalg, pspace, selftest, singer
 from galela.combinat import factorize, prime_power
-from galela.elation import _iterate_pgl, flag_stabilizer_order, pgl_order, scalar_multiple
+from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
 from galela.singer import orbit_partition, span_log_sets
@@ -440,7 +440,7 @@ def oracle_conjugacy_blocks(subgroups, r):
 
 
 def reference_iterate_pgl(r, tower):
-    """PGL(r, q) in the sweep's order, frames grown by rref rank.
+    """PGL(r, q) frame by frame, each frame grown by rref rank.
 
     The first row runs over enumerate_points, each later row over the
     nonzero vectors in itertools.product order, kept when the rref rank of
@@ -625,11 +625,14 @@ class TestConjugacyPartition:
 
     def test_witnesses_conjugate(self):
         # every witness, conjugated explicitly: order-2 subgroups of GF(8)
-        # under PGL(2, 8), and all subgroups of GF(4) under PGL(3, 4)
+        # under PGL(2, 8), and all subgroups of GF(4) under PGL(3, 4) and of
+        # GF(4) and GF(9) under PGL(4, q)
         for r, subgroups in ((2, enumerate_subgroups(2, 3, 1)),
-                             (3, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)])):
+                             (3, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
+                             (4, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
+                             (4, [H for m in (1, 2) for H in enumerate_subgroups(3, 2, m)])):
             tower = subgroups[0].tower
-            part = conjugacy_partition(subgroups, r)
+            part = conjugacy_partition(subgroups, r, cap=pgl_order(r, tower.order))
             assert part.witnesses
             for (i, j), g in part.witnesses.items():
                 ginv = mat_inverse(g, tower)
@@ -663,18 +666,24 @@ class TestConjugacyPartition:
 
     @pytest.mark.parametrize("r,p,h", [(2, 3, 2), (3, 2, 2)])
     def test_matches_the_normalizing_pass_in_reverse_order(self, monkeypatch, r, p, h):
-        # the order may change the speed but not the checks: the flag
-        # stabilizer swept backwards, the first witness of a pair is one the
-        # forward sweep never keeps
+        # the order may change the speed but not the checks: the diagonals
+        # swept backwards, a pair joined by more than one d gets the last d
+        # as its witness, and a pair joined by one d the same witness
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
+        tower = subgroups[0].tower
         forward = conjugacy_partition(subgroups, r).witnesses
-        backwards = list(_iterate_pgl(r, subgroups[0].tower))[::-1]
+        backwards = list(_iterate_pgl(r, tower))[::-1]
         monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
         part = conjugacy_partition(subgroups, r)
         labels, witnesses = reference_partition(subgroups, r, backwards)
         assert part.labels == labels
         assert part.witnesses == witnesses
-        assert all(witnesses[pair] != g for pair, g in forward.items())
+        joins = Counter((i, j) for d in range(1, tower.order)
+                        for i, H in enumerate(subgroups) for j, K in enumerate(subgroups)
+                        if i != j and {tower.mul(d, x) for x in H.elements()} == set(K.elements()))
+        assert joins.keys() == forward.keys()
+        assert all((witnesses[pair] != g) == (joins[pair] > 1) for pair, g in forward.items())
+        assert max(joins.values()) == (p - 1)
 
     def test_labels_are_least_member(self):
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
@@ -688,37 +697,18 @@ class TestConjugacyPartition:
             conjugacy_partition(subgroups, 3, cap=100)
 
     def test_short_sweep_raises(self, monkeypatch):
-        # PGL(2, 4)'s flag stabilizer has 4 * 3 = 12 elements, one short here
+        # PGL(2, 4) is swept by diag(1, d) for d = 1, 2, 3: one left out, one
+        # streamed twice in place of another, and one replaced by a flag
+        # element with the same d that is not diagonal all fail the check
         subgroups = enumerate_subgroups(2, 2, 1)
-        full = elation._iterate_pgl
-        monkeypatch.setattr(elation, "_iterate_pgl",
-                            lambda r, tower: itertools.islice(full(r, tower), 11))
-        with pytest.raises(VerificationError) as exc:
-            conjugacy_partition(subgroups, 2)
-        assert exc.value.details["swept"] == 11
-        assert exc.value.details["stabilizer_order"] == 12
-
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_dropped_frame_is_short_by_its_completions(self, monkeypatch, rows):
-        # the first frame of the given length left out with every completion:
-        # in PGL(3, 4)'s flag stabilizer e_0 alone stands for 16 - 4 second
-        # rows in the axis times 64 - 16 last rows off it, a two-row frame for
-        # its 64 - 16 last rows, and the count misses exactly those
-        subgroups = enumerate_subgroups(2, 2, 1)
-        full, dropped = elation._iterate_pgl, []
-
-        def dropping(r, tower):
-            for g in full(r, tower):
-                dropped[:] = dropped or [g[:rows]]
-                if g[:rows] != dropped[0]:
-                    yield g
-
-        monkeypatch.setattr(elation, "_iterate_pgl", dropping)
-        with pytest.raises(VerificationError,
-                           match="PGL sweep visited the wrong number of elements") as exc:
-            conjugacy_partition(subgroups, 3)
-        missing = (4**2 - 4 if rows == 1 else 1) * (4**3 - 4**2)
-        assert exc.value.details["swept"] == flag_stabilizer_order(3, 4) - missing
+        full = list(elation._iterate_pgl(2, subgroups[0].tower))
+        for stream in (full[:-1], full[:-1] + full[:1], full[:-1] + [((1, 0), (1, 3))]):
+            monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(stream))
+            with pytest.raises(VerificationError,
+                               match="PGL sweep is not the q - 1 diagonal projectivities") as exc:
+                conjugacy_partition(subgroups, 2)
+            assert exc.value.details == {"r": 2, "q": 4,
+                                         "swept": [[list(row) for row in g] for g in stream]}
 
     @pytest.mark.parametrize("r,q", [(2, q) for q in range(2, 33) if len(factorize(q)) == 1]
                              + [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2)])
@@ -745,7 +735,7 @@ class TestConjugacyPartition:
 
     def test_ruled_out_frames_are_not_completed(self, monkeypatch):
         # PGL(3, 4) with GF(4)'s 4 subgroups: of the 60,480 elements of PGL
-        # only the 576 that fix the flag are built, each a full matrix
+        # only the q - 1 = 3 diagonals are built, each a full matrix fixing the flag
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
         full, items = elation._iterate_pgl, []
 
@@ -756,7 +746,7 @@ class TestConjugacyPartition:
 
         monkeypatch.setattr(elation, "_iterate_pgl", recording)
         assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
-        assert Counter(map(len, items)) == {3: 576}
+        assert Counter(map(len, items)) == {3: 3}
         assert all(fixes_flag(g) for g in items)
 
     @pytest.mark.parametrize("labels,message", [
@@ -789,25 +779,25 @@ class TestConjugacyPartition:
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
     def test_iterate_pgl_order(self, r, p, h):
         # the witnesses are the first g swept, so the order is pinned too:
-        # PGL's own order with the flag's stabilizer kept, and the full
-        # walk the tests feed the sweep in the same order
+        # diag(1, ..., 1, d) for d ascending, and the full walk the tests
+        # feed the oracles in PGL's own order
         tower = make_field(p, h)
-        reference = list(reference_iterate_pgl(r, tower))
-        assert list(_iterate_pgl(r, tower)) == [g for g in reference if fixes_flag(g)]
-        assert list(full_pgl(r, tower)) == reference
+        assert list(_iterate_pgl(r, tower)) == [identity(r)[:-1] + ((0,) * (r - 1) + (d,),)
+                                                for d in range(1, tower.order)]
+        assert list(full_pgl(r, tower)) == list(reference_iterate_pgl(r, tower))
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1)])
     def test_iterate_pgl_is_pgl(self, r, p, h):
-        # the flag stabilizer: |PGL| / (theta(r, q) theta(r-1, q)) invertible,
-        # projectively distinct matrices, exactly the classes of the
-        # brute-force PGL that fix the flag
+        # q - 1 invertible, projectively distinct matrices, each fixing the
+        # flag and each a class of the brute-force PGL
         tower = make_field(p, h)
         mats = list(_iterate_pgl(r, tower))
-        assert len(mats) == flag_stabilizer_order(r, p**h)
+        assert len(mats) == tower.order - 1
         assert all(len(rref(g, tower)[0]) == r for g in mats)
+        assert all(fixes_flag(g) for g in mats)
         classes = {scale_projective(g, tower) for g in mats}
         assert len(classes) == len(mats)
-        assert classes == {g for g in brute_force_pgl(r, tower) if fixes_flag(g)}
+        assert classes <= brute_force_pgl(r, tower)
 
 
 class TestSubspaceBridge:
