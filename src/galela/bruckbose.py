@@ -13,8 +13,13 @@ The checks verify one identity, once per image: the star image of an orbit
 x^E (of a line) is the affine part of span(base, W), base one image point
 and W the center section of E inside z* (the line's spread element).  W
 lies in A* (X00 = 0), so those affine points are the coset base + W, and
-the check compares the image set with it; only a failing check spans.
-The span meets A* and z* in W.  The elation with parameter lam acts as
+the check compares the image set with it on whole vectors packed one int
+each (StarFrame.pack): the ints' base-p digits are the entries'
+coefficients, so base + w is a digit-wise sum mod p, xor for p = 2.  The
+frame caches the packed coords block of each element at each block
+position on first use, so an image costs a lookup and a sum, and each
+expected vector one addition.  Only a failing check unpacks to tuples and
+spans.  The span meets A* and z* in W.  The elation with parameter lam acts as
 the translation adding coords(lam) to the last block, which fixes A*
 pointwise by construction and agrees with star_point by the additivity of
 coords.
@@ -35,12 +40,14 @@ VerificationError with a counterexample.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import operator
 import random
 
 from . import combinat, elation, linalg, pspace
 from .errors import CapExceeded, VerificationError
-from .gf import make_field
+from .gf import add_digits, make_field
 
 EXHAUSTIVE_LIMIT = 4096
 SAMPLE_SIZE = 256
@@ -48,7 +55,8 @@ SAMPLE_SIZE = 256
 
 class StarFrame:
     """Fixed star representation of PG(r-1, p^h) over the subfield GF(p^n): spread holds the
-    elements of the sorted points at infinity, the center (0, ..., 0, 1) first, as zstar."""
+    elements of the sorted points at infinity, the center (0, ..., 0, 1) first, as zstar,
+    and blocks the packed coords blocks (pack) the checks compare, cached on first use."""
 
     def __init__(self, r: int, p: int, h: int, n: int):
         if r < 2:
@@ -80,12 +88,48 @@ class StarFrame:
             raise VerificationError("the center's spread element is not the last coordinate block",
                                     {"params": [r, p, h, n], "zstar": self.zstar.basis})
 
+        # packed vectors (pack): addition is digit-wise mod p, xor for p = 2
+        self.add_packed = operator.xor if p == 2 else functools.partial(add_digits, p=p)
+        self.blocks = tuple(_Blocks(self, i) for i in range(r - 1))
+
     @property
     def affine_count(self) -> int:
         return self.tower.order ** (self.r - 1)
 
     def __repr__(self):
         return f"StarFrame(r={self.r}, p={self.p}, h={self.h}, n={self.n})"
+
+    def pack(self, v) -> int:
+        """v in GF(q)^vecdim as one int, sum v_i * q^i.  Its base-p digits are
+        the entries' coefficients, so add_packed adds packed vectors."""
+        out = 0
+        for x in reversed(v):
+            out = out * self.q + x
+        return out
+
+    def unpack(self, packed: int) -> tuple:
+        """Inverse of pack."""
+        out = []
+        for _ in range(self.vecdim):
+            packed, x = divmod(packed, self.q)
+            out.append(x)
+        return tuple(out)
+
+    def packed_point(self, x) -> int:
+        """pack(star_point(x)) from the block cache, for x already affine."""
+        return sum(map(dict.__getitem__, self.blocks, x[1:]), 1)
+
+
+class _Blocks(dict):
+    """c -> the pack of coords(c) placed in block i, computed on first use."""
+
+    def __init__(self, frame: StarFrame, i: int):
+        self.frame, self.scale = frame, frame.q ** (1 + i * frame.dprime)
+
+    def __missing__(self, c):
+        frame = self.frame
+        packed = self[c] = frame.pack(frame.tower.coords(c, frame.n)) * self.scale
+        return packed
 
 
 def _affine(x, frame: StarFrame) -> tuple:
@@ -160,7 +204,7 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
     the model's central identity, and VerificationError is raised otherwise.
     """
     section = elation.subspace_of_center(E, frame.n)
-    _check_cosets(E, section, frame, [tuple(x)])
+    _check_cosets(E, section, frame, [_affine(x, frame)])
     return pspace.span([star_point(x, frame), *embed_center_section(section, frame).basis],
                        frame.q)
 
@@ -168,20 +212,20 @@ def orbit_image(x, E: elation.ElationGroup, frame: StarFrame):
 def _check_affine_image(images, base, vectors, frame, error, kinds):
     """Raise unless images are exactly the affine points of span(base, W).
 
-    vectors are all q^W.t vectors of W.  base is affine and W lies in A*,
-    so the affine points of span(base, W), normalized, are the coset
-    base + W, and the images pass exactly when they are that set.  A match
-    also shows W inside A*: base + w is not a normalized affine point when
-    w[0] != 0.  Only a failing check spans, to tell the kinds apart: images
-    whose span differs from span(base, W) are kinds[0], with closure and
-    expected; any other mismatch is kinds[1].  error(kind, **fields) builds
-    the VerificationError.
+    Every vector is packed (frame.pack): images a set, base an int and
+    vectors all q^W.t vectors of W.  base is affine and W lies in A*, so
+    the affine points of span(base, W), normalized, are the coset base + W,
+    and the images pass exactly when they are that set, compared on whole
+    vectors.  A match also shows W inside A*: base + w is not a normalized
+    affine point when w[0] != 0.  Only a failing check unpacks and spans,
+    to tell the kinds apart: images whose span differs from span(base, W)
+    are kinds[0], with closure and expected; any other mismatch is
+    kinds[1].  error(kind, **fields) builds the VerificationError.
     """
-    add = pspace.field_for(frame.q).add
-    if images == {tuple(map(add, base, w)) for w in vectors}:
+    if images == set(map(frame.add_packed, itertools.repeat(base, len(vectors)), vectors)):
         return
-    expected = pspace.span([base, *vectors], frame.q)
-    closure = pspace.span(images, frame.q)
+    expected = pspace.span([frame.unpack(v) for v in (base, *vectors)], frame.q)
+    closure = pspace.span([frame.unpack(v) for v in images], frame.q)
     if closure != expected:
         raise error(kinds[0], closure=closure.basis, expected=expected.basis)
     raise error(kinds[1])
@@ -221,22 +265,23 @@ def _check_cosets(E, section, frame, points) -> bool:
     """The coset checks of common_intersection_check, verify_star_model and
     orbit_image: points, iterated once in order, each coset of last
     coordinates checked on its first point x, whose image set under E must
-    be x* + section, embedded.  A pass shows section to be coords(E).
-    star_point rejects an x that is not affine and normalized.  The
-    elation with parameter lam adds lam to x's last coordinate, so the image
-    of x under it is x*'s head followed by the block coords(x[-1] + lam)."""
-    vectors = _vectors(embed_center_section(section, frame))
+    be x* + section, embedded.  A pass shows section to be coords(E).  The
+    points are already affine.  The elation with parameter lam adds lam to
+    x's last coordinate, so the image of x under it is x*'s head followed
+    by the block coords(x[-1] + lam): packed, the head plus the last block
+    of the frame's cache."""
+    vectors = [frame.pack(w) for w in _vectors(embed_center_section(section, frame))]
     elements = E.elements()
-    add, coords, n = frame.tower.add, frame.tower.coords, frame.n
+    add, last = frame.tower.add, frame.blocks[-1]
     covered = set()  # last coordinates of the cosets checked so far
     for x in points:
         if x[-1] not in covered:
             coset = [add(x[-1], lam) for lam in elements]
             covered.update(coset)
-            base = star_point(x, frame)
-            head = base[:-frame.dprime]
+            base = frame.packed_point(x)
+            head = base - last[x[-1]]
             _check_affine_image(
-                {head + coords(c, n) for c in coset}, base, vectors, frame,
+                {head + last[c] for c in coset}, base, vectors, frame,
                 lambda kind, **fields: _orbit_error(kind, E, frame, point=list(x), **fields),
                 ("orbit closure differs from the span of x* and the center section",
                  "orbit image is not an affine subspace"))
@@ -278,10 +323,10 @@ def incidence_check(frame: StarFrame, sample) -> bool:
                     "kind": "line off the hyperplane has several infinite points", **where})
             point = infinite[0]
             if point not in cosets:
-                cosets[point] = _vectors(spread[point])
+                cosets[point] = [frame.pack(w) for w in _vectors(spread[point])]
+            images = {frame.packed_point(P) for P in affine}  # normalized, so affine
             _check_affine_image(
-                {star_point(P, frame) for P in affine}, star_point(affine[0], frame),
-                cosets[point], frame,
+                images, frame.packed_point(affine[0]), cosets[point], frame,
                 lambda kind, **_: VerificationError("incidence check failed",
                                                     {"kind": kind, **where}),
                 ("affine line image does not cut a spread element",

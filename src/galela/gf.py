@@ -47,6 +47,23 @@ def make_field(p: int, h: int) -> "FieldTower":
     return _CACHE[key]
 
 
+def add_digits(a: int, b: int, p: int) -> int:
+    """Digit-wise sum mod p of two non-negative ints in base p.
+
+    This is the sum of the GF(p)-vectors whose coordinates are the digits:
+    of two field elements, or of two vectors over GF(p^n) packed as
+    sum v_i * p^(n*i), whose digits are their entries' coefficients.
+    """
+    out = 0
+    mult = 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + db) % p * mult
+        mult *= p
+    return out
+
+
 class FieldTower:
     """One field GF(p^h) with tables, plus canonical subfield structure."""
 
@@ -66,6 +83,10 @@ class FieldTower:
             {digits: a for a, digits in enumerate(self._digit_cache)}
         self.modulus = self._smallest_irreducible()
         self.mu = self._smallest_primitive()
+        if p == 2:
+            # digit-wise addition mod 2 is xor: no Python frame per call, in
+            # linalg's map(field.add, ...) as in the table walk below
+            self.add = self.sub = operator.xor
         self._build_tables()
         # mu has full order, so this power has order p^n - 1 and generates GF(p^n)
         self.subfield_generators = {n: self.exp[(order - 1) // (p**n - 1)]
@@ -196,13 +217,13 @@ class FieldTower:
         # low and of the high digits leaves one addition per step
         half = (h + 1) // 2
         images = [self._raw_mul(p**i, self.mu) for i in range(h)]
-        combine = operator.xor if p == 2 else self.add
+        add = self.add
 
         def combinations(imgs):
             out = [0]
             for img in imgs:
                 multiples = [self._raw_mul(c, img) for c in range(p)]
-                out = [combine(x, y) for y in multiples for x in out]
+                out = [add(x, y) for y in multiples for x in out]
             return out
 
         low_table, high_table = combinations(images[:half]), combinations(images[half:])
@@ -215,7 +236,7 @@ class FieldTower:
             exp[k + n] = cur
             log[cur] = k
             high, low = divmod(cur, split)
-            cur = combine(low_table[low], high_table[high])
+            cur = add(low_table[low], high_table[high])
         if cur != 1 or -1 in log[1:]:  # mu^n = 1 and mu^k, k < n, hit every nonzero element
             raise VerificationError("designated generator does not have full order",
                                     {"field": (self.p, self.h), "mu": self.mu})
@@ -252,19 +273,10 @@ class FieldTower:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
+        # characteristic 2 binds add to operator.xor in __init__
         if self.h == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += (da + db) % p * mult
-            mult *= p
-        return out
+            return (a + b) % self.p
+        return add_digits(a, b, self.p)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -281,8 +293,7 @@ class FieldTower:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
+        # characteristic 2 binds sub to operator.xor in __init__
         if self.h == 1:
             return (a - b) % self.p
         return self.add(a, self.neg(b))

@@ -320,12 +320,12 @@ class TestGeometricChecks:
 
 def count_closures(monkeypatch):
     """The points x whose orbit closure is checked, in order: one per call of
-    _check_affine_image, x read back from its base x*."""
+    _check_affine_image, x read back from its packed base x*."""
     calls = []
     real = bruckbose._check_affine_image
 
     def counted(images, base, vectors, frame, error, kinds):
-        calls.append(star_point_inverse(base, frame))
+        calls.append(star_point_inverse(frame.unpack(base), frame))
         return real(images, base, vectors, frame, error, kinds)
 
     monkeypatch.setattr(bruckbose, "_check_affine_image", counted)
@@ -342,12 +342,14 @@ def span_and_count(images, base, W, q):
 
 
 def coset_verdict(images, base, W, frame):
-    """bruckbose._check_affine_image's verdict in span_and_count's terms."""
+    """bruckbose._check_affine_image's verdict in span_and_count's terms, on
+    the packed images, base and vectors of W."""
     def error(kind, **fields):
         return VerificationError(kind, fields)
     try:
-        bruckbose._check_affine_image(images, base, bruckbose._vectors(W), frame, error,
-                                      ("different span", "too few"))
+        bruckbose._check_affine_image({frame.pack(v) for v in images}, frame.pack(base),
+                                      [frame.pack(w) for w in bruckbose._vectors(W)], frame,
+                                      error, ("different span", "too few"))
     except VerificationError as exc:
         return ["different span", "too few"].index(str(exc))
     return None
@@ -411,6 +413,90 @@ class TestCosetCheck:
         assert len(vectors) == len(set(vectors)) == f.q ** W.t
         nonzero = {pspace.normalize_point(v, f.q) for v in vectors if any(v)}
         assert nonzero == set(subspace_points(W))
+
+
+PACKING_FRAMES = [(2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 2, 1), (2, 3, 2, 1), (3, 3, 2, 1),
+                  (3, 5, 2, 1)]
+
+
+class TestPacking:
+    @pytest.mark.parametrize("params", PACKING_FRAMES, ids=lambda params: "-".join(map(str, params)))
+    def test_packed_points_round_trip(self, params):
+        # every affine x: star_point(x) packs to sum v_i q^i, which is the
+        # frame's packed image of x, and unpacks back to star_point(x)
+        f = StarFrame(*params)
+        for x in sample_affine_points(f, force=True):
+            v = star_point(x, f)
+            packed = f.pack(v)
+            assert packed == sum(c * f.q ** i for i, c in enumerate(v)) == f.packed_point(x)
+            assert f.unpack(packed) == v
+
+    @pytest.mark.parametrize("params", PACKING_FRAMES, ids=lambda params: "-".join(map(str, params)))
+    def test_packed_addition_is_vector_addition(self, params):
+        # all pairs of vectors of each spread element, against the GF(q)
+        # sum taken coefficient by coefficient
+        f = StarFrame(*params)
+        small = field_for(f.q)
+
+        def entry_sum(a, b):
+            return small.from_coeffs(tuple((x + y) % f.p
+                                           for x, y in zip(small.coeffs(a), small.coeffs(b))))
+        for S in f.spread:
+            vectors = bruckbose._vectors(S)
+            for v, w in itertools.product(vectors, repeat=2):
+                total = tuple(map(entry_sum, v, w))
+                assert f.add_packed(f.pack(v), f.pack(w)) == f.pack(total)
+
+
+# a p = 2 and a p = 3 frame of PG(1, p^h) over GF(p), with exponents k, l:
+# coords(mu^k) is replaced by coords(mu^l).  mu^k is not 1, mu, ...,
+# mu^(h-1), the only elements whose coords the spread reads, and not in
+# GF(p), the subgroup the coset check takes
+PLANTED = [((2, 2, 4, 1), 5, 6), ((2, 3, 2, 1), 3, 5)]
+
+
+class TestPlantedFaultsOnThePackedPath:
+    @pytest.mark.parametrize("params, wrong, other", PLANTED, ids=["p2", "p3"])
+    def test_wrong_coords_before_the_frame_is_built(self, params, wrong, other, monkeypatch):
+        # coords(mu^wrong) replaced by coords(mu^other) before the frame and
+        # its blocks exist: both checks meet it and raise
+        r, p, h, n = params
+        t = make_field(p, h)
+        real = type(t).coords
+        wrong_el, bad = t.pow(t.mu, wrong), real(t, t.pow(t.mu, other), n)
+
+        def coords(self, a, n):
+            return bad if self is t and a == wrong_el else real(self, a, n)
+
+        monkeypatch.setattr(type(t), "coords", coords)
+        f = StarFrame(*params)
+        H = group_from_elements(t, (1,))
+        with pytest.raises(VerificationError) as exc:
+            common_intersection_check(H, f, sample_affine_points(f))
+        assert str(exc.value) == "orbit geometry check failed"
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, sample_line_specs(f))
+        assert str(exc.value) == "incidence check failed"
+
+    @pytest.mark.parametrize("params", [params for params, _, _ in PLANTED], ids=["p2", "p3"])
+    @pytest.mark.parametrize("digit", ["leading", "last"])
+    def test_addition_that_drops_a_digit_fails(self, params, digit, monkeypatch):
+        # the packed sum loses its lowest base-p digit (the leading entry's)
+        # or its highest (the last block's); the subgroup is the whole field,
+        # so the orbit's vectors, like the line's, fill the last block
+        f = StarFrame(*params)
+        t = f.tower
+        top = f.p ** (f.vecdim * f.n - 1)
+        real = f.add_packed
+        drop = {"leading": lambda s: s - s % f.p, "last": lambda s: s % top}[digit]
+        monkeypatch.setattr(f, "add_packed", lambda a, b: drop(real(a, b)))
+        H = group_from_elements(t, range(t.order))
+        with pytest.raises(VerificationError) as exc:
+            common_intersection_check(H, f, sample_affine_points(f))
+        assert str(exc.value) == "orbit geometry check failed"
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, sample_line_specs(f))
+        assert str(exc.value) == "incidence check failed"
 
 
 class TestFailureKinds:
@@ -573,8 +659,9 @@ class TestOrbitsCheckedOnce:
     @pytest.mark.parametrize("wrong", range(4))
     def test_one_wrong_coords_value_is_caught(self, wrong, monkeypatch):
         # coords(wrong) replaced by the coords of another nonzero element of
-        # GF(4): an exhaustive sample still meets it in a failing coset check
-        f = StarFrame(3, 2, 2, 1)
+        # GF(4) in a frame that has not yet cached its blocks: an exhaustive
+        # sample still meets it in a failing coset check
+        f, fresh = StarFrame(3, 2, 2, 1), StarFrame(3, 2, 2, 1)
         t = f.tower
         sample = sample_affine_points(f)
         assert len(sample) == 16
@@ -590,7 +677,7 @@ class TestOrbitsCheckedOnce:
         monkeypatch.setattr(type(t), "coords", coords)
         with pytest.raises(VerificationError) as exc:
             for H in subgroups:
-                common_intersection_check(H, f, sample)
+                common_intersection_check(H, fresh, sample)
         assert str(exc.value) == "orbit geometry check failed"
 
 

@@ -6,11 +6,12 @@ against the Frobenius fixed-point characterisation of subfields.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
 
-from galela import FieldTower, make_field
+from galela import FieldTower, gf, make_field
 
 
 def gf2_poly_mod(num, den):
@@ -115,6 +116,25 @@ class TestArithmetic:
         for a in range(t.order):
             for b in range(t.order):
                 assert t.add(t.sub(a, b), b) == a
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_characteristic_two_adds_by_xor(self, h):
+        # add and sub are operator.xor itself, and equal coefficient-wise
+        # addition mod 2 on all pairs
+        t = make_field(2, h)
+        assert t.add is operator.xor and t.sub is operator.xor
+        for a, b in itertools.product(range(t.order), repeat=2):
+            total = t.from_coeffs(tuple((x + y) % 2 for x, y in zip(t.coeffs(a), t.coeffs(b))))
+            assert t.add(a, b) == t.sub(a, b) == total
+
+    @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (5, 2), (3, 3), (7, 1)])
+    def test_odd_characteristic_adds_by_the_method(self, p, h):
+        t = make_field(p, h)
+        assert t.add.__func__ is FieldTower.add and t.sub.__func__ is FieldTower.sub
+        for a, b in itertools.product(range(t.order), repeat=2):
+            total = t.from_coeffs(tuple((x + y) % p for x, y in zip(t.coeffs(a), t.coeffs(b))))
+            assert t.add(a, b) == gf.add_digits(a, b, p) == total
+            assert t.sub(total, b) == a
 
     def test_pow_negative_exponent(self):
         t = make_field(2, 4)
