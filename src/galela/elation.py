@@ -35,8 +35,8 @@ p^n) and pulls each orbit back through from_coords to its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import combinat, linalg, pspace, singer
 from .errors import CapExceeded, VerificationError
@@ -45,8 +45,7 @@ from .gf import FieldTower, make_field
 PGL_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class ElationGroup:
+class ElationGroup(NamedTuple):
     """Additive subgroup of GF(p^h) presented by an RREF coefficient basis."""
 
     tower: FieldTower
@@ -77,15 +76,13 @@ class ElationGroup:
         return pspace.contains(pspace.Subspace(self.tower.p, self.rows), self.tower.coeffs(lam))
 
 
-@dataclass(frozen=True)
-class DimensionProfile:
+class DimensionProfile(NamedTuple):
     admissible: tuple  # (n, dimension over GF(p^n)) pairs, n ascending
     minimal_n: int
     minimal_d: int
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """A scalar class: member k < size is mu^k times the representative, derived on read."""
 
     representative: ElationGroup
@@ -312,8 +309,7 @@ def _iterate_pgl(r: int, tower: FieldTower):
         yield _diagonal(r, d)
 
 
-@dataclass(frozen=True)
-class ConjugacyPartition:
+class ConjugacyPartition(NamedTuple):
     """Subgroups partitioned by PGL-conjugacy of their elation groups."""
 
     labels: tuple  # labels[i]: least index of a subgroup conjugate to subgroup i

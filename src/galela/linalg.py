@@ -70,7 +70,8 @@ def coset(start, rows, field) -> list:
     out = [tuple(start)]
     for row in reversed(rows):
         # each nonzero multiple of row shifts the vectors so far, which vary faster
-        multiples = [tuple(field.mul(c, v) for v in row) for c in field.elements() if c]
+        multiples = [tuple(row) if c == 1 else tuple(field.mul(c, v) for v in row)
+                     for c in field.elements() if c]
         out += [tuple(map(field.add, u, w)) for w in multiples for u in out]
     return out
 

@@ -21,7 +21,7 @@ e_p and the unit vectors after it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import combinat, linalg
 from .errors import CapExceeded, VerificationError
@@ -37,8 +37,7 @@ def field_for(q: int):
     return make_field(p, n)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """RREF-carried subspace of GF(q)^s; basis rows are the canonical form."""
 
     q: int

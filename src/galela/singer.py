@@ -47,9 +47,9 @@ when it builds it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from typing import NamedTuple
 
 from . import combinat, linalg, pspace
 from .errors import VerificationError
@@ -184,8 +184,7 @@ def rotate(bits: int, theta: int) -> int:
     return (bits >> top) | ((bits & ~(1 << top)) << 1)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     representative: pspace.Subspace
     size: int
     u: int

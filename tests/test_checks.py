@@ -296,11 +296,10 @@ def test_correspondence_stabilizer_check_survives_optimize():
     # every orbit reads u = 1: the GF(4)-class of order-4 subgroups of GF(16)
     # still lands on its orbit of lines, whose u is 2
     code = PREAMBLE + """
-import dataclasses
 real = singer.orbit_census
 def census(*args, **kwargs):
     c = real(*args, **kwargs)
-    c.orbits = tuple(dataclasses.replace(rec, u=1) for rec in c.orbits)
+    c.orbits = tuple(rec._replace(u=1) for rec in c.orbits)
     return c
 singer.orbit_census = census
 """ + DETAILS.format(call="elation.verify_correspondence(2, 4, 2, 1)")
