@@ -313,7 +313,9 @@ class ConjugacyPartition(NamedTuple):
     """Subgroups partitioned by PGL-conjugacy of their elation groups."""
 
     labels: tuple  # labels[i]: least index of a subgroup conjugate to subgroup i
-    witnesses: dict  # (i, j) -> first diag(1, ..., 1, d) swept with d H_i == H_j, i != j
+    # one per non-leader j (labels[j] != j): (labels[j], j) -> the first
+    # diag(1, ..., 1, d) swept with d H_labels[j] == H_j
+    witnesses: dict
 
     @property
     def classes(self) -> tuple:
@@ -325,7 +327,7 @@ class ConjugacyPartition(NamedTuple):
 
 
 def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
-    """Partition subgroups by PGL(r, q)-conjugacy in one pass over q - 1 matrices.
+    """Partition subgroups by PGL(r, q)-conjugacy in one walk per class.
 
     g E(H) g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
     determines both, so a g carrying E(H) onto E(H') fixes the flag
@@ -338,10 +340,12 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     with mu added there: c == 1 and mu == d lam.  g therefore carries E(H)
     onto E(d H), which depends on d alone, and the pass tries one g per d,
     diag(1, ..., 1, d) from _iterate_pgl; VerificationError unless the
-    stream is exactly those q - 1 matrices, in any order.  H_i is joined in
-    a union-find with each H_j whose element set is d H_i, the blocks are
-    the classes, and the first g streamed for a pair is its witness.  cap
-    bounds |PGL(r, q)|.
+    stream is exactly those q - 1 matrices, in any order.  They form a
+    group, so each class is the orbit {d H} of its least member, the
+    leader: in index order, a subgroup with no label leads, and every
+    unlabeled subgroup whose element set is d H_leader takes the leader's
+    label, with the first g streamed for it as the witness of (leader, j).
+    cap bounds |PGL(r, q)|.
     """
     if not subgroups:
         raise ValueError("no subgroups to partition")
@@ -359,37 +363,27 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     by_elements: dict[frozenset, list] = {}
     for i, lams in enumerate(elements):
         by_elements.setdefault(frozenset(lams), []).append(i)
-    parent = list(range(len(subgroups)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    witnesses = {}
-    for g in sweep:
-        times_d = [tower.mul(g[-1][-1], lam) for lam in range(q)]
-        for i, lams in enumerate(elements):
-            for j in by_elements.get(frozenset(times_d[lam] for lam in lams), ()):
-                if j != i and (i, j) not in witnesses:
-                    witnesses[i, j] = g
-                    parent[find(i)] = find(j)
-    roots = [find(i) for i in range(len(subgroups))]
-    least = {}
-    for i, root in enumerate(roots):
-        least.setdefault(root, i)
-    return ConjugacyPartition(tuple(least[root] for root in roots), witnesses)
+    labels, witnesses = [None] * len(subgroups), {}
+    for leader, lams in enumerate(elements):
+        if labels[leader] is not None:
+            continue
+        labels[leader] = leader
+        for g in sweep:
+            for j in by_elements.get(frozenset(tower.mul(g[-1][-1], lam) for lam in lams), ()):
+                if labels[j] is None:
+                    labels[j] = leader
+                    witnesses[leader, j] = g
+    return ConjugacyPartition(tuple(labels), witnesses)
 
 
-def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap: int = PGL_CAP) -> bool:
+def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap=None) -> bool:
     """Exhaustively confirm no g in PGL(r, p^h) conjugates E(H1) onto E(H2).
 
     Such a g would fix the center and the axis the two groups share and
     carry E(H1) onto E(d H1), d its last diagonal entry, so a single
     conjugacy_partition pass over the q - 1 maps lam -> d lam decides it;
     True when they land in different classes, i.e. the pass found no
-    witness.  cap bounds |PGL(r, p^h)|.
+    witness.  cap bounds |PGL(r, p^h)| (PGL_CAP if None).
     """
     labels = conjugacy_partition((H1, H2), r, cap).labels
     return labels[0] != labels[1]

@@ -102,11 +102,12 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
     hold exactly the streamed subgroups makes them every subgroup once.  One
     pass per case over the q - 1 diagonals diag(1, ..., 1, d), to which any
     g in PGL(r, q) conjugating two of their elation groups reduces, partitions
-    them by conjugacy (elation.conjugacy_partition).  Each member
-    must admit the diagonal conjugator by mu^k (conjugator checks g M_lam ==
-    M_(mu^k lam) g, entry by entry) and carry its representative's label,
-    and, by class number, each class of the pass must lie in one scalar
-    class: the partitions are equal, so pairs are counted from class sizes.
+    them by conjugacy (elation.conjugacy_partition), one walk per class
+    labelled by its least member.  Each member must admit the diagonal
+    conjugator by mu^k (conjugator checks g M_lam == M_(mu^k lam) g, entry
+    by entry) and carry its representative's index as its label, checked
+    in one pass: the partitions are equal, so pairs are counted from class
+    sizes.
     cap bounds each order's stream and |PGL(r, q)|.  A case whose field
     does not exist (p not prime, h < 1), r < 2 or |PGL(r, q)| > cap is
     rejected before anything is listed.
@@ -116,7 +117,6 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
         order = elation.admit_sweep(r, make_field(p, h).order, cap)  # ValueError for h < 1
         classes = [c for m in range(1, h + 1) for c in elation.equivalence_classes(p, h, m, cap)]
         subs = [H for c in classes for H in c.members]
-        owner = [k for k, c in enumerate(classes) for _ in range(c.size)]  # class numbers
         if len({H.rows for H in subs}) != len(subs):
             raise VerificationError("scalar classes repeat a subgroup",
                                     {"case": [r, p, h], "rows": [H.rows for H in subs]})
@@ -125,22 +125,22 @@ def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
         for c in classes:
             for k, alpha in enumerate(c.witness_scalars):
                 elation.conjugator(c.representative, alpha, r)
-                if sweep.labels[first + k] != sweep.labels[first]:
+                j, label = first + k, sweep.labels[first + k]
+                if label != sweep.labels[first]:
                     raise VerificationError(
                         "scalar-equivalent pair not conjugate in the PGL sweep",
                         {"case": [r, p, h], "alpha": alpha,
                          "first": [list(row) for row in c.representative.rows],
-                         "second": [list(row) for row in subs[first + k].rows]})
+                         "second": [list(row) for row in subs[j].rows]})
+                if label != first:
+                    witness = sweep.witnesses.get((label, j))
+                    raise VerificationError(
+                        "conjugation witness found for an inequivalent pair",
+                        {"case": [r, p, h],
+                         "first": [list(row) for row in subs[label].rows],
+                         "second": [list(row) for row in subs[j].rows],
+                         "witness": None if witness is None else [list(row) for row in witness]})
             first += c.size
-        for j, i in enumerate(sweep.labels):
-            if owner[i] != owner[j]:
-                witness = sweep.witnesses.get((i, j))
-                raise VerificationError(
-                    "conjugation witness found for an inequivalent pair",
-                    {"case": [r, p, h],
-                     "first": [list(row) for row in subs[i].rows],
-                     "second": [list(row) for row in subs[j].rows],
-                     "witness": None if witness is None else [list(row) for row in witness]})
         equivalent = sum(c.size * (c.size + 1) // 2 for c in classes)
         out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
                     "equivalent_pairs": equivalent,

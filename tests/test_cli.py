@@ -35,6 +35,10 @@ BRUCKBOSE_SHA256 = {
 LEMMA1_SHA256 = {
     "3-2-3": "b71daab94122342d36ca2005eff6a0a6b4cf6fa20e84c74dbfea9760880aa209",
     "3-3-2": "273a2f71c874072847426dc829bc3f130d794803384c9851b8798ba53f4941a6",
+    "2-2-5": "fd273999689da7931c1d987352601b0b5f8c0271be3a1047795df2aa63ddd46d",
+    "2-3-3": "d63bd61e50b06db4a108babc96c1e0f7ca2e239f1694bb4857acb482e603d853",
+    "2-5-2": "2bd67626e41dad1b8c6a8020e0db8f4c9cc54bf38b4ac329de7256938473acce",
+    "2-2-6": "62b7e0ddf6154edcfb7f398c556ee124cd9d37231fa1c692d11c720d21f57c96",
 }
 
 
@@ -301,6 +305,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == LEMMA1_SHA256[case]
         assert seconds < 1.0
+
+    @pytest.mark.parametrize("case", ["2-2-5", "2-3-3", "2-5-2", "2-2-6"])
+    def test_lemma1_large_classes_match_pinned_digest(self, capsys, case):
+        # scalar classes of up to 63 members, each walked once from its leader
+        r, p, h = case.split("-")
+        assert cli.main(["verify", "lemma1", "--r", r, "--p", p, "--h", h, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LEMMA1_SHA256[case]
 
     def test_lemma1_text_names_the_flag_stabilizer(self, capsys):
         assert cli.main(["verify", "lemma1", "--r", "3", "--p", "2", "--h", "2"]) == 0

@@ -615,6 +615,28 @@ def scalar_blocks(subgroups):
     }
 
 
+def witness_cases():
+    """(r, subgroups): the order-2 subgroups of GF(8) under PGL(2, 8), and
+    all subgroups of GF(4) under PGL(3, 4) and of GF(4) and GF(9) under
+    PGL(4, q)."""
+    return ((2, enumerate_subgroups(2, 3, 1)),
+            (3, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
+            (4, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
+            (4, [H for m in (1, 2) for H in enumerate_subgroups(3, 2, m)]))
+
+
+def assert_leader_witnesses(part, labels, witnesses):
+    """part against an oracle's (labels, witnesses) over every ordered pair:
+    the same labels, one witness per non-leader j, keyed (labels[j], j) and
+    equal to the oracle's for that pair, and the oracle's pairs exactly the
+    ordered pairs that share a label."""
+    assert part.labels == labels
+    assert part.witnesses == {(label, j): witnesses[label, j]
+                              for j, label in enumerate(labels) if label != j}
+    assert witnesses.keys() == {(i, j) for i, a in enumerate(labels)
+                                for j, b in enumerate(labels) if i != j and a == b}
+
+
 class TestConjugacyPartition:
     @pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2)])
     def test_matches_explicit_conjugation_and_scalar_classes(self, p, h):
@@ -624,13 +646,8 @@ class TestConjugacyPartition:
         assert sweep == scalar_blocks(subgroups)
 
     def test_witnesses_conjugate(self):
-        # every witness, conjugated explicitly: order-2 subgroups of GF(8)
-        # under PGL(2, 8), and all subgroups of GF(4) under PGL(3, 4) and of
-        # GF(4) and GF(9) under PGL(4, q)
-        for r, subgroups in ((2, enumerate_subgroups(2, 3, 1)),
-                             (3, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
-                             (4, [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]),
-                             (4, [H for m in (1, 2) for H in enumerate_subgroups(3, 2, m)])):
+        # every witness, conjugated explicitly, on witness_cases
+        for r, subgroups in witness_cases():
             tower = subgroups[0].tower
             part = conjugacy_partition(subgroups, r, cap=pgl_order(r, tower.order))
             assert part.witnesses
@@ -645,13 +662,51 @@ class TestConjugacyPartition:
                 assert image == {scale_projective(elation_matrix(tower, lam, r), tower)
                                  for lam in subgroups[j].elements()}
 
+    def test_every_pair_conjugates_through_its_leader(self):
+        # one witness per non-leader j, keyed (labels[j], j), and every
+        # ordered pair of a class conjugated explicitly by
+        # diag(1, ..., 1, d_j / d_i), d read off the two witnesses (d = 1
+        # for the leader), on witness_cases
+        for r, subgroups in witness_cases():
+            tower = subgroups[0].tower
+            part = conjugacy_partition(subgroups, r, cap=pgl_order(r, tower.order))
+            assert part.witnesses.keys() == {(label, j) for j, label in enumerate(part.labels)
+                                             if label != j}
+            d = [1 if label == j else part.witnesses[label, j][-1][-1]
+                 for j, label in enumerate(part.labels)]
+            pairs = [(i, j) for cls in part.classes for i in cls for j in cls if i != j]
+            assert pairs
+            for i, j in pairs:
+                g = identity(r)[:-1] + ((0,) * (r - 1) + (tower.mul(d[j], tower.inv(d[i])),),)
+                ginv = mat_inverse(g, tower)
+                image = {
+                    scale_projective(
+                        matmul(matmul(g, elation_matrix(tower, lam, r), tower), ginv, tower),
+                        tower)
+                    for lam in subgroups[i].elements()
+                }
+                assert image == {scale_projective(elation_matrix(tower, lam, r), tower)
+                                 for lam in subgroups[j].elements()}
+
+    def test_one_walk_per_class(self, monkeypatch):
+        # all 373 subgroups of GF(32) under PGL(2, 32): n - #classes
+        # witnesses, and q - 1 products per element of each leader alone
+        subgroups = [H for m in range(1, 6) for H in enumerate_subgroups(2, 5, m)]
+        tower = subgroups[0].tower
+        products, real = [], tower.mul
+        monkeypatch.setattr(tower, "mul", lambda a, b: products.append((a, b)) or real(a, b))
+        part = conjugacy_partition(subgroups, 2)
+        monkeypatch.undo()
+        leaders = [i for i, label in enumerate(part.labels) if label == i]
+        assert len(subgroups) == 373
+        assert len(part.witnesses) == len(subgroups) - len(part.classes) == 373 - len(leaders)
+        assert len(products) == (tower.order - 1) * sum(2 ** subgroups[i].m for i in leaders)
+
     @pytest.mark.parametrize("r,p,h", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (3, 3, 1), (3, 2, 2)])
     def test_matches_the_normalizing_pass(self, r, p, h):
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         part = conjugacy_partition(subgroups, r)
-        labels, witnesses = reference_partition(subgroups, r)
-        assert part.labels == labels
-        assert part.witnesses == witnesses
+        assert_leader_witnesses(part, *reference_partition(subgroups, r))
 
     def test_sweep_solves_without_normalizing(self, monkeypatch):
         # mu is solved for, so no matrix is scaled and no row reduced
@@ -667,8 +722,8 @@ class TestConjugacyPartition:
     @pytest.mark.parametrize("r,p,h", [(2, 3, 2), (3, 2, 2)])
     def test_matches_the_normalizing_pass_in_reverse_order(self, monkeypatch, r, p, h):
         # the order may change the speed but not the checks: the diagonals
-        # swept backwards, a pair joined by more than one d gets the last d
-        # as its witness, and a pair joined by one d the same witness
+        # swept backwards, a leader pair joined by more than one d gets the
+        # last d as its witness, and a pair joined by one d the same witness
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         tower = subgroups[0].tower
         forward = conjugacy_partition(subgroups, r).witnesses
@@ -676,12 +731,12 @@ class TestConjugacyPartition:
         monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
         part = conjugacy_partition(subgroups, r)
         labels, witnesses = reference_partition(subgroups, r, backwards)
-        assert part.labels == labels
-        assert part.witnesses == witnesses
+        assert_leader_witnesses(part, labels, witnesses)
         joins = Counter((i, j) for d in range(1, tower.order)
                         for i, H in enumerate(subgroups) for j, K in enumerate(subgroups)
                         if i != j and {tower.mul(d, x) for x in H.elements()} == set(K.elements()))
-        assert joins.keys() == forward.keys()
+        assert joins.keys() == witnesses.keys()
+        assert part.witnesses.keys() == forward.keys()
         assert all((witnesses[pair] != g) == (joins[pair] > 1) for pair, g in forward.items())
         assert max(joins.values()) == (p - 1)
 
@@ -721,8 +776,7 @@ class TestConjugacyPartition:
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         part = conjugacy_partition(subgroups, r)
         labels, witnesses = definition_partition(subgroups, r, full_pgl(r, subgroups[0].tower))
-        assert part.labels == labels
-        assert part.witnesses == witnesses
+        assert_leader_witnesses(part, labels, witnesses)
         assert all(fixes_flag(g) for g in witnesses.values())
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1)])
