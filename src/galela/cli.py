@@ -225,8 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--n", type=int, required=True)
     vc.set_defaults(func=cmd_verify_correspondence)
 
-    vl = vsub.add_parser("lemma1", parents=[common], allow_abbrev=False,
+    vl = vsub.add_parser("lemma1", parents=[fmt], allow_abbrev=False,
                          help="conjugacy criterion in both directions")
+    vl.add_argument("--cap", type=_cap, default=selftest.LEMMA1_CAP,
+                    help="cap on the elements listed and the pass's steps (default 10^6)")
     vl.add_argument("--p", type=int, required=True)
     vl.add_argument("--h", type=int, required=True)
     vl.add_argument("--r", type=int, required=True)

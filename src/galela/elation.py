@@ -17,9 +17,8 @@ theta(h,p)-bit integer) from the field's own log and Zech tables in one
 sorted pass over pspace.subspace_groups, and singer.rotation_orbits walks
 them with mu acting as a one-bit rotation.  Each walk starts at its class's
 least basis, and only that representative and its mu-image are built:
-member k is mu^k times the representative, its witness scalar, derived on
-demand by scalar_multiple, and conjugator builds the diagonal conjugator
-from it.
+member k is mu^k times the representative, as rows by scalar_multiple on
+demand and as elements by member_elements, one product per element.
 
 The RREF action, scalar_multiple, stays on one side of the walk: per
 class, mu times the representative must have as its points, read from its
@@ -35,14 +34,12 @@ p^n) and pulls each orbit back through from_coords to its class.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import combinat, linalg, pspace, singer
-from .errors import CapExceeded, VerificationError
+from .errors import VerificationError
 from .gf import FieldTower, make_field
-
-PGL_CAP = 10**7
 
 
 class ElationGroup(NamedTuple):
@@ -100,6 +97,15 @@ class EquivalenceClass(NamedTuple):
         return tuple(scalar_multiple(self.representative, alpha)
                      for alpha in self.witness_scalars)
 
+    def member_elements(self) -> list:
+        """Each member's elements as a frozenset, aligned with members: mu times
+        the last member's, one mul per element and no RREF."""
+        mul, mu = self.representative.tower.mul, self.representative.tower.mu
+        out = [frozenset(self.representative.elements())]
+        while len(out) < self.size:
+            out.append(frozenset([mul(mu, x) for x in out[-1]]))
+        return out
+
 
 def elation_matrix(tower: FieldTower, lam: int, r: int):
     """r x r elation matrix: identity plus lam at position (r-1, 0)."""
@@ -107,9 +113,8 @@ def elation_matrix(tower: FieldTower, lam: int, r: int):
         raise ValueError(f"need r >= 2, got {r}")
     if not 0 <= lam < tower.order:
         raise ValueError(f"{lam} is not an element of {tower!r}")
-    rows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    rows[r - 1][0] = lam
-    return tuple(tuple(row) for row in rows)
+    return tuple(tuple(lam if (i, j) == (r - 1, 0) else int(i == j) for j in range(r))
+                 for i in range(r))
 
 
 def group_from_elements(tower: FieldTower, elems) -> ElationGroup:
@@ -250,10 +255,11 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
     """Diagonal matrix conjugating the elation group of H onto that of alpha * H.
 
     alpha is the class's witness scalar; the returned matrix g is
-    diag(1, ..., 1, alpha), and g M_lam == M_(alpha lam) g is checked entry
-    by entry for every lam in H, the no-inverse form conjugacy_partition
-    tests with c = 1.  Exact equality implies the projective identity
-    g M_lam g^-1 == M_(alpha lam).
+    diag(1, ..., 1, alpha), and g M_lam == M_(alpha lam) g, the no-inverse
+    form conjugacy_partition tests with c = 1, is checked entry by entry
+    for every lam in H's basis.  Both sides are g + alpha lam E_(r-1,0),
+    GF(p)-linear in lam, so the basis covers H; with H the whole field and
+    alpha = mu it covers every lam and every power diag(1, ..., 1, mu^k).
     """
     tower = H.tower
     if r < 2:
@@ -261,7 +267,7 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
     if not 0 < alpha < tower.order:
         raise ValueError(f"{alpha} is not a nonzero element of {tower!r}")
     g = _diagonal(r, alpha)
-    for lam in H.elements():
+    for lam in H.basis_elements:
         lhs = linalg.matmul(g, elation_matrix(tower, lam, r), tower)
         rhs = linalg.matmul(elation_matrix(tower, tower.mul(alpha, lam), r), g, tower)
         if lhs != rhs:
@@ -274,20 +280,7 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
 
 
 def pgl_order(r: int, q: int) -> int:
-    num = 1
-    for i in range(r):
-        num *= q**r - q**i
-    return combinat.exact_div(num, q - 1)
-
-
-def admit_sweep(r: int, q: int, cap=None) -> int:
-    """|PGL(r, q)|; ValueError unless r >= 2, CapExceeded above cap (PGL_CAP if None)."""
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    size, limit = pgl_order(r, q), PGL_CAP if cap is None else cap
-    if size > limit:
-        raise CapExceeded(f"|PGL({r},{q})| = {size} exceeds cap {limit}")
-    return size
+    return combinat.exact_div(prod(q**r - q**i for i in range(r)), q - 1)
 
 
 # no caller in the package: kept only because perfbench/trace_layers.py counts its calls
@@ -326,8 +319,8 @@ class ConjugacyPartition(NamedTuple):
         return tuple(tuple(members) for _, members in sorted(out.items()))
 
 
-def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
-    """Partition subgroups by PGL(r, q)-conjugacy in one walk per class.
+def conjugacy_partition(tower: FieldTower, element_sets, r: int) -> ConjugacyPartition:
+    """Partition subgroups of tower, given as element sets, by PGL(r, q)-conjugacy.
 
     g E(H) g^-1 has center g z and axis g(X0 = 0), and a nontrivial elation
     determines both, so a g carrying E(H) onto E(H') fixes the flag
@@ -345,26 +338,21 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     leader: in index order, a subgroup with no label leads, and every
     unlabeled subgroup whose element set is d H_leader takes the leader's
     label, with the first g streamed for it as the witness of (leader, j).
-    cap bounds |PGL(r, q)|.
     """
-    if not subgroups:
+    if not element_sets:
         raise ValueError("no subgroups to partition")
-    tower = subgroups[0].tower
-    if any(H.tower is not tower for H in subgroups):
-        raise ValueError("subgroups live in different fields")
-    q = tower.order
-    admit_sweep(r, q, cap)
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
     sweep = list(_iterate_pgl(r, tower))
-    if sorted(sweep) != [_diagonal(r, d) for d in range(1, q)]:
+    if sorted(sweep) != [_diagonal(r, d) for d in range(1, tower.order)]:
         raise VerificationError("PGL sweep is not the q - 1 diagonal projectivities",
-                                {"r": r, "q": q,
+                                {"r": r, "q": tower.order,
                                  "swept": [[list(row) for row in g] for g in sweep]})
-    elements = [H.elements() for H in subgroups]
     by_elements: dict[frozenset, list] = {}
-    for i, lams in enumerate(elements):
+    for i, lams in enumerate(element_sets):
         by_elements.setdefault(frozenset(lams), []).append(i)
-    labels, witnesses = [None] * len(subgroups), {}
-    for leader, lams in enumerate(elements):
+    labels, witnesses = [None] * len(element_sets), {}
+    for leader, lams in enumerate(element_sets):
         if labels[leader] is not None:
             continue
         labels[leader] = leader
@@ -376,16 +364,17 @@ def conjugacy_partition(subgroups, r: int, cap=None) -> ConjugacyPartition:
     return ConjugacyPartition(tuple(labels), witnesses)
 
 
-def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int, cap=None) -> bool:
+def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int) -> bool:
     """Exhaustively confirm no g in PGL(r, p^h) conjugates E(H1) onto E(H2).
 
     Such a g would fix the center and the axis the two groups share and
-    carry E(H1) onto E(d H1), d its last diagonal entry, so a single
-    conjugacy_partition pass over the q - 1 maps lam -> d lam decides it;
-    True when they land in different classes, i.e. the pass found no
-    witness.  cap bounds |PGL(r, p^h)| (PGL_CAP if None).
+    carry E(H1) onto E(d H1), d its last diagonal entry, so one
+    conjugacy_partition pass over the two element sets decides it; True
+    when they land in different classes, i.e. the pass found no witness.
     """
-    labels = conjugacy_partition((H1, H2), r, cap).labels
+    if H2.tower is not H1.tower:
+        raise ValueError("subgroups live in different fields")
+    labels = conjugacy_partition(H1.tower, [H1.elements(), H2.elements()], r).labels
     return labels[0] != labels[1]
 
 

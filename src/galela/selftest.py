@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import bruckbose, combinat, elation, singer
-from .errors import VerificationError
+from . import bruckbose, combinat, elation, linalg, singer
+from .errors import CapExceeded, VerificationError
 from .gf import make_field
 
 CENSUS_CASES = (
@@ -38,6 +38,7 @@ CORRESPONDENCE_CASES = (
 )
 
 LEMMA1_CASES = ((2, 2, 2), (3, 2, 2))  # (r, p, h)
+LEMMA1_CAP = 10**6  # element-set entries listed, and the pass's steps
 
 STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, h, n)
 
@@ -93,59 +94,66 @@ def correspondence_report() -> list:
     return [elation.verify_correspondence(p, h, m, n) for p, h, m, n in CORRESPONDENCE_CASES]
 
 
-def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
+def lemma1_report(cases=LEMMA1_CASES, cap=LEMMA1_CAP) -> list:
     """Both directions of the conjugacy criterion over all subgroup pairs.
 
-    The subgroups are the members of elation.equivalence_classes of every
-    order, in class order, member k being mu^k times the representative.
-    Their rows must be distinct, which with walk_orbits' check that the walks
-    hold exactly the streamed subgroups makes them every subgroup once.  One
-    pass per case over the q - 1 diagonals diag(1, ..., 1, d), to which any
-    g in PGL(r, q) conjugating two of their elation groups reduces, partitions
-    them by conjugacy (elation.conjugacy_partition), one walk per class
-    labelled by its least member.  Each member must admit the diagonal
-    conjugator by mu^k (conjugator checks g M_lam == M_(mu^k lam) g, entry
-    by entry) and carry its representative's index as its label, checked
-    in one pass: the partitions are equal, so pairs are counted from class
-    sizes.
-    cap bounds each order's stream and |PGL(r, q)|.  A case whose field
-    does not exist (p not prime, h < 1), r < 2 or |PGL(r, q)| > cap is
-    rejected before anything is listed.
+    The subgroups are the members of every order's elation.equivalence_classes,
+    in class order, as element sets (member_elements).  They must be distinct,
+    so with the walks' own checks they are every subgroup once.  One
+    conjugacy_partition pass over the q - 1 diagonals partitions them, and
+    each member's label must be its representative's index, so pairs are
+    counted from class sizes.  conjugator runs once, on the whole field with
+    alpha = mu, which covers every member's diagonal conjugator by mu^k.  Rows
+    are built only for a failure's details.  cap bounds the elements listed,
+    the sum over m of [h choose m]_p p^m, each order's stream, and the
+    pass's steps, read off the closed-form class counts; a missing field,
+    r < 2 or a blown cap is rejected before anything is listed.
     """
     out = []
     for r, p, h in cases:
-        order = elation.admit_sweep(r, make_field(p, h).order, cap)  # ValueError for h < 1
-        classes = [c for m in range(1, h + 1) for c in elation.equivalence_classes(p, h, m, cap)]
-        subs = [H for c in classes for H in c.members]
-        if len({H.rows for H in subs}) != len(subs):
+        tower, ms = make_field(p, h), range(1, h + 1)  # ValueError for h < 1
+        if r < 2:
+            raise ValueError(f"need r >= 2, got {r}")
+        listed = sum(combinat.gaussian_binomial(h, m, p) * p**m for m in ms)
+        leaders = sum(singer.predicted_orbit_count(h, m, p) * p**m for m in ms)  # class elements
+        # q - 1 products per leader element and diagonals of r^2 entries; conjugator's 2 h r^3
+        steps = (tower.order - 1) * (leaders + r * r) + 2 * h * r**3
+        for count, what in ((listed, "subgroup elements"), (steps, "pass steps")):
+            if count > cap:
+                raise CapExceeded(f"{count} {what} exceed cap {cap}")
+        # GF(p^h) itself, the m = h class's representative
+        elation.conjugator(elation.ElationGroup(tower, linalg.identity(h)), tower.mu, r)
+        classes = [c for m in ms for c in elation.equivalence_classes(p, h, m, cap)]
+        sets = [elems for c in classes for elems in c.member_elements()]
+
+        def rows(j):  # member j's RREF rows, for a failure's details
+            return [list(row) for row in elation.group_from_elements(tower, sets[j]).rows]
+
+        if len(set(sets)) != len(sets):
             raise VerificationError("scalar classes repeat a subgroup",
-                                    {"case": [r, p, h], "rows": [H.rows for H in subs]})
-        sweep = elation.conjugacy_partition(subs, r, cap=cap)
+                                    {"case": [r, p, h], "rows": list(map(rows, range(len(sets))))})
+        sweep = elation.conjugacy_partition(tower, sets, r)
         first = 0  # index of the class's representative, its member 0
         for c in classes:
-            for k, alpha in enumerate(c.witness_scalars):
-                elation.conjugator(c.representative, alpha, r)
-                j, label = first + k, sweep.labels[first + k]
+            for j in range(first, first + c.size):
+                label = sweep.labels[j]
                 if label != sweep.labels[first]:
                     raise VerificationError(
                         "scalar-equivalent pair not conjugate in the PGL sweep",
-                        {"case": [r, p, h], "alpha": alpha,
-                         "first": [list(row) for row in c.representative.rows],
-                         "second": [list(row) for row in subs[j].rows]})
+                        {"case": [r, p, h], "alpha": tower.exp[j - first],
+                         "first": rows(first), "second": rows(j)})
                 if label != first:
                     witness = sweep.witnesses.get((label, j))
                     raise VerificationError(
                         "conjugation witness found for an inequivalent pair",
-                        {"case": [r, p, h],
-                         "first": [list(row) for row in subs[label].rows],
-                         "second": [list(row) for row in subs[j].rows],
+                        {"case": [r, p, h], "first": rows(label), "second": rows(j),
                          "witness": None if witness is None else [list(row) for row in witness]})
             first += c.size
         equivalent = sum(c.size * (c.size + 1) // 2 for c in classes)
-        out.append({"r": r, "p": p, "h": h, "subgroups": len(subs),
+        out.append({"r": r, "p": p, "h": h, "subgroups": len(sets),
                     "equivalent_pairs": equivalent,
-                    "inequivalent_pairs": len(subs) * (len(subs) + 1) // 2 - equivalent,
-                    "group_order": order})
+                    "inequivalent_pairs": len(sets) * (len(sets) + 1) // 2 - equivalent,
+                    "group_order": elation.pgl_order(r, tower.order)})
     return out
 
 

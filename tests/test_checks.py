@@ -429,6 +429,25 @@ H = elation.group_from_elements(tower, (1,))
          "m_alpha_lam_times_g": [[1, 0, 3], [0, 1, 0], [0, 0, 2]]}]
 
 
+def test_lemma1_conjugator_check_survives_optimize():
+    # the same misplaced elation matrices met through the report: its one
+    # conjugator call, on GF(4) itself with alpha = mu, fails at the first
+    # basis element
+    code = PREAMBLE + """
+from galela import selftest
+def misplaced(tower, lam, r):
+    rows = [[int(i == j) for j in range(r)] for i in range(r)]
+    rows[0][r - 1] = lam
+    return tuple(map(tuple, rows))
+elation.elation_matrix = misplaced
+""" + DETAILS.format(call="selftest.lemma1_report([(3, 2, 2)])")
+    assert optimized_details(code) == [
+        1, "diagonal conjugator fails g M_lam == M_(alpha lam) g",
+        {"field": [2, 2], "r": 3, "alpha": 2, "lam": 1,
+         "g_times_m_lam": [[1, 0, 1], [0, 1, 0], [0, 0, 2]],
+         "m_alpha_lam_times_g": [[1, 0, 3], [0, 1, 0], [0, 0, 2]]}]
+
+
 def test_class_walk_direction_check_survives_optimize():
     # rotating down by one bit from the start: the census walks against the
     # Singer generator, which only the link from the generator to rotate sees
@@ -451,8 +470,8 @@ def test_lemma1_partition_check_survives_optimize():
     # one scalar class, which now spans three classes of the sweep
     code = PREAMBLE + """
 from galela import selftest
-elation.conjugacy_partition = lambda subgroups, r, cap=None: elation.ConjugacyPartition(
-    tuple(range(len(subgroups))), {})
+elation.conjugacy_partition = lambda tower, element_sets, r: elation.ConjugacyPartition(
+    tuple(range(len(element_sets))), {})
 """ + REPORT.format(call="selftest.lemma1_report([(2, 2, 2)])")
     assert run_optimized(code) == ["1", "raised"]
 
@@ -466,7 +485,9 @@ def dropping(r, tower):
         if g[-1][-1] != 2:
             yield g
 elation._iterate_pgl = dropping
-""" + DETAILS.format(call="elation.conjugacy_partition(elation.enumerate_subgroups(2, 2, 1), 3)")
+tower = gf.make_field(2, 2)
+sets = [H.elements() for H in elation.enumerate_subgroups(2, 2, 1)]
+""" + DETAILS.format(call="elation.conjugacy_partition(tower, sets, 3)")
     assert optimized_details(code) == [
         1, "PGL sweep is not the q - 1 diagonal projectivities",
         {"r": 3, "q": 4, "swept": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -474,14 +495,18 @@ elation._iterate_pgl = dropping
 
 
 def test_lemma1_distinct_members_check_survives_optimize():
-    # mu^2 times a subgroup read as the subgroup itself: GF(4)'s one class of
-    # order-2 subgroups lists its representative twice.  mu itself stays
-    # right, since equivalence_classes checks mu times each representative
-    # against its walk; the sweep and the class checks take the list as it is
+    # member 2's elements read as member 0's: GF(4)'s one class of order-2
+    # subgroups lists its representative twice.  equivalence_classes checks
+    # only mu times each representative, by scalar_multiple, so the class
+    # itself stays right; the sweep and the class checks take the sets as
+    # they are
     code = PREAMBLE + """
 from galela import selftest
-real = elation.scalar_multiple
-elation.scalar_multiple = lambda H, alpha: real(H, alpha) if alpha == H.tower.mu else H
+real = elation.EquivalenceClass.member_elements
+def repeating(c):
+    sets = real(c)
+    return sets[:2] + sets[:1] + sets[3:] if len(sets) > 2 else sets
+elation.EquivalenceClass.member_elements = repeating
 """ + MESSAGE.format(call="selftest.lemma1_report([(2, 2, 2)])")
     assert optimized_message(code) == "1 scalar classes repeat a subgroup"
 

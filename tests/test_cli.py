@@ -39,6 +39,8 @@ LEMMA1_SHA256 = {
     "2-3-3": "d63bd61e50b06db4a108babc96c1e0f7ca2e239f1694bb4857acb482e603d853",
     "2-5-2": "2bd67626e41dad1b8c6a8020e0db8f4c9cc54bf38b4ac329de7256938473acce",
     "2-2-6": "62b7e0ddf6154edcfb7f398c556ee124cd9d37231fa1c692d11c720d21f57c96",
+    "2-2-7": "41ab3f2730084445daba466c7d17ca0d85b89eb460e27adaeccf84e6c3dac4ed",
+    "4-2-2": "4180d7c7a63bfcac1b3db74f85d7af7bc2fbfb2a98b16092135b2171e776ca07",
 }
 
 
@@ -277,24 +279,46 @@ class TestVerify:
         assert "need r >= 2" in out.stderr
 
     def test_lemma1_cap_exceeded_exit_code(self):
-        r = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--cap", "100")
+        # GF(4)'s subgroups list 3 * 2 + 1 * 4 = 10 elements
+        r = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--cap", "9")
         assert r.returncode == 3
         assert not r.stdout
-        assert "cap" in r.stderr.lower()
+        assert "10 subgroup elements exceed cap 9" in r.stderr
 
-    def test_lemma1_cap_bounds_pgl_not_the_flag_stabilizer(self, capsys, monkeypatch):
-        # the pass over PGL(2, 256) tries only its 255 diagonals, but the cap
-        # reads |PGL(2, 256)|, so its 417,198 nontrivial subgroups are never listed
+    def test_lemma1_cap_bounds_the_elements_listed(self, capsys, monkeypatch):
+        # the pass over PGL(2, 256) tries only its 255 diagonals; the cap
+        # reads the 7,866,258 elements its 417,198 subgroups would list, so
+        # none of them is listed
         def listed(*args, **kwargs):
             raise AssertionError("a vector was listed")
 
         monkeypatch.setattr(pspace, "_pivot_rows", listed)
         assert cli.main(["verify", "lemma1", "--r", "2", "--p", "2", "--h", "8"]) == 3
-        assert "|PGL(2,256)| = 16776960 exceeds cap 10000000" in capsys.readouterr().err
+        assert "7866258 subgroup elements exceed cap 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r,p,h,steps", [
+        # one class per order, so (q - 1)(65521 + 4) + 2 * 1 * 8
+        ("2", "65521", "1", 4293198016),
+        # (q - 1)(701 + 701^2 + 4) + 2 * 2 * 8, with 983,503 elements listed
+        ("2", "701", "2", 241820888432),
+        # (2 - 1)(2 + 10^10) + 2 * 1 * 10^15: r x r matrices are never built
+        ("100000", "2", "1", 2000010000000002),
+    ])
+    def test_lemma1_cap_bounds_the_pass_steps(self, capsys, monkeypatch, r, p, h, steps):
+        # few elements are listed, but the pass would make q - 1 products
+        # per element of each class's leader, the m = h leader being the
+        # whole field, and conjugator r^3 per matmul; both are refused
+        # before conjugator runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("conjugator called")
+
+        monkeypatch.setattr(elation, "conjugator", forbidden)
+        assert cli.main(["verify", "lemma1", "--r", r, "--p", p, "--h", h]) == 3
+        assert f"{steps} pass steps exceed cap 1000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case,cap", [("3-2-3", "20000000"), ("3-3-2", "50000000")])
     def test_lemma1_flag_sweep_matches_pinned_digest(self, capsys, case, cap):
-        # PGL(3, 8) and PGL(3, 9) need a raised cap; their passes, over 7
+        # a cap above the elements listed changes nothing; the passes, over 7
         # and 8 diagonals, take about 0.01 s of process time on a
         # 2-core Xeon VM, so the 1 s bound leaves a wide margin for slow runs
         r, p, h = case.split("-")
@@ -306,9 +330,12 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == LEMMA1_SHA256[case]
         assert seconds < 1.0
 
-    @pytest.mark.parametrize("case", ["2-2-5", "2-3-3", "2-5-2", "2-2-6"])
+    @pytest.mark.parametrize("case", ["2-2-5", "2-3-3", "2-5-2", "2-2-6", "2-2-7",
+                                      "3-2-3", "3-3-2", "4-2-2"])
     def test_lemma1_large_classes_match_pinned_digest(self, capsys, case):
-        # scalar classes of up to 63 members, each walked once from its leader
+        # scalar classes of up to 127 members, each walked once from its
+        # leader; |PGL(3, 8)|, |PGL(3, 9)| and |PGL(4, 4)| need no raised
+        # cap, which reads the 50, 21 and 10 elements they list
         r, p, h = case.split("-")
         assert cli.main(["verify", "lemma1", "--r", r, "--p", p, "--h", h, "--json"]) == 0
         out = capsys.readouterr().out
@@ -391,16 +418,23 @@ class TestVerify:
         (["census", "--s", "21", "--t", "1", "--q", "2", "--cap", "10000000"], 3),
         (["verify", "correspondence", "--p", "2", "--h", "21", "--m", "1", "--n", "1",
           "--cap", "10000000"], 3),
-        # |PGL(3,256)| is over PGL_CAP, and r = 1 has no elations
+        # GF(256)'s subgroups list 7,866,258 elements, over the default cap
+        # of 10^6, and r = 1 has no elations
         (["verify", "lemma1", "--r", "3", "--p", "2", "--h", "8"], 3),
         (["verify", "lemma1", "--r", "1", "--p", "2", "--h", "8"], 2),
-    ], ids=["classify", "census", "correspondence", "lemma1-cap", "lemma1-r"])
+        # r = 10^5 would need 10^10-entry matrices
+        (["verify", "lemma1", "--r", "100000", "--p", "2", "--h", "1"], 3),
+    ], ids=["classify", "census", "correspondence", "lemma1-cap", "lemma1-r", "lemma1-huge-r"])
     def test_admission_runs_before_any_work(self, argv, code, monkeypatch):
-        # no vector may be listed and no class returned before the caps and
-        # the parameters are checked; classify itself calls
-        # equivalence_classes, whose own checks must stop it first
+        # no vector may be listed, no class returned and no conjugator
+        # matrix built before the caps and the parameters are checked;
+        # classify itself calls equivalence_classes, whose own checks must
+        # stop it first
         def listed(*args, **kwargs):
             raise AssertionError("a vector was listed")
+
+        def conjugator(*args, **kwargs):
+            raise AssertionError("a conjugator was built")
 
         real = elation.equivalence_classes
 
@@ -411,6 +445,7 @@ class TestVerify:
         monkeypatch.setattr(pspace, "_pivot_rows", listed)
         monkeypatch.setattr(pspace, "enumerate_points", listed)
         monkeypatch.setattr(elation, "equivalence_classes", classes)
+        monkeypatch.setattr(elation, "conjugator", conjugator)
         assert cli.main(argv) == code
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from galela import (
     CapExceeded,
+    FieldTower,
     SingerGroup,
     VerificationError,
     act,
@@ -369,6 +370,26 @@ class TestConjugation:
         for w in cls[0].witness_scalars:
             assert conjugator(rep, w, 2) == ((1, 0), (0, w))
 
+    def test_conjugator_checks_every_basis_element(self, monkeypatch):
+        # GF(4) itself with alpha = mu: its basis is 1, mu, and only the
+        # second element reaches M_(mu^2), here with its entry misplaced
+        tower = make_field(2, 2)
+        H = equivalence_classes(2, 2, 2)[0].representative
+        mu2 = tower.mul(tower.mu, tower.mu)
+        real = elation.elation_matrix
+
+        def faulted(tower, lam, r):
+            rows = [list(row) for row in real(tower, lam, r)]
+            if lam == mu2:
+                rows[r - 1][0], rows[0][r - 1] = 0, lam
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(elation, "elation_matrix", faulted)
+        assert H.basis_elements == (1, tower.mu)
+        with pytest.raises(VerificationError, match="diagonal conjugator fails") as exc:
+            conjugator(H, tower.mu, 3)
+        assert exc.value.details["lam"] == tower.mu
+
     def test_conjugator_rejects_zero_scalar(self):
         H = enumerate_subgroups(2, 4, 2)[0]
         with pytest.raises(ValueError):
@@ -392,10 +413,16 @@ class TestConjugation:
         g2 = enumerate_subgroups(2, 2, 2)
         assert no_conjugation_witness(g1[0], g2[0], 2) is True
 
-    def test_sweep_cap(self):
+    def test_no_cap_on_pgl(self):
+        # |PGL(3, 16)| = 4,277,145,600, but the pass tries its 15 diagonals
+        # on two element sets of 4, so nothing bounds the group's order
         cls = equivalence_classes(2, 4, 2)
-        with pytest.raises(CapExceeded):
-            no_conjugation_witness(cls[0].representative, cls[1].representative, 3)
+        assert pgl_order(3, 16) == 4277145600
+        assert no_conjugation_witness(cls[0].representative, cls[1].representative, 3) is True
+
+    def test_different_fields_rejected(self):
+        with pytest.raises(ValueError, match="different fields"):
+            no_conjugation_witness(enumerate_subgroups(2, 2, 1)[0], enumerate_subgroups(2, 3, 1)[0], 2)
 
 
 def brute_force_pgl(r, tower):
@@ -625,6 +652,11 @@ def witness_cases():
             (4, [H for m in (1, 2) for H in enumerate_subgroups(3, 2, m)]))
 
 
+def partition(subgroups, r):
+    """conjugacy_partition fed the subgroups' element sets, in list order."""
+    return conjugacy_partition(subgroups[0].tower, [H.elements() for H in subgroups], r)
+
+
 def assert_leader_witnesses(part, labels, witnesses):
     """part against an oracle's (labels, witnesses) over every ordered pair:
     the same labels, one witness per non-leader j, keyed (labels[j], j) and
@@ -641,7 +673,7 @@ class TestConjugacyPartition:
     @pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2)])
     def test_matches_explicit_conjugation_and_scalar_classes(self, p, h):
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
-        sweep = {frozenset(c) for c in conjugacy_partition(subgroups, 2).classes}
+        sweep = {frozenset(c) for c in partition(subgroups, 2).classes}
         assert sweep == oracle_conjugacy_blocks(subgroups, 2)
         assert sweep == scalar_blocks(subgroups)
 
@@ -649,7 +681,7 @@ class TestConjugacyPartition:
         # every witness, conjugated explicitly, on witness_cases
         for r, subgroups in witness_cases():
             tower = subgroups[0].tower
-            part = conjugacy_partition(subgroups, r, cap=pgl_order(r, tower.order))
+            part = partition(subgroups, r)
             assert part.witnesses
             for (i, j), g in part.witnesses.items():
                 ginv = mat_inverse(g, tower)
@@ -669,7 +701,7 @@ class TestConjugacyPartition:
         # for the leader), on witness_cases
         for r, subgroups in witness_cases():
             tower = subgroups[0].tower
-            part = conjugacy_partition(subgroups, r, cap=pgl_order(r, tower.order))
+            part = partition(subgroups, r)
             assert part.witnesses.keys() == {(label, j) for j, label in enumerate(part.labels)
                                              if label != j}
             d = [1 if label == j else part.witnesses[label, j][-1][-1]
@@ -693,9 +725,10 @@ class TestConjugacyPartition:
         # witnesses, and q - 1 products per element of each leader alone
         subgroups = [H for m in range(1, 6) for H in enumerate_subgroups(2, 5, m)]
         tower = subgroups[0].tower
+        sets = [H.elements() for H in subgroups]
         products, real = [], tower.mul
         monkeypatch.setattr(tower, "mul", lambda a, b: products.append((a, b)) or real(a, b))
-        part = conjugacy_partition(subgroups, 2)
+        part = conjugacy_partition(tower, sets, 2)
         monkeypatch.undo()
         leaders = [i for i, label in enumerate(part.labels) if label == i]
         assert len(subgroups) == 373
@@ -705,7 +738,7 @@ class TestConjugacyPartition:
     @pytest.mark.parametrize("r,p,h", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (3, 3, 1), (3, 2, 2)])
     def test_matches_the_normalizing_pass(self, r, p, h):
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
-        part = conjugacy_partition(subgroups, r)
+        part = partition(subgroups, r)
         assert_leader_witnesses(part, *reference_partition(subgroups, r))
 
     def test_sweep_solves_without_normalizing(self, monkeypatch):
@@ -717,7 +750,7 @@ class TestConjugacyPartition:
         monkeypatch.setattr(linalg, "scale_projective", refuse)
         monkeypatch.setattr(linalg, "in_rowspace", refuse)
         monkeypatch.setattr(linalg, "rref", refuse)
-        assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
+        assert partition(subgroups, 3).labels == (0, 0, 0, 3)
 
     @pytest.mark.parametrize("r,p,h", [(2, 3, 2), (3, 2, 2)])
     def test_matches_the_normalizing_pass_in_reverse_order(self, monkeypatch, r, p, h):
@@ -726,10 +759,10 @@ class TestConjugacyPartition:
         # last d as its witness, and a pair joined by one d the same witness
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
         tower = subgroups[0].tower
-        forward = conjugacy_partition(subgroups, r).witnesses
+        forward = partition(subgroups, r).witnesses
         backwards = list(_iterate_pgl(r, tower))[::-1]
         monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(backwards))
-        part = conjugacy_partition(subgroups, r)
+        part = partition(subgroups, r)
         labels, witnesses = reference_partition(subgroups, r, backwards)
         assert_leader_witnesses(part, labels, witnesses)
         joins = Counter((i, j) for d in range(1, tower.order)
@@ -742,14 +775,9 @@ class TestConjugacyPartition:
 
     def test_labels_are_least_member(self):
         subgroups = [H for m in (1, 2) for H in enumerate_subgroups(2, 2, m)]
-        part = conjugacy_partition(subgroups, 2)
+        part = partition(subgroups, 2)
         assert part.labels == (0, 0, 0, 3)
         assert part.classes == ((0, 1, 2), (3,))
-
-    def test_cap(self):
-        subgroups = enumerate_subgroups(2, 2, 1)
-        with pytest.raises(CapExceeded):
-            conjugacy_partition(subgroups, 3, cap=100)
 
     def test_short_sweep_raises(self, monkeypatch):
         # PGL(2, 4) is swept by diag(1, d) for d = 1, 2, 3: one left out, one
@@ -761,7 +789,7 @@ class TestConjugacyPartition:
             monkeypatch.setattr(elation, "_iterate_pgl", lambda r, tower: iter(stream))
             with pytest.raises(VerificationError,
                                match="PGL sweep is not the q - 1 diagonal projectivities") as exc:
-                conjugacy_partition(subgroups, 2)
+                partition(subgroups, 2)
             assert exc.value.details == {"r": 2, "q": 4,
                                          "swept": [[list(row) for row in g] for g in stream]}
 
@@ -774,7 +802,7 @@ class TestConjugacyPartition:
         # match nothing
         p, h = prime_power(q)
         subgroups = [H for m in range(1, h + 1) for H in enumerate_subgroups(p, h, m)]
-        part = conjugacy_partition(subgroups, r)
+        part = partition(subgroups, r)
         labels, witnesses = definition_partition(subgroups, r, full_pgl(r, subgroups[0].tower))
         assert_leader_witnesses(part, labels, witnesses)
         assert all(fixes_flag(g) for g in witnesses.values())
@@ -799,7 +827,7 @@ class TestConjugacyPartition:
                 yield g
 
         monkeypatch.setattr(elation, "_iterate_pgl", recording)
-        assert conjugacy_partition(subgroups, 3).labels == (0, 0, 0, 3)
+        assert partition(subgroups, 3).labels == (0, 0, 0, 3)
         assert Counter(map(len, items)) == {3: 3}
         assert all(fixes_flag(g) for g in items)
 
@@ -810,7 +838,7 @@ class TestConjugacyPartition:
     def test_lemma1_report_rejects_a_wrong_partition(self, monkeypatch, labels, message):
         # (r, p, h) = (2, 2, 2): three subgroups of order 2 in one class, GF(4) alone
         monkeypatch.setattr(elation, "conjugacy_partition",
-                            lambda subgroups, r, cap=None: elation.ConjugacyPartition(labels, {}))
+                            lambda tower, element_sets, r: elation.ConjugacyPartition(labels, {}))
         with pytest.raises(VerificationError, match=message):
             selftest.lemma1_report([(2, 2, 2)])
 
@@ -829,6 +857,46 @@ class TestConjugacyPartition:
         report = selftest.lemma1_report([(2, 2, 3), (3, 2, 2)])
         assert streams == [(3, 1, 2), (3, 2, 2), (3, 3, 2), (2, 1, 2), (2, 2, 2)]
         assert [row["subgroups"] for row in report] == [15, 4]
+
+    def test_lemma1_report_builds_no_member(self, monkeypatch):
+        # GF(16)'s 66 subgroups in 6 classes: scalar_multiple, and with it
+        # rref, runs once per class for equivalence_classes' mu-image check;
+        # elements are listed for that image and for the representative, the
+        # members being mu-multiples of its elements; and conjugator runs
+        # once for the case
+        classes = sum(len(equivalence_classes(2, 4, m)) for m in range(1, 5))
+        counts = Counter()
+        for owner, name in ((elation, "scalar_multiple"), (elation, "conjugator"),
+                            (linalg, "rref"), (elation.ElationGroup, "elements")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, name=name, real=real:
+                                counts.update([name]) or real(*args))
+        report = selftest.lemma1_report([(2, 2, 4)])
+        assert classes == 6 and report[0]["subgroups"] == 66
+        assert counts == {"scalar_multiple": classes, "rref": classes,
+                          "elements": 2 * classes, "conjugator": 1}
+
+    @pytest.mark.parametrize("r,p,h", [(2, 2, 4), (3, 3, 2), (4, 2, 2), (2, 3, 3)])
+    def test_lemma1_steps_cap_counts_the_pass_products(self, monkeypatch, r, p, h):
+        # the cap reads the pass's products, q - 1 per element of each
+        # class's leader, from the closed-form class counts: the pass makes
+        # exactly that many, and a cap of the steps less one refuses the case
+        tower = make_field(p, h)
+        leaders = sum(p**m * len(equivalence_classes(p, h, m)) for m in range(1, h + 1))
+        products, real_mul, real_partition = [], FieldTower.mul, elation.conjugacy_partition
+
+        def counted(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(FieldTower, "mul",
+                              lambda self, a, b: products.append(a) or real_mul(self, a, b))
+                return real_partition(*args)
+
+        monkeypatch.setattr(elation, "conjugacy_partition", counted)
+        steps = (tower.order - 1) * (leaders + r * r) + 2 * h * r**3
+        selftest.lemma1_report([(r, p, h)], cap=steps)
+        assert len(products) == (tower.order - 1) * leaders
+        with pytest.raises(CapExceeded, match=f"{steps} pass steps exceed cap {steps - 1}"):
+            selftest.lemma1_report([(r, p, h)], cap=steps - 1)
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
     def test_iterate_pgl_order(self, r, p, h):

@@ -25,7 +25,9 @@ def _records():
     X = pspace.span([(1, 0, 1), (0, 1, 1)], 2)
     H = elation.group_from_elements(make_field(2, 4), [1, 2])
     cls = elation.equivalence_classes(2, 4, 2)[0]
-    partition = elation.conjugacy_partition(elation.enumerate_subgroups(2, 2, 1), 3)
+    subgroups = elation.enumerate_subgroups(2, 2, 1)
+    partition = elation.conjugacy_partition(subgroups[0].tower,
+                                            [K.elements() for K in subgroups], 3)
     return [
         (X, ("q", "basis"), True),
         (singer.orbit_census(3, 2, 2).orbits[0], ("representative", "size", "u"), True),
