@@ -135,7 +135,7 @@ def cmd_verify_correspondence(args):
 
 
 def cmd_verify_lemma1(args):
-    report = selftest.lemma1_report([(args.r, args.p, args.h)], cap=args.cap)[0]
+    report = elation.verify_lemma1(args.r, args.p, args.h, cap=args.cap)
     lines = [f"subgroups {report['subgroups']}, equivalent pairs "
              f"{report['equivalent_pairs']} conjugated, inequivalent pairs "
              f"{report['inequivalent_pairs']} swept over the {args.p ** args.h - 1} diagonal "
@@ -225,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--n", type=int, required=True)
     vc.set_defaults(func=cmd_verify_correspondence)
 
-    vl = vsub.add_parser("lemma1", parents=[fmt], allow_abbrev=False,
+    vl = vsub.add_parser("lemma1", parents=[common], allow_abbrev=False,
                          help="conjugacy criterion in both directions")
-    vl.add_argument("--cap", type=_cap, default=selftest.LEMMA1_CAP,
-                    help="cap on the elements listed and the pass's steps (default 10^6)")
     vl.add_argument("--p", type=int, required=True)
     vl.add_argument("--h", type=int, required=True)
     vl.add_argument("--r", type=int, required=True)

@@ -27,9 +27,11 @@ elements share a point), the rotation of the representative's log set,
 which ties the rotation's direction and the tables to the action.  The
 largest GF(p^n) a subgroup is a space over is scalar-invariant and refines
 the classification; GF(p^n)* is the stabilizer under scalars, checked per
-class as u == n, u read off the class size by the kernel.  The
-correspondence checker enumerates only the Singer census of PG(h/n - 1,
-p^n) and pulls each orbit back through from_coords to its class.
+class as u == n, u read off the class size by the kernel.  Of the two
+checks, verify_correspondence enumerates only the Singer census of
+PG(h/n - 1, p^n) and pulls each orbit back through from_coords to its
+class; verify_lemma1 decides every pair of subgroups in one
+conjugacy_partition pass, its one cap read before the field is built.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from . import combinat, linalg, pspace, singer
-from .errors import VerificationError
-from .gf import FieldTower, make_field
+from .errors import CapExceeded, VerificationError
+from .gf import FieldTower, field_order, make_field
 
 
 class ElationGroup(NamedTuple):
@@ -262,8 +264,6 @@ def conjugator(H: ElationGroup, alpha: int, r: int):
     alpha = mu it covers every lam and every power diag(1, ..., 1, mu^k).
     """
     tower = H.tower
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
     if not 0 < alpha < tower.order:
         raise ValueError(f"{alpha} is not a nonzero element of {tower!r}")
     g = _diagonal(r, alpha)
@@ -376,6 +376,65 @@ def no_conjugation_witness(H1: ElationGroup, H2: ElationGroup, r: int) -> bool:
         raise ValueError("subgroups live in different fields")
     labels = conjugacy_partition(H1.tower, [H1.elements(), H2.elements()], r).labels
     return labels[0] != labels[1]
+
+
+LEMMA1_CAP = 10**6  # verify_lemma1's default bound on the pass's steps
+
+
+def verify_lemma1(r: int, p: int, h: int, cap=None) -> dict:
+    """Both directions of Lemma 1 on every pair of subgroups of GF(p^h), in PGL(r, p^h).
+
+    The subgroups are every order's equivalence_classes members, as element
+    sets (member_elements) checked distinct; one conjugacy_partition pass over
+    the q - 1 diagonals must label each with its class's representative, so
+    pairs are counted from class sizes.  conjugator runs once, on the whole
+    field with alpha = mu, covering each diagonal conjugator mu^k.  cap
+    (LEMMA1_CAP if None) bounds one count, the pass's steps, from the closed-
+    form class counts: q - 1 products per leader element, the diagonals' r^2
+    entries and conjugator's 2 h r^3.  A class has at most theta(h, p) <= q - 1
+    members, so the steps are never fewer than the elements listed, which need
+    no bound of their own.  Parameters, then steps, are checked before the field.
+    """
+    q, ms = field_order(p, h), range(1, h + 1)
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    cap = LEMMA1_CAP if cap is None else cap
+    leaders = sum(singer.predicted_orbit_count(h, m, p) * p**m for m in ms)  # class elements
+    steps = (q - 1) * (leaders + r * r) + 2 * h * r**3
+    if steps > cap:
+        raise CapExceeded(f"{steps} pass steps exceed cap {cap}")
+    tower = make_field(p, h)
+    conjugator(ElationGroup(tower, linalg.identity(h)), tower.mu, r)  # the m = h class
+    classes = [c for m in ms for c in equivalence_classes(p, h, m, cap)]
+    sets = [elems for c in classes for elems in c.member_elements()]
+
+    def rows(j):  # member j's RREF rows, for a failure's details
+        return [list(row) for row in group_from_elements(tower, sets[j]).rows]
+
+    if len(set(sets)) != len(sets):
+        raise VerificationError("scalar classes repeat a subgroup",
+                                {"case": [r, p, h], "rows": list(map(rows, range(len(sets))))})
+    sweep = conjugacy_partition(tower, sets, r)
+    first = 0  # index of the class's representative, its member 0
+    for c in classes:
+        for j in range(first, first + c.size):
+            label = sweep.labels[j]
+            if label != sweep.labels[first]:
+                raise VerificationError(
+                    "scalar-equivalent pair not conjugate in the PGL sweep",
+                    {"case": [r, p, h], "alpha": tower.exp[j - first],
+                     "first": rows(first), "second": rows(j)})
+            if label != first:
+                witness = sweep.witnesses.get((label, j))
+                raise VerificationError(
+                    "conjugation witness found for an inequivalent pair",
+                    {"case": [r, p, h], "first": rows(label), "second": rows(j),
+                     "witness": None if witness is None else [list(row) for row in witness]})
+        first += c.size
+    equivalent = sum(c.size * (c.size + 1) // 2 for c in classes)
+    return {"r": r, "p": p, "h": h, "subgroups": len(sets), "equivalent_pairs": equivalent,
+            "inequivalent_pairs": len(sets) * (len(sets) + 1) // 2 - equivalent,
+            "group_order": pgl_order(r, q)}
 
 
 def subspace_of_center(H: ElationGroup, n: int) -> pspace.Subspace:

@@ -47,6 +47,17 @@ def make_field(p: int, h: int) -> "FieldTower":
     return _CACHE[key]
 
 
+def field_order(p: int, h: int) -> int:
+    """p^h, checked as a FieldTower checks it before building any table."""
+    if not combinat.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if h < 1:
+        raise ValueError(f"bad extension degree {h}")
+    if p**h > FIELD_ORDER_CAP:
+        raise CapExceeded(f"field order {p**h} exceeds cap {FIELD_ORDER_CAP}")
+    return p**h
+
+
 def add_digits(a: int, b: int, p: int) -> int:
     """Digit-wise sum mod p of two non-negative ints in base p.
 
@@ -68,16 +79,8 @@ class FieldTower:
     """One field GF(p^h) with tables, plus canonical subfield structure."""
 
     def __init__(self, p: int, h: int):
-        if not combinat.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if h < 1:
-            raise ValueError(f"bad extension degree {h}")
-        order = p**h
-        if order > FIELD_ORDER_CAP:
-            raise CapExceeded(f"field order {order} exceeds cap {FIELD_ORDER_CAP}")
-        self.p = p
-        self.h = h
-        self.order = order
+        self.order = order = field_order(p, h)
+        self.p, self.h = p, h
         self._digit_cache = [self._digits_of(a) for a in range(order)] if order <= 1 << 16 else None
         self._digit_index = None if self._digit_cache is None else \
             {digits: a for a, digits in enumerate(self._digit_cache)}

@@ -1,21 +1,20 @@
 """Built-in verification matrix.
 
-Each report function sweeps one family of cases, raises VerificationError
-on the first failure, and returns a JSON-ready summary whose content is
+Every section runs its cases through a kernel check, which raises
+VerificationError on the first failure, and returns a JSON-ready summary
 fully determined by the inputs (no timestamps, no floats, no environment
 dependence), so two runs must serialize identically.  The census and
-classification sections only report: orbit_census and equivalence_classes
-check their closed forms themselves, for every subfield degree, through
-singer.rotation_orbits; the classification section checks three spot values.
+classification sections report what orbit_census and equivalence_classes
+check for every subfield degree, plus three spot values; the others list
+elation.verify_correspondence, verify_lemma1 and bruckbose.verify_star_model.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from . import bruckbose, combinat, elation, linalg, singer
-from .errors import CapExceeded, VerificationError
-from .gf import make_field
+from . import bruckbose, combinat, elation, singer
+from .errors import VerificationError
 
 CENSUS_CASES = (
     (2, 1, 2), (3, 1, 2), (4, 2, 2), (4, 2, 3), (6, 2, 2),
@@ -38,7 +37,6 @@ CORRESPONDENCE_CASES = (
 )
 
 LEMMA1_CASES = ((2, 2, 2), (3, 2, 2))  # (r, p, h)
-LEMMA1_CAP = 10**6  # element-set entries listed, and the pass's steps
 
 STAR_CASES = ((2, 2, 4, 1), (2, 2, 4, 2), (3, 2, 4, 2), (2, 3, 2, 1))  # (r, p, h, n)
 
@@ -94,67 +92,8 @@ def correspondence_report() -> list:
     return [elation.verify_correspondence(p, h, m, n) for p, h, m, n in CORRESPONDENCE_CASES]
 
 
-def lemma1_report(cases=LEMMA1_CASES, cap=LEMMA1_CAP) -> list:
-    """Both directions of the conjugacy criterion over all subgroup pairs.
-
-    The subgroups are the members of every order's elation.equivalence_classes,
-    in class order, as element sets (member_elements).  They must be distinct,
-    so with the walks' own checks they are every subgroup once.  One
-    conjugacy_partition pass over the q - 1 diagonals partitions them, and
-    each member's label must be its representative's index, so pairs are
-    counted from class sizes.  conjugator runs once, on the whole field with
-    alpha = mu, which covers every member's diagonal conjugator by mu^k.  Rows
-    are built only for a failure's details.  cap bounds the elements listed,
-    the sum over m of [h choose m]_p p^m, each order's stream, and the
-    pass's steps, read off the closed-form class counts; a missing field,
-    r < 2 or a blown cap is rejected before anything is listed.
-    """
-    out = []
-    for r, p, h in cases:
-        tower, ms = make_field(p, h), range(1, h + 1)  # ValueError for h < 1
-        if r < 2:
-            raise ValueError(f"need r >= 2, got {r}")
-        listed = sum(combinat.gaussian_binomial(h, m, p) * p**m for m in ms)
-        leaders = sum(singer.predicted_orbit_count(h, m, p) * p**m for m in ms)  # class elements
-        # q - 1 products per leader element and diagonals of r^2 entries; conjugator's 2 h r^3
-        steps = (tower.order - 1) * (leaders + r * r) + 2 * h * r**3
-        for count, what in ((listed, "subgroup elements"), (steps, "pass steps")):
-            if count > cap:
-                raise CapExceeded(f"{count} {what} exceed cap {cap}")
-        # GF(p^h) itself, the m = h class's representative
-        elation.conjugator(elation.ElationGroup(tower, linalg.identity(h)), tower.mu, r)
-        classes = [c for m in ms for c in elation.equivalence_classes(p, h, m, cap)]
-        sets = [elems for c in classes for elems in c.member_elements()]
-
-        def rows(j):  # member j's RREF rows, for a failure's details
-            return [list(row) for row in elation.group_from_elements(tower, sets[j]).rows]
-
-        if len(set(sets)) != len(sets):
-            raise VerificationError("scalar classes repeat a subgroup",
-                                    {"case": [r, p, h], "rows": list(map(rows, range(len(sets))))})
-        sweep = elation.conjugacy_partition(tower, sets, r)
-        first = 0  # index of the class's representative, its member 0
-        for c in classes:
-            for j in range(first, first + c.size):
-                label = sweep.labels[j]
-                if label != sweep.labels[first]:
-                    raise VerificationError(
-                        "scalar-equivalent pair not conjugate in the PGL sweep",
-                        {"case": [r, p, h], "alpha": tower.exp[j - first],
-                         "first": rows(first), "second": rows(j)})
-                if label != first:
-                    witness = sweep.witnesses.get((label, j))
-                    raise VerificationError(
-                        "conjugation witness found for an inequivalent pair",
-                        {"case": [r, p, h], "first": rows(label), "second": rows(j),
-                         "witness": None if witness is None else [list(row) for row in witness]})
-            first += c.size
-        equivalent = sum(c.size * (c.size + 1) // 2 for c in classes)
-        out.append({"r": r, "p": p, "h": h, "subgroups": len(sets),
-                    "equivalent_pairs": equivalent,
-                    "inequivalent_pairs": len(sets) * (len(sets) + 1) // 2 - equivalent,
-                    "group_order": elation.pgl_order(r, tower.order)})
-    return out
+def lemma1_report(cases=LEMMA1_CASES, cap=None) -> list:
+    return [elation.verify_lemma1(r, p, h, cap) for r, p, h in cases]
 
 
 def star_report() -> list:

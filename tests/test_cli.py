@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from galela import VerificationError, cli, elation, pspace
+from galela import VerificationError, cli, elation, gf, pspace
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -279,22 +279,51 @@ class TestVerify:
         assert "need r >= 2" in out.stderr
 
     def test_lemma1_cap_exceeded_exit_code(self):
-        # GF(4)'s subgroups list 3 * 2 + 1 * 4 = 10 elements
+        # GF(4)'s two classes have leaders of 2 and 4 elements, so the pass
+        # takes 3 * (6 + 9) + 2 * 2 * 27 = 153 steps, though it lists only 10
+        # elements
         r = run_cli("verify", "lemma1", "--r", "3", "--p", "2", "--h", "2", "--cap", "9")
         assert r.returncode == 3
         assert not r.stdout
-        assert "10 subgroup elements exceed cap 9" in r.stderr
+        assert "153 pass steps exceed cap 9" in r.stderr
 
     def test_lemma1_cap_bounds_the_elements_listed(self, capsys, monkeypatch):
         # the pass over PGL(2, 256) tries only its 255 diagonals; the cap
-        # reads the 7,866,258 elements its 417,198 subgroups would list, so
-        # none of them is listed
+        # reads its 7,958,678 steps, never fewer than the 7,866,258 elements
+        # its 417,198 subgroups would list, so none of them is listed
         def listed(*args, **kwargs):
             raise AssertionError("a vector was listed")
 
         monkeypatch.setattr(pspace, "_pivot_rows", listed)
         assert cli.main(["verify", "lemma1", "--r", "2", "--p", "2", "--h", "8"]) == 3
-        assert "7866258 subgroup elements exceed cap 1000000" in capsys.readouterr().err
+        assert "7958678 pass steps exceed cap 1000000" in capsys.readouterr().err
+
+    def test_lemma1_cap_is_read_before_the_field(self, capsys, monkeypatch):
+        # GF(999983) is under the field order cap, but its one class, the
+        # whole field, makes (q - 1)(q + 4) + 2 * 1 * 8 steps: no table of
+        # it may be built
+        def built(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(gf, "FieldTower", built)
+        assert cli.main(["verify", "lemma1", "--r", "2", "--p", "999983", "--h", "1"]) == 3
+        assert "999969000250 pass steps exceed cap 1000000" in capsys.readouterr().err
+        assert (999983, 1) not in gf._CACHE
+
+    @pytest.mark.parametrize("p,h,r,message", [
+        ("1000000", "1", "2", "1000000 is not prime"),
+        ("2", "0", "2", "bad extension degree 0"),
+        ("2", "-1", "2", "bad extension degree -1"),
+        ("2", "2", "1", "need r >= 2, got 1"),
+    ])
+    def test_lemma1_parameters_are_read_before_the_field(self, capsys, monkeypatch,
+                                                         p, h, r, message):
+        def built(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(gf, "FieldTower", built)
+        assert cli.main(["verify", "lemma1", "--r", r, "--p", p, "--h", h]) == 2
+        assert f"invalid parameters: {message}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("r,p,h,steps", [
         # one class per order, so (q - 1)(65521 + 4) + 2 * 1 * 8
@@ -418,8 +447,8 @@ class TestVerify:
         (["census", "--s", "21", "--t", "1", "--q", "2", "--cap", "10000000"], 3),
         (["verify", "correspondence", "--p", "2", "--h", "21", "--m", "1", "--n", "1",
           "--cap", "10000000"], 3),
-        # GF(256)'s subgroups list 7,866,258 elements, over the default cap
-        # of 10^6, and r = 1 has no elations
+        # GF(256)'s pass at r = 3 takes 7,960,257 steps, over the default
+        # cap of 10^6, and r = 1 has no elations
         (["verify", "lemma1", "--r", "3", "--p", "2", "--h", "8"], 3),
         (["verify", "lemma1", "--r", "1", "--p", "2", "--h", "8"], 2),
         # r = 10^5 would need 10^10-entry matrices

@@ -38,7 +38,7 @@ from galela import (
     verify_correspondence,
 )
 from galela import elation, linalg, pspace, selftest, singer
-from galela.combinat import factorize, prime_power
+from galela.combinat import factorize, is_prime, prime_power
 from galela.elation import _iterate_pgl, pgl_order, scalar_multiple
 from galela.linalg import identity, mat_inverse, matmul, matvec, rref, scale_projective
 from galela.pspace import contains, enumerate_points, normalize_point, subspace_groups
@@ -897,6 +897,23 @@ class TestConjugacyPartition:
         assert len(products) == (tower.order - 1) * leaders
         with pytest.raises(CapExceeded, match=f"{steps} pass steps exceed cap {steps - 1}"):
             selftest.lemma1_report([(r, p, h)], cap=steps - 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_lemma1_steps_cap_bounds_the_elements_listed(self, monkeypatch, r):
+        # one bound: on every field of order at most 256, a cap of the
+        # elements listed less one, which an element count would refuse, is
+        # refused by the steps alone, before any vector is listed
+        def listed(*args, **kwargs):
+            raise AssertionError("a vector was listed")
+
+        monkeypatch.setattr(pspace, "_pivot_rows", listed)
+        fields = [(p, h) for p in range(2, 257) if is_prime(p)
+                  for h in range(1, 9) if p**h <= 256]
+        assert len(fields) == 70
+        for p, h in fields:
+            elements = sum(gaussian_binomial(h, m, p) * p**m for m in range(1, h + 1))
+            with pytest.raises(CapExceeded, match="pass steps exceed cap"):
+                elation.verify_lemma1(r, p, h, cap=elements - 1)
 
     @pytest.mark.parametrize("r,p,h", [(2, 2, 2), (3, 2, 1), (3, 3, 1), (3, 2, 2)])
     def test_iterate_pgl_order(self, r, p, h):
