@@ -33,7 +33,8 @@ big space fixing A* pointwise.  If c passes, so does every c' in c + E:
 the image sets agree, and coords(c') is one of c's images, so coords(c') +
 W = coords(c) + W.  The first sample point of each coset is therefore the
 first to fail, if any does.  The frame builds each spread element once,
-and a sample of lines checks each distinct line once.  Every check raises
+and a sample of lines checks each distinct line once, in closed form when
+it has affine points (incidence_check).  Every check raises
 VerificationError with a counterexample.
 """
 
@@ -288,45 +289,73 @@ def _check_cosets(E, section, frame, points) -> bool:
     return True
 
 
+def _line_basis(a, b, field) -> tuple:
+    """RREF basis (b0, d) of the line through the affine point a and b != a,
+    both normalized: d is b at infinity, else b - a normalized, and b0 = a
+    - a[j]*d for d's pivot j.  b0 has pivot 0 and d pivot j, d[0] = 0 and
+    b0[j] = 0, so the two rows are the line's reduced echelon form."""
+    d = pspace.normalize_point(tuple(map(field.sub, b, a)), field.order) if b[0] else b
+    aj = a[next(i for i, x in enumerate(d) if x)]
+    return (tuple(map(field.sub, a, [field.mul(aj, x) for x in d])) if aj else a), d
+
+
+def _multiples(x, field):
+    """c*x as c runs over 0, 1, mu, ..., mu^(order-2): 0, then a slice of
+    the exp table."""
+    if not x:
+        return itertools.repeat(0, field.order)
+    k = field.log[x]
+    return itertools.chain((0,), field.exp[k:k + field.order - 1])
+
+
+def _line_images(b0, d, frame) -> set:
+    """Packed images of the affine points b0 + c*d of the line (b0, d),
+    block i of each read from the frame's cache at add(b0_i, c*d_i), c
+    running over the field in _multiples' order."""
+    add = frame.tower.add
+    columns = [map(block.__getitem__, map(add, itertools.repeat(x), _multiples(y, frame.tower)))
+               for block, x, y in zip(frame.blocks, b0[1:], d[1:])]
+    return set(map(sum, zip(*columns), itertools.repeat(1)))
+
+
 def incidence_check(frame: StarFrame, sample) -> bool:
     """Star images of sampled lines behave like lines of the model.
 
     A line with affine points maps onto the affine part of span(P*, S), P
     any of its affine points and S the spread element of its point at
     infinity, so its closure meets A* in S; a line inside the hyperplane at
-    infinity maps into the span of two spread elements.  The spread
-    elements are the frame's, and their vectors are listed once per point
-    at infinity.  Every pair is normalized and spanned, but each distinct
-    line, keyed by its RREF basis, is checked once: the check depends on the
-    line alone.  Returns True, or raises VerificationError with the failing
-    line's first pair and the frame's params.
+    infinity maps into the span of two spread elements.  A line through an
+    affine point needs no rref: _line_basis gives its RREF basis (b0, d),
+    its one point at infinity is d, and _line_images images its affine
+    points b0 + c*d.  A line at infinity is spanned and its points listed.
+    The spread elements are the frame's, and their vectors are listed once
+    per point at infinity.  Each distinct line, keyed by its RREF basis, is
+    checked once: the check depends on the line alone.  Returns True, or
+    raises VerificationError with the failing line's first pair and the
+    frame's params.
     """
-    bigq = frame.tower.order
+    tower = frame.tower
     spread = dict(zip(frame.infinite, frame.spread))  # point at infinity -> its element
     lines, cosets = set(), {}  # bases of the lines checked; point at infinity -> its vectors
     for x, y in sample:
-        x = pspace.normalize_point(x, bigq)
-        y = pspace.normalize_point(y, bigq)
+        x = pspace.normalize_point(x, tower.order)
+        y = pspace.normalize_point(y, tower.order)
         if x == y:
             raise ValueError("degenerate line spec: the two points coincide")
-        line = pspace.span([x, y], bigq)
-        if line.basis in lines:
+        if x[0] or y[0]:
+            line = _line_basis(*((x, y) if x[0] else (y, x)), tower)
+        else:
+            line = pspace.span([x, y], tower.order).basis
+        if line in lines:
             continue
-        lines.add(line.basis)
+        lines.add(line)
         where = {"spec": [list(x), list(y)], "params": [frame.r, frame.p, frame.h, frame.n]}
-        pts = pspace.subspace_points(line)
-        affine = [P for P in pts if P[0] != 0]
-        infinite = [P for P in pts if P[0] == 0]
-        if affine:
-            if len(infinite) != 1:
-                raise VerificationError("incidence check failed", {
-                    "kind": "line off the hyperplane has several infinite points", **where})
-            point = infinite[0]
-            if point not in cosets:
-                cosets[point] = [frame.pack(w) for w in _vectors(spread[point])]
-            images = {frame.packed_point(P) for P in affine}  # normalized, so affine
+        b0, d = line
+        if b0[0]:
+            if d not in cosets:
+                cosets[d] = [frame.pack(w) for w in _vectors(spread[d])]
             _check_affine_image(
-                images, frame.packed_point(affine[0]), cosets[point], frame,
+                _line_images(b0, d, frame), frame.packed_point(b0), cosets[d], frame,
                 lambda kind, **_: VerificationError("incidence check failed",
                                                     {"kind": kind, **where}),
                 ("affine line image does not cut a spread element",
@@ -336,7 +365,7 @@ def incidence_check(frame: StarFrame, sample) -> bool:
             if closure.t != 2 * frame.dprime:
                 raise VerificationError("incidence check failed", {
                     "kind": "infinite line span has wrong rank", **where, "rank": closure.t})
-            for P in pts:
+            for P in pspace.subspace_points(pspace.Subspace(tower.order, line)):
                 if not all(pspace.contains(closure, row) for row in spread[P].basis):
                     raise VerificationError("incidence check failed", {
                         "kind": "spread element escapes the infinite line span", **where,
@@ -413,12 +442,17 @@ def verify_star_model(r: int, p: int, h: int, n: int, m=None, seed: int = 0,
     frame = StarFrame(r, p, h, n)
     # checked affine once here, not once per subgroup
     sample = [_affine(x, frame) for x in sample_affine_points(frame, seed=seed, force=exhaustive)]
+    # _check_cosets only ever checks the first point of a last coordinate
+    firsts = {}
+    for x in sample:
+        firsts.setdefault(x[-1], x)
+    firsts = list(firsts.values())
     orders = [m] if m is not None else admissible_orders(h, n)
     per_order = []
     for mm in orders:
         for basis in pspace.subspace_bases(frame.dprime, mm // n, frame.q, cap):
             X = pspace.Subspace(frame.q, basis)
-            _check_cosets(elation.group_from_subspace(X, h), X, frame, sample)
+            _check_cosets(elation.group_from_subspace(X, h), X, frame, firsts)
         groups = combinat.gaussian_binomial(frame.dprime, mm // n, frame.q)  # as the stream checked
         per_order.append({
             "m": mm,

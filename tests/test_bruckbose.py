@@ -291,15 +291,21 @@ class TestGeometricChecks:
         ((3, 2, 4, 2), lambda f: sample_line_specs(f, size=200, seed=3))],
         ids=["3-2-2-1-exhaustive", "3-2-4-2"])
     def test_points_listed_once_per_distinct_line(self, frame, specs, monkeypatch):
+        # a line with affine points gets one image check, on the first row
+        # of its RREF basis; a line at infinity has its points listed once
         f = StarFrame(*frame)
         sample = specs(f)
         lines = {span([x, y], f.tower.order) for x, y in sample}
         assert len(lines) < len(sample)
-        calls = []
+        affine = sorted(X.basis[0] for X in lines if X.basis[0][0])
+        infinite = sorted(X.basis for X in lines if not X.basis[0][0])
+        checked = count_closures(monkeypatch)
+        listed = []
         real = pspace.subspace_points
-        monkeypatch.setattr(pspace, "subspace_points", lambda X: calls.append(X) or real(X))
+        monkeypatch.setattr(pspace, "subspace_points", lambda X: listed.append(X) or real(X))
         assert incidence_check(f, sample) is True
-        assert sorted(calls, key=lambda X: X.basis) == sorted(lines, key=lambda X: X.basis)
+        assert sorted(checked) == affine
+        assert sorted(X.basis for X in listed) == infinite
 
     def test_degenerate_pair_rejected(self):
         f = small_frame()
@@ -517,11 +523,95 @@ class TestFailureKinds:
         # PG(1,4) over GF(2): the line's last affine point left out, the
         # other three still span P* and the spread element
         f = StarFrame(2, 2, 2, 1)
-        real = pspace.subspace_points
-        monkeypatch.setattr(pspace, "subspace_points", lambda X: real(X)[:-1])
+        real = bruckbose._multiples
+        monkeypatch.setattr(bruckbose, "_multiples", lambda x, field: list(real(x, field))[:-1])
         with pytest.raises(VerificationError) as exc:
             incidence_check(f, [((1, 0), (1, 1))])
         assert exc.value.details["kind"] == "line image is missing affine points"
+
+
+    def test_infinite_line_of_one_spread_element_has_wrong_rank(self):
+        # every point at infinity of PG(2,4) given the center's element
+        f = StarFrame(3, 2, 2, 1)
+        f.spread = (f.zstar,) * len(f.spread)
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, [((0, 1, 0), (0, 0, 1))])
+        assert str(exc.value) == "incidence check failed"
+        assert exc.value.details["kind"] == "infinite line span has wrong rank"
+        assert exc.value.details["rank"] == f.dprime
+
+    def test_spread_element_off_the_line_escapes(self):
+        # PG(3,4): (0, 1, 1, 0) lies on the line at infinity through (0, 1,
+        # 0, 0) and (0, 0, 1, 0), but is given the element of (0, 0, 0, 1)
+        f = StarFrame(4, 2, 2, 1)
+        spread = dict(zip(f.infinite, f.spread))
+        spread[(0, 1, 1, 0)] = spread[(0, 0, 0, 1)]
+        f.spread = tuple(spread.values())
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, [((0, 1, 0, 0), (0, 0, 1, 0))])
+        assert str(exc.value) == "incidence check failed"
+        assert exc.value.details["kind"] == "spread element escapes the infinite line span"
+        assert exc.value.details["point"] == [0, 1, 1, 0]
+
+
+def shifted_multiples(monkeypatch, shift):
+    """_multiples reading the exp slice one late, c*mu*x in place of c*x,
+    for the entries x that shift(x) picks."""
+    real = bruckbose._multiples
+    monkeypatch.setattr(bruckbose, "_multiples",
+                        lambda x, field: real(field.mul(x, field.mu) if shift(x) else x, field))
+
+
+class TestClosedFormLine:
+    @pytest.mark.parametrize("r, q", [(2, 16), (3, 4), (3, 9), (3, 5), (4, 4)],
+                             ids=lambda v: str(v))
+    def test_basis_and_points_agree_with_span(self, r, q):
+        # every pair with an affine point, either one first: (b0, d) is the
+        # RREF basis of the span, and b0 + c*d, c in _multiples' order, with
+        # d are the points subspace_points lists; odd q has sub != xor
+        field = field_for(q)
+        for x in range(q):
+            assert list(bruckbose._multiples(x, field)) == \
+                [field.mul(c, x) for c in (0, *field.exp[:q - 1])]
+        pairs = 0
+        for x, y in itertools.permutations(enumerate_points(r, q), 2):
+            if not x[0]:
+                continue
+            line = span([x, y], q)
+            b0, d = bruckbose._line_basis(x, y, field)
+            assert (b0, d) == line.basis
+            points = {tuple(map(field.add, b0, column))
+                      for column in zip(*(bruckbose._multiples(di, field) for di in d))}
+            assert len(points) == q
+            assert points | {d} == set(subspace_points(line))
+            pairs += 1
+        assert pairs == q ** (r - 1) * (theta(r, q) - 1)
+
+    def test_exp_slice_shifted_off_the_pivot_fails(self, monkeypatch):
+        # PG(2,4): the line through (1, 0, 0) and (0, 1, mu) is read as
+        # b0 + c*(0, 1, mu^2), another line, so its image cuts no spread
+        # element; the spec is the normalized pair in its given order
+        f = StarFrame(3, 2, 2, 1)
+        shifted_multiples(monkeypatch, lambda x: x != 1)
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, [((0, 2, 3), (1, 0, 0))])
+        assert str(exc.value) == "incidence check failed"
+        assert exc.value.details == {"kind": "affine line image does not cut a spread element",
+                                     "spec": [[0, 1, 2], [1, 0, 0]], "params": [3, 2, 2, 1]}
+
+    @pytest.mark.parametrize("params", [(3, 2, 2, 1), (3, 3, 2, 1), (4, 2, 2, 1)],
+                             ids=lambda params: "-".join(map(str, params)))
+    def test_exp_slice_shifted_everywhere_is_the_same_line(self, params, monkeypatch):
+        # shifting every entry reads c*mu*d for c*d, the same points, so it
+        # is no fault; shifting the entries off the pivot fails some line
+        f = StarFrame(*params)
+        specs = sample_line_specs(f, size=200, seed=1)
+        shifted_multiples(monkeypatch, lambda x: True)
+        assert incidence_check(f, specs) is True
+        shifted_multiples(monkeypatch, lambda x: x != 1)
+        with pytest.raises(VerificationError) as exc:
+            incidence_check(f, specs)
+        assert exc.value.details["kind"] == "affine line image does not cut a spread element"
 
 
 def count_rref(monkeypatch):
@@ -572,14 +662,38 @@ class TestWork:
         assert calls["_affine"] == report["sample"]["affine_points"] + calls["star_point"]
 
     def test_star_model_lists_points_once_per_distinct_line(self, monkeypatch):
-        # PG(1,16): one spread element for the frame's partition check, and
-        # one line for the 136 sampled pairs
-        calls = []
-        real = pspace.subspace_points
-        monkeypatch.setattr(pspace, "subspace_points", lambda X: calls.append(X) or real(X))
+        # PG(1,16): one spread element listed for the frame's partition
+        # check, and one line checked for the 136 sampled pairs
+        listed, lines = [], []
+        real, real_images = pspace.subspace_points, bruckbose._line_images
+        monkeypatch.setattr(pspace, "subspace_points", lambda X: listed.append(X) or real(X))
+        monkeypatch.setattr(bruckbose, "_line_images",
+                            lambda b0, d, frame: lines.append((b0, d)) or real_images(b0, d, frame))
         report = verify_star_model(2, 2, 4, 1)
         assert report["sample"]["line_specs"] == 136
-        assert len(calls) == 2
+        assert len(listed) == 1
+        assert lines == [((1, 0), (0, 1))]
+
+    def test_star_model_checks_cosets_on_the_first_point_of_each_last_coordinate(
+            self, monkeypatch):
+        # PG(2,16) over GF(4): 256 sample points share 16 last coordinates;
+        # every subgroup's coset check gets the first point of each
+        calls = []
+        real = bruckbose._check_cosets
+
+        def recorded(E, section, frame, points):
+            calls.append(list(points))
+            return real(E, section, frame, calls[-1])
+
+        monkeypatch.setattr(bruckbose, "_check_cosets", recorded)
+        report = verify_star_model(3, 2, 4, 2)
+        sample = sample_affine_points(StarFrame(3, 2, 4, 2))
+        firsts = [x for i, x in enumerate(sample) if all(y[-1] != x[-1] for y in sample[:i])]
+        assert len(firsts) == 16
+        groups = [order["subgroups"] for order in report["orders"]]
+        assert calls == [firsts] * sum(groups)
+        assert [order["orbits_checked"] for order in report["orders"]] == \
+            [g * len(sample) for g in groups]
 
     def test_star_model_derives_no_center_section(self, monkeypatch):
         # each pulled-back subgroup is checked against the subspace it came from

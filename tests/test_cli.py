@@ -310,6 +310,18 @@ class TestVerify:
         assert "999969000250 pass steps exceed cap 1000000" in capsys.readouterr().err
         assert (999983, 1) not in gf._CACHE
 
+    @pytest.mark.parametrize("p,code,message", [
+        ("1000000000000000003", 3, "cap exceeded: field order 1000000000000000003 exceeds cap"),
+        ("1000000000000000001", 2, "invalid parameters: 1000000000000000001 is not prime"),
+    ])
+    def test_lemma1_huge_p_is_told_at_once(self, capsys, p, code, message):
+        # trial division would need about 5 * 10^8 steps to find 10^18 + 3
+        # prime; the field order cap then refuses it
+        start = time.perf_counter()
+        assert cli.main(["verify", "lemma1", "--r", "2", "--p", p, "--h", "1"]) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("p,h,r,message", [
         ("1000000", "1", "2", "1000000 is not prime"),
         ("2", "0", "2", "bad extension degree 0"),

@@ -17,7 +17,7 @@ from galela import (
     prime_power,
     theta,
 )
-from galela.combinat import exact_div
+from galela.combinat import exact_div, is_prime
 
 
 def brute_subspace_count(a, b, q):
@@ -191,3 +191,32 @@ class TestPrimePower:
         for bad in (1, 6, 12, 100):
             with pytest.raises(ValueError):
                 prime_power(bad)
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 10**5) if is_prime(n) != trial_division(n)] == []
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the first passes the bases 2, 3, 5 and 7, the second every prime
+        # base up to 23
+        assert 151 * 751 * 28351 == 3215031751
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    def test_large_primes(self):
+        assert is_prime(10**18 + 3)
+        assert is_prime(2**89 - 1)
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
