@@ -7,6 +7,7 @@ Field towers and canonical subfields
 # every field GF(p^h) is built once, from a fixed irreducible polynomial,
 # so two runs of any computation see literally the same tables
 from galela import make_field
+from galela.oracle import subfield_elements
 
 t = make_field(2, 4)
 print("order:", t.order)
@@ -19,7 +20,7 @@ print("generator cycle:", cycle)
 assert sorted(cycle) == list(range(1, t.order))
 
 # the subfield GF(4) sits inside GF(16) as the fixed set of x -> x^4
-sub = t.subfield_elements(2)
+sub = subfield_elements(t, 2)
 print("GF(4) inside GF(16):", sub)
 for a in sub:
     assert t.pow(a, 4) == a

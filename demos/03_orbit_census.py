@@ -10,7 +10,7 @@ Orbit census under the cyclic collineation group
 # from a subspace's log set to its orbit
 from galela import (
     SingerGroup,
-    is_spread,
+    is_cover,
     log_set,
     orbit_census,
     predicted_orbit_count,
@@ -31,7 +31,7 @@ for rec in census.orbits:
 # orbit_members rebuilds them by applying the matrix to the representative
 short = min(range(len(census.orbits)), key=lambda i: census.orbits[i].size)
 members = census.orbit_members(short)
-print("short orbit is a spread:", is_spread(members))
+print("short orbit is a spread:", is_cover(members, 1))
 print(
     "spread size matches point count ratio:",
     len(members) == theta(4, 2) // theta(2, 2),

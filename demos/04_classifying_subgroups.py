@@ -11,10 +11,10 @@ from galela import (
     conjugator,
     count_classes,
     equivalence_classes,
-    scalar_equivalent,
     subspace_of_center,
     verify_correspondence,
 )
+from galela.oracle import scalar_equivalent
 
 # the 35 subgroups of order 4 in GF(16) fall into three classes
 classes = equivalence_classes(2, 4, 2)

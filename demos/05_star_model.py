@@ -14,10 +14,10 @@ from galela import (
     incidence_check,
     orbit_image,
     star_point,
-    subspace_intersection,
     verify_star_model,
 )
 from galela.bruckbose import sample_affine_points, sample_line_specs
+from galela.oracle import subfield_elements, subspace_intersection
 
 frame = StarFrame(2, 2, 4, 2)
 t = frame.tower
@@ -28,7 +28,7 @@ print("spread size:", len(frame.spread))
 print("(1, mu) embeds as:", star_point((1, t.mu), frame))
 
 # a subgroup closed under the subfield gives orbit images of fixed rank
-H = group_from_elements(t, t.subfield_elements(2))
+H = group_from_elements(t, subfield_elements(t, 2))
 closure = orbit_image((1, 0), H, frame)
 print("orbit closure rank:", closure.t)
 

@@ -14,7 +14,6 @@ from .bruckbose import (
     orbit_image,
     star_infinite,
     star_point,
-    star_point_inverse,
     verify_star_model,
 )
 from .combinat import divisors, gaussian_binomial, moebius, prime_power, theta
@@ -26,12 +25,10 @@ from .elation import (
     count_classes,
     dimension_profile,
     elation_matrix,
-    enumerate_subgroups,
     equivalence_classes,
     group_from_elements,
     group_from_subspace,
     no_conjugation_witness,
-    scalar_equivalent,
     subspace_of_center,
     verify_correspondence,
 )
@@ -42,9 +39,7 @@ from .pspace import (
     enumerate_points,
     enumerate_subspaces,
     is_cover,
-    is_spread,
     span,
-    subspace_intersection,
     subspace_points,
     subspace_sum,
 )

@@ -151,16 +151,6 @@ def star_point(x, frame: StarFrame) -> tuple:
     return tuple(out)
 
 
-def star_point_inverse(pt, frame: StarFrame) -> tuple:
-    """Inverse of star_point on affine points of the big space."""
-    pt = tuple(pt)
-    if len(pt) != frame.vecdim or pt[0] != 1:
-        raise ValueError("not an affine point of the star space")
-    d = frame.dprime
-    blocks = [pt[1 + i * d:1 + (i + 1) * d] for i in range(frame.r - 1)]
-    return (1,) + tuple(frame.tower.from_coords(b, frame.n) for b in blocks)
-
-
 def star_infinite(P, frame: StarFrame) -> pspace.Subspace:
     """Spread element of a point at infinity of PG(r-1, p^h).
 

@@ -132,13 +132,6 @@ def _subgroup_groups(p: int, h: int, m: int, cap):
     return pspace.subspace_groups(h, m, p, cap=cap)
 
 
-def enumerate_subgroups(p: int, h: int, m: int, cap=None) -> list[ElationGroup]:
-    """All additive subgroups of GF(p^h) of order p^m, sorted canonically."""
-    groups = _subgroup_groups(p, h, m, cap)
-    tower = make_field(p, h)
-    return [ElationGroup(tower, prefix + (row,)) for prefix, rows in groups for row in rows]
-
-
 def scalar_multiple(H: ElationGroup, alpha: int) -> ElationGroup:
     """The subgroup alpha * H: the span of alpha times H's basis elements."""
     tower = H.tower
@@ -171,22 +164,6 @@ def dimension_profile(H: ElationGroup) -> DimensionProfile:
                                 {"field": (tower.p, tower.h), "rows": H.rows,
                                  "degrees": degrees})
     return DimensionProfile(tuple((n, H.m // n) for n in degrees), minimal_n, H.m // minimal_n)
-
-
-def scalar_equivalent(H1: ElationGroup, H2: ElationGroup):
-    """Least mu-power alpha with alpha * H1 == H2, else None.
-
-    Prime-field scalars fix every subgroup, so the search covers the coset
-    representatives mu^k, 0 <= k < (p^h - 1)/(p - 1), of GF(p^h)* over GF(p)*.
-    """
-    tower = H1.tower
-    if H2.tower is not tower or H1.m != H2.m:
-        raise ValueError("subgroups live in different settings")
-    for k in range(combinat.theta(tower.h, tower.p)):
-        alpha = tower.exp[k]
-        if scalar_multiple(H1, alpha).rows == H2.rows:
-            return alpha
-    return None
 
 
 def log_set(H: ElationGroup) -> int:

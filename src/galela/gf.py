@@ -282,18 +282,8 @@ class FieldTower:
         return add_digits(a, b, self.p)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        if self.h == 1:
-            return -a % p
-        out = 0
-        mult = 1
-        while a:
-            a, d = divmod(a, p)
-            out += (p - d) % p * mult
-            mult *= p
-        return out
+        # -1 is the element p - 1 of GF(p), and 1 in characteristic 2
+        return a if self.p == 2 else self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         # characteristic 2 binds sub to operator.xor in __init__
@@ -320,27 +310,11 @@ class FieldTower:
             raise ZeroDivisionError(f"0**{k} in {self!r}")
         return self.exp[(self.log[a] * k) % (self.order - 1)]
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.order - 1
-        for f in combinat.prime_factors(n):
-            while n % f == 0 and self.pow(a, n // f) == 1:
-                n //= f
-        return n
-
     # -- subfields ----------------------------------------------------------
 
     def _check_subfield_degree(self, n: int):
         if n < 1 or self.h % n != 0:
             raise ValueError(f"GF({self.p}^{n}) is not a subfield of {self!r}")
-
-    def subfield_elements(self, n: int) -> tuple[int, ...]:
-        """Elements of the subfield GF(p^n), ascending by encoding."""
-        self._check_subfield_degree(n)
-        sub = self._subfield_set(n)
-        return tuple(sorted(sub))
 
     def _subfield_set(self, n: int) -> frozenset:
         if n not in self._subfield_sets:

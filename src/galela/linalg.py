@@ -114,28 +114,3 @@ def mat_inverse(mat, field):
     if len(red) < k or piv != tuple(range(k)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[k:]) for row in red)
-
-
-def scale_projective(mat, field):
-    """Canonical representative of a matrix modulo scalars: scale so the
-    first nonzero entry in row-major order becomes 1."""
-    for row in mat:
-        for x in row:
-            if x:
-                if x == 1:
-                    return tuple(tuple(r) for r in mat)
-                iv = field.inv(x)
-                return tuple(tuple(field.mul(iv, y) for y in r) for r in mat)
-    raise ValueError("zero matrix has no projective class")
-
-
-def intersect_rowspaces(rows_a, rows_b, field):
-    """Basis (RREF rows) of the intersection of two row spaces (Zassenhaus)."""
-    n = len(rows_a[0]) if rows_a else len(rows_b[0])
-    block = [list(r) + list(r) for r in rows_a]
-    block += [list(r) + [0] * n for r in rows_b]
-    red, _ = rref(block, field)
-    inter = [row[n:] for row in red if not any(row[:n])]
-    if not inter:
-        return ()
-    return rref(inter, field)[0]

@@ -204,22 +204,7 @@ def is_cover(members, k: int) -> bool:
     return all(c == k for c in tally.values())
 
 
-def is_spread(members) -> bool:
-    return is_cover(members, 1)
-
-
 def subspace_sum(X: Subspace, Y: Subspace) -> Subspace:
     if X.q != Y.q or X.s != Y.s:
         raise ValueError("mixed ambients")
     return span(list(X.basis) + list(Y.basis), X.q)
-
-
-def subspace_intersection(X: Subspace, Y: Subspace):
-    """Intersection as a Subspace, or None when it is the zero space."""
-    if X.q != Y.q or X.s != Y.s:
-        raise ValueError("mixed ambients")
-    field = field_for(X.q)
-    rows = linalg.intersect_rowspaces(X.basis, Y.basis, field)
-    if not rows:
-        return None
-    return Subspace(X.q, rows)

@@ -289,13 +289,6 @@ def walk_orbits(pairs, step, keep=None):
     return index, firsts
 
 
-def orbit_partition(items, step) -> list:
-    """The orbits of step on items, each a list in walk order from its first item (walk_orbits)."""
-    index, firsts = walk_orbits(((x, x) for x in items), step)
-    walked = iter(index)
-    return [list(itertools.islice(walked, size)) for _, size, _ in firsts]
-
-
 def rotation_orbits(groups, s: int, t: int, q: int, hyperplane=None):
     """Singer orbits of t-subspaces of PG(s-1,q), walked on their log sets.
 

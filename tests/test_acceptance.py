@@ -18,23 +18,21 @@ from galela import (
     conjugator,
     count_classes,
     dimension_profile,
-    enumerate_subgroups,
     equivalence_classes,
     gaussian_binomial,
     is_cover,
-    is_spread,
     no_conjugation_witness,
     orbit_census,
     predicted_free_orbit_count,
     predicted_orbit_count,
-    scalar_equivalent,
     theta,
     verify_correspondence,
     verify_star_model,
 )
 from galela.combinat import exact_div
 from galela.elation import elation_matrix
-from galela.linalg import mat_inverse, matmul, scale_projective
+from galela.linalg import mat_inverse, matmul
+from galela.oracle import enumerate_subgroups, scalar_equivalent, scale_projective
 
 CENSUS_CASES = (
     (2, 1, 2),
@@ -93,7 +91,7 @@ def test_criterion_2_orbit_structure():
             ok &= rec.size * theta(rec.u, q) == theta(s, q)
             members = census.orbit_members(i)
             ok &= is_cover(members, exact_div(theta(t, q), theta(rec.u, q)))
-            if is_spread(members):
+            if is_cover(members, 1):
                 spreads += 1
         if s % t == 0:
             ok &= spreads == 1

@@ -22,12 +22,10 @@ from galela import (
     orbit_image,
     star_infinite,
     star_point,
-    star_point_inverse,
-    subspace_intersection,
     theta,
     verify_star_model,
 )
-from galela import bruckbose, elation, linalg, pspace, selftest
+from galela import bruckbose, elation, linalg, oracle, pspace, selftest
 from galela.bruckbose import (
     EXHAUSTIVE_LIMIT,
     admissible_orders,
@@ -36,8 +34,14 @@ from galela.bruckbose import (
     sample_line_specs,
 )
 from galela.combinat import divisors, gaussian_binomial, is_prime
-from galela.elation import dimension_profile, enumerate_subgroups, subspace_of_center
+from galela.elation import dimension_profile, subspace_of_center
 from galela.errors import CapExceeded
+from galela.oracle import (
+    enumerate_subgroups,
+    star_point_inverse,
+    subfield_elements,
+    subspace_intersection,
+)
 from galela.pspace import field_for, span, subspace_points
 
 
@@ -158,7 +162,7 @@ class TestOrbitImage:
     def test_rank_tracks_subgroup_order(self):
         f = small_frame()
         t = f.tower
-        H = group_from_elements(t, t.subfield_elements(2))
+        H = group_from_elements(t, subfield_elements(t, 2))
         closure = orbit_image((1, t.mu), H, f)
         assert closure.t == 2
 
@@ -219,7 +223,7 @@ class TestGeometricChecks:
     def test_common_intersection_exhaustive(self):
         f = small_frame()
         t = f.tower
-        H = group_from_elements(t, t.subfield_elements(2))
+        H = group_from_elements(t, subfield_elements(t, 2))
         sample = sample_affine_points(f)
         assert common_intersection_check(H, f, sample) is True
 
@@ -414,7 +418,7 @@ class TestCosetCheck:
     def test_vectors_of_a_section(self):
         f = plane_frame()
         W = embed_center_section(subspace_of_center(
-            group_from_elements(f.tower, f.tower.subfield_elements(2)), f.n), f)
+            group_from_elements(f.tower, subfield_elements(f.tower, 2)), f.n), f)
         vectors = bruckbose._vectors(W)
         assert len(vectors) == len(set(vectors)) == f.q ** W.t
         nonzero = {pspace.normalize_point(v, f.q) for v in vectors if any(v)}
@@ -738,7 +742,7 @@ class TestOrbitsCheckedOnce:
     def test_points_of_one_orbit_give_one_check(self, monkeypatch):
         f = plane_frame()
         t = f.tower
-        H = group_from_elements(t, t.subfield_elements(2))
+        H = group_from_elements(t, subfield_elements(t, 2))
         calls = count_closures(monkeypatch)
         lam = max(H.elements())
         x, y = (1, t.mu, 5), (1, t.mu, t.add(5, lam))
@@ -751,7 +755,7 @@ class TestOrbitsCheckedOnce:
         # last coordinate off that coset is checked again
         f = plane_frame()
         t = f.tower
-        H = group_from_elements(t, t.subfield_elements(2))
+        H = group_from_elements(t, subfield_elements(t, 2))
         calls = count_closures(monkeypatch)
         coset = {t.add(5, lam) for lam in H.elements()}
         other = min(set(t.elements()) - coset)
@@ -909,7 +913,7 @@ class TestPullBack:
         def forbidden(*args, **kwargs):
             raise AssertionError("GF(p)-subgroup filter reached")
 
-        monkeypatch.setattr(elation, "enumerate_subgroups", forbidden)
+        monkeypatch.setattr(oracle, "enumerate_subgroups", forbidden)
         monkeypatch.setattr(elation, "dimension_profile", forbidden)
         for frame in selftest.STAR_CASES:
             assert verify_star_model(*frame)["ok"] is True

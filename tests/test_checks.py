@@ -55,7 +55,7 @@ def run_optimized(code):
 
 PREAMBLE = """
 import sys
-from galela import VerificationError, bruckbose, elation, gf, pspace, singer
+from galela import VerificationError, bruckbose, elation, gf, oracle, pspace, singer
 """
 
 REPORT = """
@@ -154,7 +154,7 @@ def first_failure(sets):
 
 out.append(first_failure([lambda X=X: singer.log_set(S, X) for X in fam]))
 out.append(first_failure([lambda H=H: elation.log_set(H)
-                          for H in elation.enumerate_subgroups(2, 6, 3)]))
+                          for H in oracle.enumerate_subgroups(2, 6, 3)]))
 for call in (lambda: singer.orbit_census(6, 3, 2), lambda: elation.equivalence_classes(2, 6, 3)):
     try:
         call()
@@ -486,7 +486,7 @@ def dropping(r, tower):
             yield g
 elation._iterate_pgl = dropping
 tower = gf.make_field(2, 2)
-sets = [H.elements() for H in elation.enumerate_subgroups(2, 2, 1)]
+sets = [H.elements() for H in oracle.enumerate_subgroups(2, 2, 1)]
 """ + DETAILS.format(call="elation.conjugacy_partition(tower, sets, 3)")
     assert optimized_details(code) == [
         1, "PGL sweep is not the q - 1 diagonal projectivities",
@@ -585,7 +585,7 @@ real = gf.FieldTower._eval_small
 
 def primitive_non_root(coeffs, small):
     return next(b for b in range(2, small.order) if real(coeffs, b, small)
-                and small.element_order(b) == small.order - 1)
+                and oracle.element_order(small, b) == small.order - 1)
 
 gf.FieldTower._eval_small = staticmethod(lambda coeffs, b, small: 0 if b == {root} else 1)
 big = gf.make_field(2, 6)

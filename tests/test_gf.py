@@ -12,6 +12,7 @@ import random
 import pytest
 
 from galela import FieldTower, gf, make_field
+from galela.oracle import element_order, subfield_elements
 
 
 def gf2_poly_mod(num, den):
@@ -136,6 +137,22 @@ class TestArithmetic:
             assert t.add(a, b) == gf.add_digits(a, b, p) == total
             assert t.sub(total, b) == a
 
+    @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (3, 6)])
+    def test_neg_and_sub_are_digitwise(self, p, h):
+        # neg is mul by p - 1; both must equal coefficient-wise arithmetic
+        # mod p on every element, sub on every pair up to GF(49) and against
+        # 0, 1, -1, mu, the top element and the monomials beyond
+        t = make_field(p, h)
+        digits = [t.coeffs(a) for a in t.elements()]
+        index = {ds: a for a, ds in enumerate(digits)}
+        assert [t.neg(a) for a in t.elements()] == \
+            [index[tuple(-d % p for d in ds)] for ds in digits]
+        partners = t.elements() if t.order <= 49 else \
+            sorted({0, 1, p - 1, t.mu, t.order - 1} | {p**i for i in range(h)})
+        for a, b in itertools.product(t.elements(), partners):
+            for x, y in ((a, b), (b, a)):
+                assert t.sub(x, y) == index[tuple((u - v) % p for u, v in zip(digits[x], digits[y]))]
+
     def test_pow_negative_exponent(self):
         t = make_field(2, 4)
         for a in range(1, t.order):
@@ -180,13 +197,13 @@ class TestGenerator:
     def test_mu_has_full_order(self):
         for p, h in [(2, 1), (2, 2), (2, 4), (3, 2), (2, 6), (3, 3), (5, 2)]:
             t = make_field(p, h)
-            assert t.element_order(t.mu) == t.order - 1
+            assert element_order(t, t.mu) == t.order - 1
 
     def test_mu_is_smallest_generator(self):
         for p, h in [(2, 4), (3, 2), (5, 2)]:
             t = make_field(p, h)
             for a in range(1, t.mu):
-                assert t.element_order(a) < t.order - 1
+                assert element_order(t, a) < t.order - 1
 
     def test_exp_log_tables(self):
         t = make_field(2, 4)
@@ -204,22 +221,22 @@ class TestGenerator:
 
     def test_element_orders(self):
         t = make_field(2, 4)
-        assert t.element_order(1) == 1
-        assert t.element_order(t.mu) == 15
-        assert t.element_order(t.pow(t.mu, 5)) == 3
-        assert t.element_order(t.pow(t.mu, 3)) == 5
+        assert element_order(t, 1) == 1
+        assert element_order(t, t.mu) == 15
+        assert element_order(t, t.pow(t.mu, 5)) == 3
+        assert element_order(t, t.pow(t.mu, 3)) == 5
         with pytest.raises(ValueError):
-            t.element_order(0)
+            element_order(t, 0)
 
 
 class TestSubfields:
     def test_subfield_elements_gf16(self):
         t = make_field(2, 4)
-        assert set(t.subfield_elements(1)) == {0, 1}
+        assert set(subfield_elements(t, 1)) == {0, 1}
         mu5 = t.pow(t.mu, 5)
         mu10 = t.pow(t.mu, 10)
-        assert set(t.subfield_elements(2)) == {0, 1, mu5, mu10}
-        assert set(t.subfield_elements(4)) == set(range(16))
+        assert set(subfield_elements(t, 2)) == {0, 1, mu5, mu10}
+        assert set(subfield_elements(t, 4)) == set(range(16))
 
     @pytest.mark.parametrize("p,h", [(2, 4), (2, 6), (3, 2)])
     def test_subfield_is_frobenius_fixed_set(self, p, h):
@@ -227,16 +244,16 @@ class TestSubfields:
         t = make_field(p, h)
         for n in [d for d in range(1, h + 1) if h % d == 0]:
             fixed = {a for a in range(t.order) if t.pow(a, p**n) == a}
-            assert set(t.subfield_elements(n)) == fixed
+            assert set(subfield_elements(t, n)) == fixed
 
     def test_subfield_element_count(self):
         t = make_field(2, 6)
         for n in (1, 2, 3, 6):
-            assert len(t.subfield_elements(n)) == 2**n
+            assert len(subfield_elements(t, n)) == 2**n
 
     def test_subfield_elements_closed(self):
         t = make_field(2, 6)
-        sub = set(t.subfield_elements(2))
+        sub = set(subfield_elements(t, 2))
         for a in sub:
             for b in sub:
                 assert t.add(a, b) in sub
@@ -245,7 +262,7 @@ class TestSubfields:
     def test_rejects_non_divisor(self):
         t = make_field(2, 4)
         with pytest.raises(ValueError):
-            t.subfield_elements(3)
+            subfield_elements(t, 3)
 
     def test_subfield_generator_order(self):
         t = make_field(2, 6)
@@ -253,13 +270,13 @@ class TestSubfields:
             g = t.subfield_generator(n)
             assert t.pow(t.mu, (t.order - 1) // (2**n - 1)) == g
             if n > 1:
-                assert t.element_order(g) == 2**n - 1
+                assert element_order(t, g) == 2**n - 1
 
     def test_to_subfield_isomorphism(self):
         # the canonical identification matches multiplication and addition
         t = make_field(2, 4)
         small = make_field(2, 2)
-        sub = t.subfield_elements(2)
+        sub = subfield_elements(t, 2)
         for a in sub:
             for b in sub:
                 assert t.to_subfield(t.mul(a, b), 2) == small.mul(
@@ -313,7 +330,7 @@ class TestMinimalPolynomial:
 
     def test_coefficients_live_in_subfield(self):
         t = make_field(2, 6)
-        sub = set(t.subfield_elements(2))
+        sub = set(subfield_elements(t, 2))
         for a in (t.mu, t.pow(t.mu, 3), t.pow(t.mu, 7)):
             for c in t.minimal_polynomial(a, 2):
                 assert c in sub
@@ -338,7 +355,7 @@ class TestCoords:
     def test_linearity_over_subfield(self):
         t = make_field(2, 4)
         small = make_field(2, 2)
-        sub = t.subfield_elements(2)
+        sub = subfield_elements(t, 2)
         for a in range(t.order):
             for b in range(t.order):
                 ca, cb = t.coords(a, 2), t.coords(b, 2)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from galela import elation, pspace, singer
+from galela import elation, oracle, pspace, singer
 from galela.gf import make_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -25,7 +25,7 @@ def _records():
     X = pspace.span([(1, 0, 1), (0, 1, 1)], 2)
     H = elation.group_from_elements(make_field(2, 4), [1, 2])
     cls = elation.equivalence_classes(2, 4, 2)[0]
-    subgroups = elation.enumerate_subgroups(2, 2, 1)
+    subgroups = oracle.enumerate_subgroups(2, 2, 1)
     partition = elation.conjugacy_partition(subgroups[0].tower,
                                             [K.elements() for K in subgroups], 3)
     return [

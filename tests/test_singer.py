@@ -18,7 +18,7 @@ from galela import (
     enumerate_subspaces,
     equivalence_classes,
     gaussian_binomial,
-    is_spread,
+    is_cover,
     log_set,
     orbit_census,
     predicted_free_orbit_count,
@@ -34,7 +34,8 @@ from galela.gf import make_field
 from galela.linalg import matvec
 from galela.pspace import Subspace, normalize_point, subspace_groups
 from galela.selftest import CENSUS_CASES
-from galela.singer import OrbitRecord, _walk_orbit, orbit_partition, span_log_sets, walk_orbits
+from galela.oracle import orbit_partition
+from galela.singer import OrbitRecord, _walk_orbit, span_log_sets, walk_orbits
 
 
 def spread_members(census):
@@ -207,7 +208,7 @@ class TestOrbit:
     def test_short_orbit_is_spread(self):
         census = orbit_census(4, 2, 2)
         assert [rec.size for rec in census.orbits if rec.u == 2] == [5]
-        assert is_spread(spread_members(census))
+        assert is_cover(spread_members(census), 1)
 
 
 class TestCensus:
@@ -627,12 +628,12 @@ class TestSpreadOrbit:
     def test_line_spread_pg32(self):
         members = spread_members(orbit_census(4, 2, 2))
         assert len(members) == 5
-        assert is_spread(members)
+        assert is_cover(members, 1)
 
     def test_plane_spread_pg52(self):
         census = orbit_census(6, 3, 2)
         assert [rec.size for rec in census.orbits if rec.u == 3] == [9]
-        assert is_spread(spread_members(census))
+        assert is_cover(spread_members(census), 1)
 
 
 class TestPredictions:
